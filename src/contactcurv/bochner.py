@@ -14,13 +14,14 @@ Two readings of the nested operator notation are implemented:
 
 Exactly one of the two drives the Bochner tensor of the model space to
 zero; the suite verifies that decidability and the reports carry the
-chosen reading.
+chosen reading.  :func:`run_suites` is the staged verification run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -237,7 +238,8 @@ def bochner_13(ctx: CurvatureContext, regime: Optional[str] = None) -> np.ndarra
 
 
 def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
-                               reading: str = DEFAULT_READING) -> Report:
+                               reading: str = DEFAULT_READING,
+                               points: Optional[Sequence[rm.Point]] = None) -> Report:
     """Recompute B for the metric e^{2f} g with the same J.
 
     For constant f the (1,3)-variance form must be unchanged; for
@@ -247,7 +249,8 @@ def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
     constant = not (el.free_names(fe) & set(cp.chart.coords))
     rescaled = rm.conformal_rescale(cp.metric, fe)
     report = Report(cp.name, cp.conventions() | convention_ledger())
-    for pt in cp.chart.sample_points:
+    pts = tuple(points) if points is not None else cp.chart.sample_points
+    for pt in pts:
         st = cpm.structure_at(cp, pt)
         base = bochner_13(context(cp, pt, "J", reading))
         ctx2 = context_for_metric(rescaled, pt, st.J, cp.m, cp.n, reading,
@@ -260,4 +263,115 @@ def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
                       else "(non-constant factor: recorded only)"),
                    residual, 1e-7 if constant else None, pt,
                    passed=(residual <= 1e-7) if constant else True)
+    return report
+
+
+# --- staged verification run ----------------------------------------------------
+
+SUITES = ("definitions", "lemmas", "theorem1", "theorem2")
+
+
+class MissingExpectedTable(LookupError):
+    """A theorem suite needs the expected-results table of a catalog entry."""
+
+
+def loosen(default: float, requested: Optional[float]) -> float:
+    """A requested tolerance may only loosen the pinned default."""
+    return default if requested is None else max(default, requested)
+
+
+def _theorem1(report: Report, cp: ContactPairManifold, expected: Mapping,
+              tol: Optional[float], points: Sequence[rm.Point]) -> None:
+    """Bochner-flatness consequences on the model space; measured controls
+    on the expected-nonflat entries."""
+    flat = expected["bochner_flat"]
+    m, n = cp.pair_type
+    tight, loose = loosen(1e-7, tol), loosen(1e-6, tol)
+    for pt in points:
+        st = cpm.structure_at(cp, pt)
+        b = bochner(context(cp, pt))
+        sup = float(np.max(np.abs(b)))
+        plane = float(np.einsum("ijkl,i,j,k,l", b, st.z1, st.z2, st.z2, st.z1))
+        if flat:
+            report.add("bochner_flatness", "sup |B_J| vanishes on the model space",
+                       sup, loose, pt)
+            report.add("bochner_reeb_plane", "B_J(Z1,Z2,Z2,Z1) = 0", plane, tight, pt)
+            report.add("scalar_curvature_value", "tau = 2m(2m+1) + 2n(2n+1) + 2mn",
+                       st.geo.tau - (2 * m * (2 * m + 1) + 2 * n * (2 * n + 1)
+                                     + 2 * m * n), tight, pt)
+            worst_r, worst_s, worst_p = 0.0, 0.0, 0.0
+            for x in st.horizontal_leaf_vectors(2):
+                worst_r = max(worst_r, abs(float(x @ st.geo.ricci @ x) - 2.0 * m))
+                worst_s = max(worst_s, abs(float(x @ st.star_ricci @ x) - 1.0))
+                px = st.phi @ x
+                sect = float(np.einsum("ijkl,i,j,k,l", st.geo.riem4, x, px, px, x))
+                worst_p = max(worst_p, abs(sect - 1.0))
+            report.add("horizontal_ricci", "rho(X,X) = 2m for unit horizontal "
+                       "leaf-tangent X", worst_r, tight, pt)
+            report.add("horizontal_star_ricci", "rho*(X,X) = 1", worst_s, tight, pt)
+            report.add("phi_sectional_curvature", "R(X,phiX,phiX,X) = 1",
+                       worst_p, tight, pt)
+        else:
+            report.add("bochner_not_flat", "sup |B_J| stays above the control "
+                       "bound on a non-model structure", sup, 1e-2, pt,
+                       passed=sup > 1e-2)
+            target = expected.get("bochner_reeb_plane")
+            if target is not None:
+                closed = reeb_plane_closed_form(m, n, st.geo.tau)
+                report.add("bochner_reeb_plane_value",
+                           "B_J(Z1,Z2,Z2,Z1) matches the closed-form value "
+                           "computed from the measured scalar curvature",
+                           plane - closed, loose, pt)
+                report.add("bochner_reeb_plane_expected",
+                           f"B_J(Z1,Z2,Z2,Z1) = {target}", plane - target, loose, pt)
+
+
+def _theorem2(report: Report, cp: ContactPairManifold, expected: Mapping,
+              tol: Optional[float], points: Sequence[rm.Point]) -> None:
+    """Conformal flatness on the model space, plus constant-factor
+    conformal invariance of the Bochner tensor."""
+    flat = expected["weyl_flat"]
+    for pt in points:
+        sup = float(np.max(np.abs(rm.weyl(cp.metric, pt).comps)))
+        if flat:
+            report.add("weyl_flatness", "sup |W| vanishes on the model space",
+                       sup, loosen(1e-8, tol), pt)
+        else:
+            report.add("weyl_not_flat", "sup |W| stays above the control bound",
+                       sup, 1e-2, pt, passed=sup > 1e-2)
+    if flat:
+        report.extend(conformal_invariance_check(cp, str(math.log(2.0)), points=points))
+
+
+def run_suites(cp: ContactPairManifold, suites: Collection[str],
+               expected: Optional[Mapping] = None,
+               tolerance: Optional[float] = None,
+               points: Optional[Sequence[rm.Point]] = None) -> Report:
+    """Run the requested suites of :data:`SUITES`, always in that order.
+
+    The definitions report, over ``points`` at the loosened structure
+    tolerance, is built once and gates the later stages.  It is emitted
+    when requested, else only its failed records are.  ``expected`` is the
+    catalog entry's expected-results table that the theorem suites read.
+    """
+    pts = tuple(points) if points is not None else cp.chart.sample_points
+    report = Report(cp.name, cp.conventions() | convention_ledger())
+    gate = cpm.validate_structure(cp, loosen(cpm.STRUCTURE_TOL, tolerance),
+                                  points=pts)
+    if "definitions" in suites:
+        report.extend(gate)
+    else:
+        report.checks.extend(gate.failures)
+    if not gate.passed:
+        return report
+    if "lemmas" in suites:
+        report.extend(cpm.lemma_checks(cp, loosen(cpm.LEMMA_TOL, tolerance), pts))
+    if expected is None and {"theorem1", "theorem2"} & set(suites):
+        raise MissingExpectedTable(
+            f"theorem suites need the expected-results table of a catalog "
+            f"entry; '{cp.name}' is not in the catalog")
+    if "theorem1" in suites:
+        _theorem1(report, cp, expected, tolerance, pts)
+    if "theorem2" in suites:
+        _theorem2(report, cp, expected, tolerance, pts)
     return report

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Loads catalog or user manifolds, runs the validators and tensor
-computations, and emits human-readable or machine-readable reports.
+Argument parsing, the manifold file format and output only: the suites
+themselves run in :func:`contactcurv.bochner.run_suites`, and the tensor
+queries read :func:`contactcurv.contactpair.structure_at`.
 
 Manifold-definition files are JSON documents with the fields ``dim``,
 ``coords``, ``params`` (optional), ``metric`` (upper-triangle entries keyed
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -34,12 +34,6 @@ from .report import Report
 
 class UsageError(Exception):
     pass
-
-
-def conventions(cp: Optional[ContactPairManifold] = None) -> dict:
-    out = cp.conventions() if cp is not None else dict(cpm.CONVENTIONS)
-    out.update(bm.convention_ledger())
-    return out
 
 
 # --- manifold files -----------------------------------------------------------
@@ -130,21 +124,14 @@ def resolve_manifold(spec: str) -> ContactPairManifold:
 
 # --- shared helpers --------------------------------------------------------------
 
-def _limit_points(cp: ContactPairManifold, count: Optional[int]):
-    pts = cp.chart.sample_points
-    return pts if count is None else pts[:count]
+def _positive_int(raw: str) -> int:
+    if not raw.isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got '{raw}'")
+    return int(raw)
 
 
-def _loosen(default: float, requested: Optional[float]) -> float:
-    # a requested tolerance may only loosen the pinned default
-    return default if requested is None else max(default, requested)
-
-
-def _emit(report: Report, fmt: str) -> None:
+def _emit(report: Report, fmt: str) -> int:
     print(report.to_json() if fmt == "json" else report.to_text())
-
-
-def _first_failure_exit(report: Report) -> int:
     return 0 if report.passed else 1
 
 
@@ -174,18 +161,11 @@ def cmd_list(args) -> int:
 
 def cmd_check(args) -> int:
     cp = resolve_manifold(args.manifold)
-    points = _limit_points(cp, args.points)
-    structure_tol = _loosen(cpm.STRUCTURE_TOL, args.tolerance)
-    lemma_tol = _loosen(cpm.LEMMA_TOL, args.tolerance)
-    report = Report(cp.name, conventions(cp))
-    report.conventions["tolerance_structure"] = structure_tol
-    report.conventions["tolerance_identities"] = lemma_tol
-    gate = cpm.validate_structure(cp, structure_tol, points=points)
-    report.extend(gate)
-    if gate.passed:
-        report.extend(cpm.lemma_suite(cp, lemma_tol, points=points))
-    _emit(report, args.format)
-    return _first_failure_exit(report)
+    report = bm.run_suites(cp, ("definitions", "lemmas"), tolerance=args.tolerance,
+                           points=cp.chart.sample_points[:args.points])
+    report.conventions["tolerance_structure"] = bm.loosen(cpm.STRUCTURE_TOL, args.tolerance)
+    report.conventions["tolerance_identities"] = bm.loosen(cpm.LEMMA_TOL, args.tolerance)
+    return _emit(report, args.format)
 
 
 _TENSOR_CHOICES = ("riemann", "ricci", "star-ricci", "weyl", "bochner-j", "bochner-t")
@@ -242,7 +222,7 @@ def cmd_tensor(args) -> int:
         "tau_star": scalars["tau_star"],
         "max_abs_component": float(np.max(np.abs(comps))),
         "nonzero_components": {label: value for label, value in entries},
-        "conventions": conventions(cp),
+        "conventions": cp.conventions() | bm.convention_ledger(),
     }
     if args.format == "json":
         print(json.dumps(summary, indent=2))
@@ -258,118 +238,18 @@ def cmd_tensor(args) -> int:
     return 0
 
 
-def _verify_definitions(cp, report, tol, points) -> None:
-    report.extend(cpm.validate_structure(cp, _loosen(cpm.STRUCTURE_TOL, tol),
-                                         points=points))
-
-
-def _verify_lemmas(cp, report, tol, points) -> None:
-    report.extend(cpm.lemma_suite(cp, _loosen(cpm.LEMMA_TOL, tol), points=points))
-
-
-def _verify_theorem1(cp, report, tol, points) -> None:
-    """Bochner-flatness consequences on the model space; measured controls
-    on the expected-nonflat entries."""
-    entry = catalog.entry_for(cp.name)
-    if entry is None:
-        raise UsageError(
-            f"theorem suites need the expected-results table of a catalog "
-            f"entry; '{cp.name}' is not in the catalog")
-    expected = dict(entry.expected)
-    flat = expected["bochner_flat"]
-    m, n = cp.pair_type
-    for pt in points:
-        st = cpm.structure_at(cp, pt)
-        b = bm.bochner(bm.context(cp, pt))
-        sup = float(np.max(np.abs(b)))
-        plane = float(np.einsum("ijkl,i,j,k,l", b, st.z1, st.z2, st.z2, st.z1))
-        if flat:
-            report.add("bochner_flatness", "sup |B_J| vanishes on the model space",
-                       sup, _loosen(1e-6, tol), pt)
-            report.add("bochner_reeb_plane", "B_J(Z1,Z2,Z2,Z1) = 0",
-                       plane, _loosen(1e-7, tol), pt)
-            report.add("scalar_curvature_value",
-                       "tau = 2m(2m+1) + 2n(2n+1) + 2mn",
-                       st.geo.tau - (2 * m * (2 * m + 1) + 2 * n * (2 * n + 1)
-                                     + 2 * m * n),
-                       _loosen(1e-7, tol), pt)
-            worst_r, worst_s, worst_p = 0.0, 0.0, 0.0
-            for x in st.horizontal_leaf_vectors(2):
-                worst_r = max(worst_r, abs(float(x @ st.geo.ricci @ x) - 2.0 * m))
-                worst_s = max(worst_s, abs(float(x @ st.star_ricci @ x) - 1.0))
-                px = st.phi @ x
-                sect = float(np.einsum("ijkl,i,j,k,l", st.geo.riem4, x, px, px, x))
-                worst_p = max(worst_p, abs(sect - 1.0))
-            report.add("horizontal_ricci", "rho(X,X) = 2m for unit horizontal "
-                       "leaf-tangent X", worst_r, _loosen(1e-7, tol), pt)
-            report.add("horizontal_star_ricci", "rho*(X,X) = 1", worst_s,
-                       _loosen(1e-7, tol), pt)
-            report.add("phi_sectional_curvature", "R(X,phiX,phiX,X) = 1",
-                       worst_p, _loosen(1e-7, tol), pt)
-        else:
-            report.add("bochner_not_flat", "sup |B_J| stays above the control "
-                       "bound on a non-model structure", sup, 1e-2, pt,
-                       passed=sup > 1e-2)
-            target = expected.get("bochner_reeb_plane")
-            if target is not None:
-                closed = bm.reeb_plane_closed_form(m, n, st.geo.tau)
-                report.add("bochner_reeb_plane_value",
-                           "B_J(Z1,Z2,Z2,Z1) matches the closed-form value "
-                           "computed from the measured scalar curvature",
-                           plane - closed, _loosen(1e-6, tol), pt)
-                report.add("bochner_reeb_plane_expected",
-                           f"B_J(Z1,Z2,Z2,Z1) = {target}",
-                           plane - target, _loosen(1e-6, tol), pt)
-
-
-def _verify_theorem2(cp, report, tol, points) -> None:
-    """Conformal flatness on the model space, plus constant-factor
-    conformal invariance of the Bochner tensor."""
-    entry = catalog.entry_for(cp.name)
-    if entry is None:
-        raise UsageError(
-            f"theorem suites need the expected-results table of a catalog "
-            f"entry; '{cp.name}' is not in the catalog")
-    expected = dict(entry.expected)
-    flat = expected["weyl_flat"]
-    for pt in points:
-        sup = float(np.max(np.abs(rm.weyl(cp.metric, pt).comps)))
-        if flat:
-            report.add("weyl_flatness", "sup |W| vanishes on the model space",
-                       sup, _loosen(1e-8, tol), pt)
-        else:
-            report.add("weyl_not_flat", "sup |W| stays above the control bound",
-                       sup, 1e-2, pt, passed=sup > 1e-2)
-    if flat:
-        conf = bm.conformal_invariance_check(cp, str(math.log(2.0)))
-        report.extend(conf)
-
-
-_SUITES = ("definitions", "lemmas", "theorem1", "theorem2", "all")
-
-
 def cmd_verify(args) -> int:
     cp = resolve_manifold(args.manifold)
-    points = _limit_points(cp, args.points)
-    report = Report(cp.name, conventions(cp))
+    suites = bm.SUITES if args.suite == "all" else (args.suite,)
+    entry = catalog.entry_for(cp.name)
+    try:
+        report = bm.run_suites(cp, suites, dict(entry.expected) if entry else None,
+                               args.tolerance, cp.chart.sample_points[:args.points])
+    except bm.MissingExpectedTable as exc:
+        raise UsageError(str(exc)) from exc
     if args.tolerance is not None:
         report.conventions["tolerance_requested"] = args.tolerance
-    steps = {
-        "definitions": (_verify_definitions,),
-        "lemmas": (_verify_lemmas,),
-        "theorem1": (_verify_theorem1,),
-        "theorem2": (_verify_theorem2,),
-        "all": (_verify_definitions, _verify_lemmas, _verify_theorem1,
-                _verify_theorem2),
-    }[args.suite]
-    try:
-        for step in steps:
-            step(cp, report, args.tolerance, points)
-    except InvalidStructureError as exc:
-        for clause in exc.clauses or ["structure"]:
-            report.add(clause, str(exc), float("inf"), 0.0, passed=False)
-    _emit(report, args.format)
-    return _first_failure_exit(report)
+    return _emit(report, args.format)
 
 
 def cmd_export(args) -> int:
@@ -399,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--tolerance", type=float, default=None,
                        help="loosen (never tighten) the default tolerances")
-        p.add_argument("--points", type=int, default=None,
+        p.add_argument("--points", type=_positive_int, default=None,
                        help="use only the first N sample points")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -419,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("manifold")
-    p_verify.add_argument("--suite", choices=_SUITES, default="all")
+    p_verify.add_argument("--suite", choices=bm.SUITES + ("all",), default="all")
     common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

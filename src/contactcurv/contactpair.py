@@ -40,11 +40,14 @@ CONVENTIONS = {
 
 
 class InvalidStructureError(Exception):
-    """The manifold data does not define a valid metric contact pair."""
+    """The manifold data does not define a valid metric contact pair;
+    ``defect`` is the finite size of the violation that reports record."""
 
-    def __init__(self, message: str, clauses: Optional[list[str]] = None):
+    def __init__(self, message: str, clauses: Optional[list[str]] = None,
+                 defect: float = 0.0):
         super().__init__(message)
         self.clauses = clauses or []
+        self.defect = defect
 
 
 @dataclass(frozen=True)
@@ -262,7 +265,8 @@ def structure_at(cp: ContactPairManifold, point: rm.Point) -> StructureData:
             f"characteristic foliations of {cp.name} have dimensions "
             f"({dim1}, {dim2}) at {point}; type {cp.pair_type} needs "
             f"({expected1}, {expected2})",
-            clauses=["foliation_dimensions"])
+            clauses=["foliation_dimensions"],
+            defect=abs(dim1 - expected1) + abs(dim2 - expected2))
     H = np.eye(cp.dim) - np.outer(z1, a1) - np.outer(z2, a2)
 
     frame = rm.orthonormal_frame(cp.metric, point, preferred=[z1, z2])
@@ -308,7 +312,11 @@ def check_contact_pair(cp: ContactPairManifold, point: Sequence[float]) -> Repor
     da1_exprs, da2_exprs = _dalpha_exprs(cp)
     dalpha1, _ = rm.eval_field(da1_exprs, chart, pt)
     dalpha2, _ = rm.eval_field(da2_exprs, chart, pt)
+    return _pair_clauses(cp, pt, a1, a2, dalpha1, dalpha2)
 
+
+def _pair_clauses(cp: ContactPairManifold, pt: rm.Point, a1: np.ndarray,
+                  a2: np.ndarray, dalpha1: np.ndarray, dalpha2: np.ndarray) -> Report:
     f_a1, f_a2 = AltForm.one_form(a1), AltForm.one_form(a2)
     f_d1, f_d2 = AltForm.two_form(dalpha1), AltForm.two_form(dalpha2)
     m, n = cp.pair_type
@@ -395,13 +403,14 @@ def validate_structure(cp: ContactPairManifold,
                d - (2 * m + 2 * n + 2), 0.0, passed=(d == 2 * m + 2 * n + 2))
     pts = tuple(points) if points is not None else cp.chart.sample_points
     for pt in pts:
-        report.extend(check_contact_pair(cp, pt))
         try:
             st = structure_at(cp, pt)
         except InvalidStructureError as err:
+            report.extend(check_contact_pair(cp, pt))
             for clause in err.clauses or ["structure"]:
-                report.add(clause, str(err), np.inf, tolerance, pt, passed=False)
+                report.add(clause, str(err), err.defect, 0.0, pt, passed=False)
             continue
+        report.extend(_pair_clauses(cp, pt, st.a1, st.a2, st.dalpha1, st.dalpha2))
         g = st.geo.g
         report.add("reeb_duality", "alpha_i(Z_j) = delta_ij",
                    max(abs(st.a1 @ st.z1 - 1.0), abs(st.a2 @ st.z2 - 1.0),
@@ -411,7 +420,7 @@ def validate_structure(cp: ContactPairManifold,
                    max(float(np.max(np.abs(z @ da)))
                        for z in (st.z1, st.z2) for da in (st.dalpha1, st.dalpha2)),
                    tolerance, pt)
-        bracket = rm.lie_bracket(cp.z1, cp.z2, pt).comps
+        bracket = rm.lie_bracket_from(st.z1, st.dz1, st.z2, st.dz2)
         report.add("reeb_fields_commute", "[Z_1, Z_2] = 0",
                    float(np.max(np.abs(bracket))), tolerance, pt)
         report.add("metric_reeb_duality", "g(X, Z_i) = alpha_i(X)",
@@ -462,18 +471,25 @@ def validate_structure(cp: ContactPairManifold,
 def lemma_suite(cp: ContactPairManifold, tolerance: float = LEMMA_TOL,
                 points: Optional[Sequence[rm.Point]] = None) -> Report:
     """Pointwise identities satisfied by every normal metric contact pair
-    with orthogonal characteristic foliations."""
-    gate = validate_structure(cp)
+    with orthogonal characteristic foliations, gated on
+    :func:`validate_structure` at the same points."""
+    pts = tuple(points) if points is not None else cp.chart.sample_points
+    gate = validate_structure(cp, points=pts)
     if not gate.passed:
         raise InvalidStructureError(
             f"{cp.name} failed structure validation: "
             + ", ".join(sorted({c.name for c in gate.failures})),
             clauses=[c.name for c in gate.failures])
+    return lemma_checks(cp, tolerance, pts)
 
+
+def lemma_checks(cp: ContactPairManifold, tolerance: float,
+                 points: Sequence[rm.Point]) -> Report:
+    """The per-point loop of :func:`lemma_suite`, for points at which the
+    structure has already passed :func:`validate_structure`."""
     report = Report(cp.name, cp.conventions())
     m, n = cp.pair_type
-    pts = tuple(points) if points is not None else cp.chart.sample_points
-    for pt in pts:
+    for pt in points:
         st = structure_at(cp, pt)
         geo = st.geo
         g, gamma, R4, rho = geo.g, geo.gamma, geo.riem4, geo.ricci

@@ -99,10 +99,3 @@ class Report:
 
 def _fmt_point(point: Iterable[float]) -> str:
     return "(" + ", ".join(f"{v:.3g}" for v in point) + ")"
-
-
-def merge(manifold: str, reports: Iterable[Report], conventions: dict) -> Report:
-    out = Report(manifold, dict(conventions))
-    for r in reports:
-        out.extend(r)
-    return out

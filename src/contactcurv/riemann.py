@@ -65,11 +65,6 @@ class Chart:
     def param_env(self) -> dict[str, float]:
         return dict(self.params)
 
-    def scalar_env(self, point: Sequence[float]) -> dict[str, float]:
-        env = self.param_env()
-        env.update(zip(self.coords, (float(v) for v in point)))
-        return env
-
     def jet_env(self, point: Sequence[float]) -> dict[str, object]:
         env: dict[str, object] = self.param_env()
         for i, name in enumerate(self.coords):
@@ -285,11 +280,6 @@ def riemann(metric: MetricField, point: Sequence[float]) -> TensorValue:
     return TensorValue(geo.riem4, ("d", "d", "d", "d"), geo.point)
 
 
-def riemann_operator(metric: MetricField, point: Sequence[float]) -> TensorValue:
-    geo = geometry_at(metric, tuple(float(v) for v in point))
-    return TensorValue(geo.riem13, ("u", "d", "d", "d"), geo.point)
-
-
 def ricci(metric: MetricField, point: Sequence[float]) -> TensorValue:
     geo = geometry_at(metric, tuple(float(v) for v in point))
     return TensorValue(geo.ricci, ("d", "d"), geo.point)
@@ -323,13 +313,19 @@ def covariant_derivative(field_, metric: MetricField, point: Sequence[float]) ->
     raise TypeError("covariant_derivative expects a VectorField or TensorField11")
 
 
+def lie_bracket_from(x_values: np.ndarray, x_derivs: np.ndarray,
+                     y_values: np.ndarray, y_derivs: np.ndarray) -> np.ndarray:
+    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i from pointwise values and partials."""
+    return (np.einsum("j,ji->i", x_values, y_derivs)
+            - np.einsum("j,ji->i", y_values, x_derivs))
+
+
 def lie_bracket(x: VectorField, y: VectorField, point: Sequence[float]) -> TensorValue:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i."""
     pt = tuple(float(v) for v in point)
     xv, dx = eval_field(x.comps, x.chart, pt)
     yv, dy = eval_field(y.comps, y.chart, pt)
-    comps = np.einsum("j,ji->i", xv, dy) - np.einsum("j,ji->i", yv, dx)
-    return TensorValue(comps, ("u",), pt)
+    return TensorValue(lie_bracket_from(xv, dx, yv, dy), ("u",), pt)
 
 
 def lie_derivative_metric(z_values: np.ndarray, z_derivs: np.ndarray,

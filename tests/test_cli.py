@@ -1,8 +1,10 @@
 import json
+import types
 
 import pytest
 
-from contactcurv import cli
+import contactcurv
+from contactcurv import cli, contactpair
 
 
 def run(capsys, *argv):
@@ -165,12 +167,78 @@ class TestVerify:
         report = json.loads(out)
         assert {c["name"] for c in report["checks"]} == {"weyl_not_flat"}
 
+    def test_theorem2_honours_points(self, capsys):
+        code, out, _ = run(capsys, "verify", "hopf:1", "--suite", "theorem2",
+                           "--points", "2", "--format", "json")
+        assert code == 0
+        shifts = [c for c in json.loads(out)["checks"]
+                  if c["name"] == "bochner_13_conformal_shift"]
+        assert len(shifts) == 2
+
     def test_theorem_suite_requires_catalog_entry(self, capsys, tmp_path):
         run(capsys, "export", "hopf:1", str(tmp_path / "user.json"))
         code, _, err = run(capsys, "verify", str(tmp_path / "user.json"),
                            "--suite", "theorem1")
         assert code == 2
         assert "catalog" in err
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+@pytest.mark.parametrize("points", ["0", "-1", "two"])
+def test_points_must_be_a_positive_integer(capsys, command, points):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "hopf:1", "--points", points])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("argv", [["check"], ["verify", "--suite", "all"],
+                                  ["verify", "--suite", "lemmas"]])
+def test_invalid_structure_reports_strict_json(capsys, tmp_path, argv):
+    # hopf:1 relabelled as type (0, 1): the foliation dimensions are swapped
+    path = tmp_path / "relabelled.json"
+    run(capsys, "export", "hopf:1", str(path))
+    data = json.loads(path.read_text())
+    data["type"] = [0, 1]
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, argv[0], str(path), *argv[1:], "--format", "json")
+    assert code == 1
+    report = json.loads(out, parse_constant=_reject_constant)
+    foliation = [c for c in report["checks"] if c["name"] == "foliation_dimensions"]
+    assert foliation and not any(c["passed"] for c in foliation)
+
+
+def _clear_package_caches():
+    for module in vars(contactcurv).values():
+        if isinstance(module, types.ModuleType):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+@pytest.mark.parametrize("key, per_point", [("hopf:1", 39), ("hopf:2", 39),
+                                            ("sphere_product:1,1", 35),
+                                            ("heisenberg_r", 33)])
+def test_verify_all_validates_the_structure_once(capsys, monkeypatch, key, per_point):
+    _clear_package_caches()
+    calls = []
+    validate = contactpair.validate_structure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(contactpair, "validate_structure", counted)
+    code, out, _ = run(capsys, "verify", key, "--suite", "all", "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 1 + 5 * per_point
+    assert all(c["passed"] for c in checks)
 
 
 class TestExport:
