@@ -82,7 +82,8 @@ class ContactPairManifold:
 
 def exterior_derivative(alpha: rm.OneForm, s: float = DALPHA_FACTOR):
     """(d alpha)_ij = s (d_i a_j - d_j a_i) as a full antisymmetric grid of
-    expressions."""
+    expressions.  The symbolic form; :func:`structure_at` reads the same
+    values off the jets of alpha."""
     chart = alpha.chart
     d = chart.dim
     sc = el.Const(float(s))
@@ -180,6 +181,9 @@ class StructureData:
     star_ricci: np.ndarray
     tau_star: float
 
+    def __post_init__(self):
+        rm.freeze_arrays(self)
+
     @property
     def phi1(self) -> np.ndarray:
         return self.phi @ self.P2
@@ -207,10 +211,11 @@ class StructureData:
         return kept
 
 
-@lru_cache(maxsize=None)
-def _dalpha_exprs(cp: ContactPairManifold):
-    return (exterior_derivative(cp.alpha1, cp.dalpha_factor),
-            exterior_derivative(cp.alpha2, cp.dalpha_factor))
+def _exterior(partials: np.ndarray, s: float) -> np.ndarray:
+    """s (x[..., i, j] - x[..., j, i]) over the last two axes.  With
+    x[i, j] = d_i a_j this is (d alpha)_ij; with x[m, i, j] = d_m d_i a_j it
+    is d_m (d alpha)_ij."""
+    return s * (partials - np.swapaxes(partials, -1, -2))
 
 
 def _nullspace_projector(alpha_values: np.ndarray, dalpha_values: np.ndarray,
@@ -231,17 +236,18 @@ def _nullspace_projector(alpha_values: np.ndarray, dalpha_values: np.ndarray,
 
 @lru_cache(maxsize=None)
 def structure_at(cp: ContactPairManifold, point: rm.Point) -> StructureData:
-    chart = cp.chart
     geo = rm.geometry_at(cp.metric, point)
     g, ginv, dg = geo.g, geo.ginv, geo.dg
 
-    a1, da1_partial = rm.eval_field(cp.alpha1.comps, chart, point)
-    a2, da2_partial = rm.eval_field(cp.alpha2.comps, chart, point)
-    z1, dz1 = rm.eval_field(cp.z1.comps, chart, point)
-    z2, dz2 = rm.eval_field(cp.z2.comps, chart, point)
-    da1_exprs, da2_exprs = _dalpha_exprs(cp)
-    dalpha1, ddalpha1 = rm.eval_field(da1_exprs, chart, point)
-    dalpha2, ddalpha2 = rm.eval_field(da2_exprs, chart, point)
+    # one jet walk over (alpha1, alpha2, Z1, Z2); d alpha and its partials
+    # come from the gradients and Hessians of the alphas
+    values, derivs, hess = rm.field_jets(
+        (cp.alpha1.comps, cp.alpha2.comps, cp.z1.comps, cp.z2.comps), cp.chart, point)
+    a1, a2, z1, z2 = values
+    partials = np.moveaxis(derivs, 1, 0)  # [field, m, i]
+    da1_partial, da2_partial, dz1, dz2 = partials
+    dalpha1, dalpha2 = _exterior(partials[:2], cp.dalpha_factor)
+    ddalpha1, ddalpha2 = _exterior(np.moveaxis(hess, 2, 0)[:2], cp.dalpha_factor)
 
     # phi from the associated-metric identity, with exact first derivatives
     A = dalpha1 + dalpha2
@@ -306,13 +312,9 @@ def _phi_square_residual(st: StructureData) -> float:
 def check_contact_pair(cp: ContactPairManifold, point: Sequence[float]) -> Report:
     """Volume-form and vanishing-power clauses of the pair type."""
     pt = tuple(float(v) for v in point)
-    chart = cp.chart
-    a1, _ = rm.eval_field(cp.alpha1.comps, chart, pt)
-    a2, _ = rm.eval_field(cp.alpha2.comps, chart, pt)
-    da1_exprs, da2_exprs = _dalpha_exprs(cp)
-    dalpha1, _ = rm.eval_field(da1_exprs, chart, pt)
-    dalpha2, _ = rm.eval_field(da2_exprs, chart, pt)
-    return _pair_clauses(cp, pt, a1, a2, dalpha1, dalpha2)
+    values, derivs, _ = rm.field_jets((cp.alpha1.comps, cp.alpha2.comps), cp.chart, pt)
+    dalpha1, dalpha2 = _exterior(np.moveaxis(derivs, 1, 0), cp.dalpha_factor)
+    return _pair_clauses(cp, pt, values[0], values[1], dalpha1, dalpha2)
 
 
 def _pair_clauses(cp: ContactPairManifold, pt: rm.Point, a1: np.ndarray,

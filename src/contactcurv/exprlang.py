@@ -301,8 +301,8 @@ def evaluate(e: Expr, env: Mapping[str, object]):
 
     ``env`` maps every free name to a scalar (plain number or jet); ``pi``
     is supplied when not shadowed.  Domain failures (log of a non-positive
-    value, sqrt of a negative value, division by zero) are reported with
-    the offending subexpression.
+    value, sqrt of a negative value, division by zero) and overflow are
+    reported with the offending subexpression.
     """
     if isinstance(e, Const):
         return e.value
@@ -333,13 +333,15 @@ def evaluate(e: Expr, env: Mapping[str, object]):
             return a ** b
         except ZeroDivisionError:
             raise ExprEvalError("division by zero", e) from None
+        except OverflowError:
+            raise ExprEvalError("overflow", e) from None
         except ValueError as exc:
             raise ExprEvalError(str(exc), e) from None
     if isinstance(e, Fn):
         x = evaluate(e.arg, env)
         try:
             return _call(e.name, x)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ExprEvalError(f"{e.name}: {exc}", e) from None
     raise TypeError(f"not an expression node: {e!r}")
 

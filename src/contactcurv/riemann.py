@@ -163,27 +163,54 @@ class TensorValue:
 
 # --- field evaluation ---------------------------------------------------------
 
-def eval_field(comps, chart: Chart, point: Sequence[float]):
-    """Evaluate an array of expressions over jets.
+def field_jets(comps, chart: Chart, point: Sequence[float]):
+    """Evaluate an array of expressions over second-order jets.
 
-    Returns ``(values, derivs)`` where ``derivs[m, ...] = d_m values[...]``.
+    Returns ``(values, derivs, hess)`` where ``derivs[m, ...] = d_m values[...]``
+    and ``hess[m, l, ...] = d_m d_l values[...]``.  This is the one loop that
+    walks expressions over jets.  A non-finite value or derivative raises
+    :class:`~contactcurv.exprlang.ExprEvalError` naming the point and the
+    expression of the first such entry.
     """
     arr = np.asarray(comps, dtype=object)
     d = chart.dim
     env = chart.jet_env(point)
-    values = np.zeros(arr.shape)
-    derivs = np.zeros((d,) + arr.shape)
-    for idx in np.ndindex(*arr.shape) if arr.shape else [()]:
+    # value, gradient and Hessian share one buffer, so one finiteness test
+    # covers all three
+    out = np.zeros((1 + d + d * d,) + arr.shape)
+    values, derivs = out[0, ...], out[1:1 + d]
+    hess = out[1 + d:].reshape((d, d) + arr.shape)
+    for idx in np.ndindex(arr.shape):
         jet = el.evaluate(arr[idx], env)
         if isinstance(jet, Jet2):
             values[idx] = jet.val
             derivs[(slice(None),) + idx] = jet.grad
+            hess[(slice(None), slice(None)) + idx] = jet.hess
         else:
             values[idx] = jet
+    finite = np.isfinite(out).reshape(len(out), -1).all(axis=0)
+    if not finite.all():
+        entry = arr.reshape(-1)[int(np.argmin(finite))]
+        raise el.ExprEvalError(
+            f"non-finite value or derivative at {tuple(point)}", entry)
+    return values, derivs, hess
+
+
+def eval_field(comps, chart: Chart, point: Sequence[float]):
+    """Values and first partials ``(values, derivs)`` of :func:`field_jets`."""
+    values, derivs, _ = field_jets(comps, chart, point)
     return values, derivs
 
 
 # --- per-point geometry -------------------------------------------------------
+
+def freeze_arrays(record) -> None:
+    """Make every array attribute of a cached record read-only, so callers
+    cannot change what later calls return."""
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
 
 @dataclass
 class PointGeometry:
@@ -219,6 +246,7 @@ class PointGeometry:
         self.riem4 = np.einsum("lijk,lw->ijkw", self.riem13, g)
         self.ricci = np.einsum("iijk->jk", self.riem13)
         self.tau = float(np.einsum("jk,jk->", ginv, self.ricci))
+        freeze_arrays(self)
 
     @property
     def dim(self) -> int:
@@ -228,22 +256,17 @@ class PointGeometry:
 @lru_cache(maxsize=None)
 def geometry_at(metric: MetricField, point: Point) -> PointGeometry:
     """Metric, Christoffel and curvature data at one chart point."""
-    chart = metric.chart
-    d = chart.dim
-    env = chart.jet_env(point)
+    d = metric.dim
+    upper = np.triu_indices(d)
+    values, derivs, hess = field_jets(np.asarray(metric.comps, dtype=object)[upper],
+                                      metric.chart, point)
     g = np.zeros((d, d))
     dg = np.zeros((d, d, d))
     d2g = np.zeros((d, d, d, d))
-    for i in range(d):
-        for j in range(i, d):
-            jet = el.evaluate(metric.comps[i][j], env)
-            if isinstance(jet, Jet2):
-                val, grad, hess = jet.val, jet.grad, jet.hess
-            else:
-                val, grad, hess = float(jet), np.zeros(d), np.zeros((d, d))
-            g[i, j] = g[j, i] = val
-            dg[:, i, j] = dg[:, j, i] = grad
-            d2g[:, :, i, j] = d2g[:, :, j, i] = hess
+    for i, j in (upper, upper[::-1]):  # the upper triangle, then its mirror
+        g[i, j] = values
+        dg[:, i, j] = derivs
+        d2g[:, :, i, j] = hess
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:

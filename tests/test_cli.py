@@ -4,7 +4,7 @@ import types
 import pytest
 
 import contactcurv
-from contactcurv import cli, contactpair
+from contactcurv import cli, contactpair, exprlang
 
 
 def run(capsys, *argv):
@@ -239,6 +239,60 @@ def test_verify_all_validates_the_structure_once(capsys, monkeypatch, key, per_p
     checks = json.loads(out)["checks"]
     assert len(checks) == 1 + 5 * per_point
     assert all(c["passed"] for c in checks)
+
+
+def _hopf1_variant(capsys, tmp_path, edit):
+    path = tmp_path / "variant.json"
+    run(capsys, "export", "hopf:1", str(path))
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _nan_point(data):
+    data["sample_points"] = [["nan", 0.5, 0.5, 0.5]]
+
+
+def _cancelled_infinity(data):
+    data["alpha2"][3] = "1 + t*1e308*10 - t*1e308*10"
+
+
+@pytest.mark.parametrize("edit", [_nan_point, _cancelled_infinity])
+@pytest.mark.parametrize("argv", [["verify"], ["check"],
+                                  ["tensor", "--what", "star-ricci",
+                                   "--at", "nan,0.5,0.5,0.5"]])
+def test_non_finite_input_is_an_input_error(capsys, tmp_path, edit, argv):
+    path = _hopf1_variant(capsys, tmp_path, edit)
+    code, _, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("entry, point", [("exp(1000*t)", 1.0), ("1 + t^400", 30.0)])
+def test_overflowing_metric_is_an_input_error(capsys, tmp_path, entry, point):
+    def edit(data):
+        data["metric"]["3,3"] = entry
+        data["sample_points"] = [[0.7, 0.8, 0.4, point]]
+    code, _, err = run(capsys, "check", _hopf1_variant(capsys, tmp_path, edit))
+    assert code == 2
+    assert "error:" in err
+
+
+def test_verify_needs_no_symbolic_derivative(capsys, tmp_path, monkeypatch):
+    paths = []
+    for key in ("hopf:1", "hopf:2", "sphere_product:1,1", "heisenberg_r"):
+        paths.append(tmp_path / key)
+        run(capsys, "export", key, str(paths[-1]))
+    _clear_package_caches()
+
+    def refuse(*args):
+        raise AssertionError("symbolic differentiation at run time")
+
+    monkeypatch.setattr(exprlang, "derive", refuse)
+    for path in paths:
+        code, _, err = run(capsys, "verify", str(path), "--suite", "all")
+        assert code == 0, err
 
 
 class TestExport:

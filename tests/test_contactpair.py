@@ -8,6 +8,10 @@ from contactcurv import catalog
 from contactcurv import contactpair as cpm
 from contactcurv import riemann as rm
 
+from helpers import random_expr
+
+CATALOG_KEYS = ("hopf:1", "hopf:2", "sphere_product:1,1", "heisenberg_r")
+
 
 @pytest.fixture(scope="module")
 def hopf1():
@@ -43,6 +47,40 @@ class TestExteriorDerivative:
         vals, _ = rm.eval_field(da, hopf1.chart, (eta, 0.3, 0.9, 0.5))
         assert vals[0, 1] == pytest.approx(-s * 2 * math.cos(eta) * math.sin(eta), abs=1e-14)
         assert vals[0, 2] == pytest.approx(s * 2 * math.cos(eta) * math.sin(eta), abs=1e-14)
+
+
+class TestExteriorDerivativeFromJets:
+    """d alpha and its partials come from the jets of alpha; the symbolic
+    exterior derivative is the reference."""
+
+    @staticmethod
+    def reference(alpha, s, point):
+        return rm.eval_field(cpm.exterior_derivative(alpha, s), alpha.chart, point)
+
+    @pytest.mark.parametrize("key", CATALOG_KEYS)
+    @pytest.mark.parametrize("s", [1.0, 0.5])
+    def test_structure_matches_symbolic_form(self, key, s):
+        cp = dataclasses.replace(catalog.resolve(key), dalpha_factor=s)
+        for pt in cp.chart.sample_points:
+            st = cpm.structure_at(cp, pt)
+            for alpha, dalpha, ddalpha in ((cp.alpha1, st.dalpha1, st.ddalpha1),
+                                           (cp.alpha2, st.dalpha2, st.ddalpha2)):
+                values, derivs = self.reference(alpha, s, pt)
+                assert np.max(np.abs(dalpha - values)) <= 1e-12
+                assert np.max(np.abs(ddalpha - derivs)) <= 1e-12
+
+    @pytest.mark.parametrize("s", [1.0, 0.5])
+    def test_random_forms_match_symbolic_form(self, s):
+        rng = np.random.default_rng(11)
+        names = ["x", "y", "z", "w"]
+        chart = rm.Chart(coords=tuple(names))
+        for _ in range(10):
+            alpha = rm.OneForm(chart, tuple(random_expr(rng, names, 3) for _ in names))
+            pt = tuple(rng.uniform(-1.0, 1.0, 4))
+            _, derivs, hess = rm.field_jets(alpha.comps, chart, pt)
+            values, dvalues = self.reference(alpha, s, pt)
+            assert np.max(np.abs(cpm._exterior(derivs, s) - values)) <= 1e-12
+            assert np.max(np.abs(cpm._exterior(hess, s) - dvalues)) <= 1e-12
 
 
 class TestAltForm:
@@ -278,6 +316,16 @@ class TestReebCovariantDerivative:
             nabla = rm.covariant_derivative(hopf1.z1, hopf1.metric, pt).comps
             st = cpm.structure_at(hopf1, pt)
             assert np.max(np.abs(nabla.T + st.phi1)) < 1e-8
+
+
+@pytest.mark.parametrize("field", ["a1", "dalpha1", "ddalpha2", "dz1", "phi",
+                                   "dJ", "frame", "star_ricci"])
+def test_structure_arrays_are_read_only(hopf1, field):
+    pt = hopf1.chart.sample_points[1]
+    original = getattr(cpm.structure_at(hopf1, pt), field).copy()
+    with pytest.raises(ValueError):
+        getattr(cpm.structure_at(hopf1, pt), field)[0] += 100.0
+    assert np.array_equal(getattr(cpm.structure_at(hopf1, pt), field), original)
 
 
 def test_structure_frame_starts_with_the_reeb_fields():

@@ -169,3 +169,11 @@ class TestPrinter:
 
 def test_free_names():
     assert el.free_names(el.parse("x*sin(y) + pi - 3")) == {"x", "y", "pi"}
+
+
+@pytest.mark.parametrize("source, x", [("exp(1000*x)", 1.0), ("1 + x^400", 30.0)])
+def test_overflow_is_an_evaluation_error(source, x):
+    e = el.parse(source)
+    for value in (x, Jet2.seed(0, x, 1)):
+        with pytest.raises(el.ExprEvalError):
+            el.evaluate(e, {"x": value})

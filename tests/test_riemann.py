@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contactcurv import exprlang as el
 from contactcurv import riemann as rm
 from contactcurv.jets import Jet2
 
@@ -323,3 +324,36 @@ def test_jet_env_round_trip():
     chart = rm.Chart(coords=("x", "y"), params=(("c", 2.0),))
     env = chart.jet_env((0.3, 0.9))
     assert isinstance(env["x"], Jet2) and env["c"] == 2.0
+
+
+class TestFieldJets:
+    def test_hessian_of_a_product(self):
+        chart = rm.Chart(coords=("x", "y"))
+        values, derivs, hess = rm.field_jets([el.parse("x^2*y"), el.parse("3")],
+                                             chart, (0.5, 2.0))
+        assert np.array_equal(values, [0.5, 3.0])
+        assert np.array_equal(derivs[:, 0], [2.0, 0.25])
+        assert np.array_equal(hess[:, :, 0], [[4.0, 1.0], [1.0, 0.0]])
+        assert not derivs[:, 1].any() and not hess[:, :, 1].any()
+
+    @pytest.mark.parametrize("source, point", [("x", (math.nan, 0.0)),
+                                               ("1/(x - x + 1e-320)", (1.0, 0.0)),
+                                               ("y*1e308*10", (1.0, 1.0))])
+    def test_non_finite_entries_are_expression_errors(self, source, point):
+        chart = rm.Chart(coords=("x", "y"))
+        with pytest.raises(el.ExprEvalError, match="non-finite") as exc:
+            rm.field_jets([el.parse("1"), el.parse(source)], chart, point)
+        assert exc.value.subexpr == el.parse(source)
+
+
+@pytest.mark.parametrize("query", [
+    lambda m, p: rm.riemann(m, p).comps,
+    lambda m, p: rm.christoffel(m, p).comps,
+    lambda m, p: rm.metric_jet(m, p)[1],
+])
+def test_cached_arrays_are_read_only(query):
+    metric, point = wavy_metric(), (0.41, -0.23, 0.67)
+    original = query(metric, point).copy()
+    with pytest.raises(ValueError):
+        query(metric, point)[0, 1, 1] += 100.0
+    assert np.array_equal(query(metric, point), original)
