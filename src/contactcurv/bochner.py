@@ -170,22 +170,20 @@ def bochner(ctx: CurvatureContext, regime: Optional[str] = None) -> np.ndarray:
         raise ValueError(f"dim4 regime needs a 4-dimensional chart, got {ctx.dim}")
 
     R = ctx.riem4
-    l3r = l3(ctx, R)
+    # the curvature reading is the combination reading with R -+ l3(R)
+    # replaced by R itself
     if ctx.reading == "combination":
+        l3r = l3(ctx, R)
         minus, plus = R - l3r, R + l3r
-        s2 = contract_star(minus, ctx)
-        s3 = contract_ricci(minus, ctx)
-        s4 = contract_ricci(plus, ctx) + 3.0 * contract_star(plus, ctx)
-        s5 = contract_ricci(plus, ctx) - contract_star(plus, ctx)
     elif ctx.reading == "curvature":
-        rho = contract_ricci(R, ctx)
-        rho_star = contract_star(R, ctx)
-        s2 = rho_star
-        s3 = rho
-        s4 = rho + 3.0 * rho_star
-        s5 = rho - rho_star
+        minus = plus = R
     else:
         raise ValueError(f"unknown notation reading {ctx.reading!r}")
+    s2 = contract_star(minus, ctx)
+    s3 = contract_ricci(minus, ctx)
+    rho, rho_star = contract_ricci(plus, ctx), contract_star(plus, ctx)
+    s4 = rho + 3.0 * rho_star
+    s5 = rho - rho_star
 
     tau, tau_star = ctx.tau, ctx.tau_star
     p1, p2 = pi1(ctx), pi2(ctx)

@@ -4,9 +4,10 @@ Every entry is constructed in coordinates where the contact forms and Reeb
 fields are closed-form, sampled away from chart degeneracies, and ships
 with the table of values the verification suites assert.
 
-* ``hopf(m)``: the round sphere S^{2m+1}(1) in nested Hopf coordinates
-  crossed with a line, type (m, 0).  Bochner-flat and conformally flat
-  model space.
+* ``hopf(m)``, 1 <= m <= 4: the round sphere S^{2m+1}(1) in nested Hopf
+  coordinates crossed with a line, type (m, 0).  Bochner-flat and
+  conformally flat model space; ``hopf_entry(m)`` gives its expected values
+  as functions of m.
 * ``sphere_product(1, 1)``: the Riemannian product of two unit 3-spheres,
   type (1, 1).  Valid structure, not Bochner-flat.
 * ``heisenberg_r(1)``: the standard Sasakian structure on the Heisenberg
@@ -17,11 +18,11 @@ with the table of values the verification suites assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import exprlang as el
 from .contactpair import ContactPairManifold
 from .riemann import Chart, MetricField, OneForm, VectorField
 
@@ -29,6 +30,9 @@ from .riemann import Chart, MetricField, OneForm, VectorField
 # b = s * a for the exterior-derivative factor s = 1/2
 HEISENBERG_A = 1.0
 HEISENBERG_B = 0.5
+
+# largest hopf(m): d = 2m + 2 <= 10 is the chart size the jet engine serves
+HOPF_MAX_M = 4
 
 
 def _sample_points(seed: int, lows, highs, count: int = 5):
@@ -39,54 +43,40 @@ def _sample_points(seed: int, lows, highs, count: int = 5):
     return tuple(tuple(float(v) for v in row) for row in pts)
 
 
+def _square(factors: list[str]) -> str:
+    return f"({'*'.join(factors)})^2" if factors else "1"
+
+
 def hopf(m: int) -> ContactPairManifold:
-    """S^{2m+1}(1) x R with its canonical structure of type (m, 0)."""
-    if m == 1:
-        chart = Chart(
-            coords=("eta", "xi1", "xi2", "t"),
-            sample_points=_sample_points(20240301, [0.3] * 4, [1.2] * 4),
-        )
-        metric = MetricField.diagonal(chart, ["1", "cos(eta)^2", "sin(eta)^2", "1"])
-        alpha1 = OneForm.of(chart, ["0", "cos(eta)^2", "sin(eta)^2", "0"])
-        z1 = VectorField.of(chart, ["0", "1", "1", "0"])
-        alpha2 = OneForm.of(chart, ["0", "0", "0", "1"])
-        z2 = VectorField.of(chart, ["0", "0", "0", "1"])
-        return ContactPairManifold("hopf:1", chart, metric, alpha1, alpha2,
-                                   z1, z2, (1, 0))
-    if m == 2:
-        chart = Chart(
-            coords=("eta1", "eta2", "xi0", "xi1", "xi2", "t"),
-            sample_points=_sample_points(20240302, [0.3] * 6, [1.2] * 6),
-        )
-        # S^5 radii in nested Hopf coordinates; the sphere metric
-        # sum_k (dr_k^2 + r_k^2 dxi_k^2) is pulled back symbolically
-        radii = [el.parse("cos(eta1)"),
-                 el.parse("sin(eta1)*cos(eta2)"),
-                 el.parse("sin(eta1)*sin(eta2)")]
-        angles = ("eta1", "eta2")
-        entries: dict[tuple[int, int], el.Expr] = {}
-        for i in range(2):
-            for j in range(i, 2):
-                acc: el.Expr = el.ZERO
-                for r in radii:
-                    acc = el.add(acc, el.mul(el.derive(r, angles[i]),
-                                             el.derive(r, angles[j])))
-                entries[(i, j)] = acc
-        for k, r in enumerate(radii):
-            entries[(2 + k, 2 + k)] = el.pow_(r, el.Const(2.0))
-        entries[(5, 5)] = el.ONE
-        metric = MetricField.from_entries(chart, entries)
-        alpha1 = OneForm(chart, (el.ZERO, el.ZERO,
-                                 el.pow_(radii[0], el.Const(2.0)),
-                                 el.pow_(radii[1], el.Const(2.0)),
-                                 el.pow_(radii[2], el.Const(2.0)),
-                                 el.ZERO))
-        z1 = VectorField.of(chart, ["0", "0", "1", "1", "1", "0"])
-        alpha2 = OneForm.of(chart, ["0", "0", "0", "0", "0", "1"])
-        z2 = VectorField.of(chart, ["0", "0", "0", "0", "0", "1"])
-        return ContactPairManifold("hopf:2", chart, metric, alpha1, alpha2,
-                                   z1, z2, (2, 0))
-    raise ValueError(f"hopf is available for m in {{1, 2}}, not m={m}")
+    """S^{2m+1}(1) x R with its canonical structure of type (m, 0), 1 <= m <= 4.
+
+    Nested Hopf coordinates (eta1..eta_m, xi0..xi_m, t) place the sphere at
+    radii r_k = sin(eta1)...sin(eta_k) cos(eta_{k+1}) (no cosine for k = m)
+    and phases xi_k, so the round metric is the diagonal
+    sum_k h_k deta_k^2 + sum_k r_k^2 dxi_k^2 + dt^2 with
+    h_k = sin^2(eta1)...sin^2(eta_{k-1}).  alpha1 = sum_k r_k^2 dxi_k with
+    Z1 = sum_k d/dxi_k, and alpha2 = dt with Z2 = d/dt.
+    """
+    if not 1 <= m <= HOPF_MAX_M:
+        raise ValueError(f"hopf is available for m in 1..{HOPF_MAX_M}, not m={m}")
+    d = 2 * m + 2
+    angles = [f"eta{k}" for k in range(1, m + 1)]
+    sines = [f"sin({a})" for a in angles]
+    radii2 = [_square(sines[:k] + [f"cos({angles[k]})"]) for k in range(m)]
+    radii2.append(_square(sines))
+    chart = Chart(
+        coords=tuple(angles + [f"xi{k}" for k in range(m + 1)] + ["t"]),
+        sample_points=_sample_points(20240300 + m, [0.3] * d, [1.2] * d),
+    )
+    angular = ["0"] * m
+    metric = MetricField.diagonal(
+        chart, [_square(sines[:k]) for k in range(m)] + radii2 + ["1"])
+    alpha1 = OneForm.of(chart, angular + radii2 + ["0"])
+    z1 = VectorField.of(chart, angular + ["1"] * (m + 1) + ["0"])
+    dt = ["0"] * (d - 1) + ["1"]
+    return ContactPairManifold(f"hopf:{m}", chart, metric, alpha1,
+                               OneForm.of(chart, dt), z1,
+                               VectorField.of(chart, dt), (m, 0))
 
 
 def sphere_product(m: int = 1, n: int = 1) -> ContactPairManifold:
@@ -150,39 +140,30 @@ class CatalogEntry:
         return dict(self.expected)[name]
 
 
-ENTRIES: tuple[CatalogEntry, ...] = (
-    CatalogEntry(
-        "hopf:1",
-        "unit 3-sphere x line, type (1,0); Bochner-flat and conformally flat",
-        lambda: hopf(1),
+def hopf_entry(m: int) -> CatalogEntry:
+    """Catalog entry of ``hopf(m)``: the values of the unit sphere S^{2m+1}
+    crossed with a line, as functions of m."""
+    return CatalogEntry(
+        f"hopf:{m}",
+        f"unit {2 * m + 1}-sphere x line, type ({m},0); Bochner-flat and "
+        "conformally flat",
+        partial(hopf, m),
         (
-            ("tau", 6.0),
-            ("reeb_ricci", (2.0, 0.0)),
-            ("scalar_defect", 4.0),
-            ("horizontal_ricci", 2.0),
+            ("tau", float(2 * m * (2 * m + 1))),
+            ("reeb_ricci", (float(2 * m), 0.0)),
+            ("scalar_defect", float(4 * m * m)),
+            ("horizontal_ricci", float(2 * m)),
             ("horizontal_star_ricci", 1.0),
             ("phi_sectional", 1.0),
             ("bochner_flat", True),
             ("weyl_flat", True),
             ("bochner_reeb_plane", 0.0),
         ),
-    ),
-    CatalogEntry(
-        "hopf:2",
-        "unit 5-sphere x line, type (2,0); Bochner-flat and conformally flat",
-        lambda: hopf(2),
-        (
-            ("tau", 20.0),
-            ("reeb_ricci", (4.0, 0.0)),
-            ("scalar_defect", 16.0),
-            ("horizontal_ricci", 4.0),
-            ("horizontal_star_ricci", 1.0),
-            ("phi_sectional", 1.0),
-            ("bochner_flat", True),
-            ("weyl_flat", True),
-            ("bochner_reeb_plane", 0.0),
-        ),
-    ),
+    )
+
+
+ENTRIES: tuple[CatalogEntry, ...] = tuple(
+    hopf_entry(m) for m in range(1, HOPF_MAX_M + 1)) + (
     CatalogEntry(
         "sphere_product:1,1",
         "product of two unit 3-spheres, type (1,1); not Bochner-flat",

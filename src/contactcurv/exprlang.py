@@ -10,7 +10,9 @@ Grammar (ASCII source)::
 
 Functions are ``sin cos tan exp log sqrt``, one argument each.  ``pi`` is a
 built-in named constant.  Exponents must fold to a numeric constant; this
-keeps symbolic differentiation of powers single-branch.
+keeps symbolic differentiation of powers single-branch.  A literal power
+folds only to a finite real value; any other (``10^400``, ``0^(-1)``,
+``(-8)^(1/3)``) stays unfolded and fails at evaluation.
 
 Expressions evaluate over any scalar algebra that supports the arithmetic
 operators and, for the named functions, either a method of the same name
@@ -139,7 +141,15 @@ def pow_(a: Expr, b: Expr) -> Expr:
     if not isinstance(b, Const):
         raise ExprSyntaxError("exponent must be a constant expression", 0)
     if isinstance(a, Const):
-        return Const(a.value ** b.value)
+        try:
+            value = a.value ** b.value
+        except (OverflowError, ZeroDivisionError):
+            value = None
+        # an overflow, a division by zero or a complex power stays
+        # unfolded, so that evaluation reports it with the subexpression
+        if isinstance(value, float) and math.isfinite(value):
+            return Const(value)
+        return Bin("^", a, b)
     if b.value == 1.0:
         return a
     if b.value == 0.0:

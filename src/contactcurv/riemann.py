@@ -180,14 +180,17 @@ def field_jets(comps, chart: Chart, point: Sequence[float]):
     out = np.zeros((1 + d + d * d,) + arr.shape)
     values, derivs = out[0, ...], out[1:1 + d]
     hess = out[1 + d:].reshape((d, d) + arr.shape)
-    for idx in np.ndindex(arr.shape):
-        jet = el.evaluate(arr[idx], env)
-        if isinstance(jet, Jet2):
-            values[idx] = jet.val
-            derivs[(slice(None),) + idx] = jet.grad
-            hess[(slice(None), slice(None)) + idx] = jet.hess
-        else:
-            values[idx] = jet
+    # non-finite intermediates are caught by the finiteness test below, so
+    # numpy's floating-point warnings would only repeat it
+    with np.errstate(all="ignore"):
+        for idx in np.ndindex(arr.shape):
+            jet = el.evaluate(arr[idx], env)
+            if isinstance(jet, Jet2):
+                values[idx] = jet.val
+                derivs[(slice(None),) + idx] = jet.grad
+                hess[(slice(None), slice(None)) + idx] = jet.hess
+            else:
+                values[idx] = jet
     finite = np.isfinite(out).reshape(len(out), -1).all(axis=0)
     if not finite.all():
         entry = arr.reshape(-1)[int(np.argmin(finite))]

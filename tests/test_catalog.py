@@ -5,6 +5,7 @@ import pytest
 
 from contactcurv import catalog
 from contactcurv import contactpair as cpm
+from contactcurv import exprlang as el
 from contactcurv import riemann as rm
 
 
@@ -21,12 +22,13 @@ class TestResolve:
 
     def test_unsupported_parameters(self):
         with pytest.raises(ValueError):
-            catalog.resolve("hopf:3")
+            catalog.resolve("hopf:5")
         with pytest.raises(ValueError):
             catalog.resolve("sphere_product:2,1")
 
     def test_entry_lookup(self):
         assert catalog.entry("hopf:1").expect("tau") == 6.0
+        assert catalog.entry("hopf:3").expect("tau") == 42.0
         assert catalog.entry_for("not-a-key") is None
 
 
@@ -76,6 +78,24 @@ class TestHopfCharts:
             1.0,
         ])
         assert np.allclose(g, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("m", range(1, catalog.HOPF_MAX_M + 1))
+    def test_metric_is_induced_by_the_euclidean_embedding(self, m):
+        # (r_k cos xi_k, r_k sin xi_k, t) embeds S^{2m+1}(1) x R in R^{2m+3};
+        # the chart metric must be J J^T for the Jacobian J of the embedding
+        cp = catalog.hopf(m)
+        embedding = ["t"]
+        for k in range(m + 1):
+            factors = [f"sin(eta{i})" for i in range(1, k + 1)]
+            if k < m:
+                factors.append(f"cos(eta{k + 1})")
+            radius = "*".join(factors)
+            embedding += [f"{radius}*cos(xi{k})", f"{radius}*sin(xi{k})"]
+        comps = [el.parse(src) for src in embedding]
+        for pt in cp.chart.sample_points:
+            _, jacobian = rm.eval_field(comps, cp.chart, pt)
+            g, _, _ = rm.metric_jet(cp.metric, pt)
+            assert np.max(np.abs(jacobian @ jacobian.T - g)) <= 1e-12
 
     def test_hopf_reeb_fields_are_unit(self):
         for key in ("hopf:1", "hopf:2"):

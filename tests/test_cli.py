@@ -1,10 +1,11 @@
 import json
 import types
+import warnings
 
 import pytest
 
 import contactcurv
-from contactcurv import cli, contactpair, exprlang
+from contactcurv import catalog, cli, contactpair, exprlang
 
 
 def run(capsys, *argv):
@@ -24,7 +25,7 @@ class TestList:
         code, out, _ = run(capsys, "list", "--format", "json")
         assert code == 0
         rows = json.loads(out)
-        assert len(rows) == 4
+        assert len(rows) == 6
         assert {"key", "description", "expected"} <= set(rows[0])
 
     def test_filter(self, capsys):
@@ -221,6 +222,7 @@ def _clear_package_caches():
 
 
 @pytest.mark.parametrize("key, per_point", [("hopf:1", 39), ("hopf:2", 39),
+                                            ("hopf:3", 39), ("hopf:4", 39),
                                             ("sphere_product:1,1", 35),
                                             ("heisenberg_r", 33)])
 def test_verify_all_validates_the_structure_once(capsys, monkeypatch, key, per_point):
@@ -264,9 +266,12 @@ def _cancelled_infinity(data):
                                    "--at", "nan,0.5,0.5,0.5"]])
 def test_non_finite_input_is_an_input_error(capsys, tmp_path, edit, argv):
     path = _hopf1_variant(capsys, tmp_path, edit)
-    code, _, err = run(capsys, argv[0], path, *argv[1:])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, argv[0], path, *argv[1:])
     assert code == 2
     assert err.startswith("error:")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("entry, point", [("exp(1000*t)", 1.0), ("1 + t^400", 30.0)])
@@ -277,6 +282,26 @@ def test_overflowing_metric_is_an_input_error(capsys, tmp_path, entry, point):
     code, _, err = run(capsys, "check", _hopf1_variant(capsys, tmp_path, edit))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("entry", ["1 + 10^400", "1 + 0^(-1)", "1 + (-8)^(1/3)"])
+@pytest.mark.parametrize("argv", [["verify"], ["check"],
+                                  ["tensor", "--what", "star-ricci"]])
+def test_literal_power_without_a_real_value_is_an_input_error(capsys, tmp_path,
+                                                               entry, argv):
+    def edit(data):
+        data["metric"]["3,3"] = entry
+    code, _, err = run(capsys, argv[0], _hopf1_variant(capsys, tmp_path, edit),
+                       *argv[1:])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("key", ["hopf:0", "hopf:5"])
+def test_hopf_outside_the_supported_range_is_a_usage_error(capsys, key):
+    code, _, err = run(capsys, "verify", key, "--suite", "all")
+    assert code == 2
+    assert "hopf is available" in err
 
 
 def test_verify_needs_no_symbolic_derivative(capsys, tmp_path, monkeypatch):
@@ -293,6 +318,10 @@ def test_verify_needs_no_symbolic_derivative(capsys, tmp_path, monkeypatch):
     for path in paths:
         code, _, err = run(capsys, "verify", str(path), "--suite", "all")
         assert code == 0, err
+    # nor does building a catalog entry
+    for entry in catalog.ENTRIES:
+        code, _, err = run(capsys, "verify", entry.key, "--suite", "all")
+        assert code == 0, err
 
 
 class TestExport:
@@ -308,7 +337,7 @@ class TestExport:
     def test_exported_file_contains_the_chart_expressions(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         run(capsys, "export", "hopf:1", str(path))
-        assert "cos(eta)^2" in path.read_text()
+        assert "cos(eta1)^2" in path.read_text()
 
     def test_unwritable_path(self, capsys, tmp_path):
         code, _, err = run(capsys, "export", "hopf:1",

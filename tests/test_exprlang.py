@@ -177,3 +177,17 @@ def test_overflow_is_an_evaluation_error(source, x):
     for value in (x, Jet2.seed(0, x, 1)):
         with pytest.raises(el.ExprEvalError):
             el.evaluate(e, {"x": value})
+
+
+@pytest.mark.parametrize("source, message", [("1 + 10^400", "overflow"),
+                                             ("1 + 0^(-1)", "division by zero"),
+                                             ("1 + (-8)^(1/3)", "fractional power")])
+def test_literal_power_without_a_finite_real_value_fails_at_evaluation(source, message):
+    e = el.parse(source)
+    with pytest.raises(el.ExprEvalError, match=message):
+        el.evaluate(e, {})
+
+
+def test_literal_power_with_a_finite_real_value_folds():
+    assert el.parse("2^10") == el.Const(1024.0)
+    assert el.parse("4^(-1/2)") == el.Const(0.5)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -341,9 +342,12 @@ class TestFieldJets:
                                                ("y*1e308*10", (1.0, 1.0))])
     def test_non_finite_entries_are_expression_errors(self, source, point):
         chart = rm.Chart(coords=("x", "y"))
-        with pytest.raises(el.ExprEvalError, match="non-finite") as exc:
-            rm.field_jets([el.parse("1"), el.parse(source)], chart, point)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(el.ExprEvalError, match="non-finite") as exc:
+                rm.field_jets([el.parse("1"), el.parse(source)], chart, point)
         assert exc.value.subexpr == el.parse(source)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("query", [
