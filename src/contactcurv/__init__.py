@@ -7,7 +7,7 @@ and verifies the defining identities of the structure on built-in model
 manifolds and user-supplied manifold files.
 """
 
-from . import bochner, catalog, cli, contactpair, exprlang, jets, report, riemann
+from . import bochner, catalog, contactpair, exprlang, jets, report, riemann
 from .bochner import CurvatureContext, bochner_pair, conformal_invariance_check
 from .contactpair import (
     ContactPairManifold,

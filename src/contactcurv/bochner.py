@@ -20,7 +20,7 @@ chosen reading.  :func:`run_suites` is the staged verification run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Collection, Mapping, Optional, Sequence
 
 import numpy as np
@@ -51,7 +51,6 @@ class CurvatureContext:
     ginv: np.ndarray
     J: np.ndarray
     riem4: np.ndarray
-    frame: np.ndarray
     m: int
     n: int
     tau: float
@@ -62,34 +61,29 @@ class CurvatureContext:
     def dim(self) -> int:
         return self.g.shape[0]
 
-    def with_frame(self, frame: np.ndarray) -> "CurvatureContext":
-        return replace(self, frame=frame)
+
+def _context(point: rm.Point, geo: rm.PointGeometry, J: np.ndarray, m: int,
+             n: int, reading: str) -> CurvatureContext:
+    ctx = CurvatureContext(point, geo.g, geo.ginv, J, geo.riem4, m, n,
+                           geo.tau, 0.0, reading)
+    ctx.tau_star = trace_form(contract_star(geo.riem4, ctx), ctx)
+    return ctx
 
 
 def context(cp: ContactPairManifold, point: Sequence[float], which: str = "J",
             reading: str = DEFAULT_READING) -> CurvatureContext:
     pt = tuple(float(v) for v in point)
     st = cpm.structure_at(cp, pt)
-    J = st.J if which == "J" else st.T
-    ctx = CurvatureContext(pt, st.geo.g, st.geo.ginv, J, st.geo.riem4,
-                           st.frame, cp.m, cp.n, st.geo.tau, 0.0, reading)
-    ctx.tau_star = trace_form(contract_star(st.geo.riem4, ctx), ctx)
-    return ctx
+    return _context(pt, st.geo, st.J if which == "J" else st.T, cp.m, cp.n, reading)
 
 
 def context_for_metric(metric: rm.MetricField, point: Sequence[float],
                        J: np.ndarray, m: int, n: int,
-                       reading: str = DEFAULT_READING,
-                       preferred_frame: Sequence[np.ndarray] = ()) -> CurvatureContext:
+                       reading: str = DEFAULT_READING) -> CurvatureContext:
     """Context over an arbitrary metric with an externally supplied J;
     used by the conformal-invariance check, which keeps J fixed."""
     pt = tuple(float(v) for v in point)
-    geo = rm.geometry_at(metric, pt)
-    frame = rm.orthonormal_frame(metric, pt, preferred=preferred_frame)
-    ctx = CurvatureContext(pt, geo.g, geo.ginv, J, geo.riem4, frame,
-                           m, n, geo.tau, 0.0, reading)
-    ctx.tau_star = trace_form(contract_star(geo.riem4, ctx), ctx)
-    return ctx
+    return _context(pt, rm.geometry_at(metric, pt), J, m, n, reading)
 
 
 # --- auxiliary tensors and operators -----------------------------------------
@@ -137,19 +131,22 @@ def psi_op(s: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
 
 
 def contract_ricci(t4: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
-    """Ricci-type contraction rho(T)(X,Y) = sum_a T(X, e_a, e_a, Y)."""
-    return np.einsum("ipqj,ap,aq->ij", t4, ctx.frame, ctx.frame)
+    """Ricci-type contraction rho(T)(X,Y) = g^{pq} T(X, d_p, d_q, Y), equal to
+    sum_a T(X, e_a, e_a, Y) for every g-orthonormal frame (e_a)."""
+    return np.einsum("ipqj,pq->ij", t4, ctx.ginv)
 
 
 def contract_star(t4: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
-    """Star contraction rho*(T)(X,Y) = sum_a T(X, e_a, J e_a, J Y)."""
-    je = ctx.frame @ ctx.J.T
-    k = np.einsum("ap,aq->pq", ctx.frame, je)
-    return np.einsum("ipqr,pq,rj->ij", t4, k, ctx.J)
+    """Star contraction rho*(T)(X,Y) = sum_a T(X, e_a, J e_a, J Y) over any
+    g-orthonormal frame, taken against g^{-1}; see
+    :func:`contactpair.star_contraction`."""
+    return cpm.star_contraction(t4, ctx.ginv, ctx.J)
 
 
 def trace_form(s: np.ndarray, ctx: CurvatureContext) -> float:
-    return float(np.einsum("ij,ai,aj->", s, ctx.frame, ctx.frame))
+    """g^{ij} S(d_i, d_j), equal to sum_a S(e_a, e_a) for every g-orthonormal
+    frame (e_a)."""
+    return float(np.einsum("ij,ij->", s, ctx.ginv))
 
 
 # --- Bochner assembly ----------------------------------------------------------
@@ -251,9 +248,7 @@ def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
     for pt in pts:
         st = cpm.structure_at(cp, pt)
         base = bochner_13(context(cp, pt, "J", reading))
-        ctx2 = context_for_metric(rescaled, pt, st.J, cp.m, cp.n, reading,
-                                  preferred_frame=(st.z1, st.z2))
-        again = bochner_13(ctx2)
+        again = bochner_13(context_for_metric(rescaled, pt, st.J, cp.m, cp.n, reading))
         residual = float(np.max(np.abs(again - base)))
         report.add("bochner_13_conformal_shift",
                    "change of the (1,3) Bochner tensor under g -> e^{2f} g "

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -60,10 +61,17 @@ def manifold_to_dict(cp: ContactPairManifold) -> dict:
     }
 
 
+def _count(value, field: str) -> int:
+    """A JSON integer >= 0; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise UsageError(f"{field} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
     try:
         coords = tuple(str(c) for c in data["coords"])
-        dim = int(data["dim"])
+        dim = _count(data["dim"], "dim")
         if len(coords) != dim:
             raise UsageError(f"dim={dim} but {len(coords)} coordinates declared")
         params = tuple(sorted((str(k), float(v))
@@ -81,7 +89,7 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
         alpha2 = rm.OneForm.of(chart, data["alpha2"])
         z1 = rm.VectorField.of(chart, data["Z1"])
         z2 = rm.VectorField.of(chart, data["Z2"])
-        m, n = (int(v) for v in data["type"])
+        m, n = (_count(v, "type entry") for v in data["type"])
         if 2 * m + 2 * n + 2 != dim:
             raise UsageError(f"type {m, n} is inconsistent with dim={dim}")
         return ContactPairManifold(name, chart, metric, alpha1, alpha2,
@@ -128,6 +136,16 @@ def _positive_int(raw: str) -> int:
     if not raw.isdigit() or int(raw) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got '{raw}'")
     return int(raw)
+
+
+def _tolerance(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got '{raw}'")
+    return value
 
 
 def _emit(report: Report, fmt: str) -> int:
@@ -277,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=cmd_list)
 
     def common(p):
-        p.add_argument("--tolerance", type=float, default=None,
+        p.add_argument("--tolerance", type=_tolerance, default=None,
                        help="loosen (never tighten) the default tolerances")
         p.add_argument("--points", type=_positive_int, default=None,
                        help="use only the first N sample points")

@@ -177,7 +177,6 @@ class StructureData:
     P1: np.ndarray
     P2: np.ndarray
     H: np.ndarray
-    frame: np.ndarray
     star_ricci: np.ndarray
     tau_star: float
 
@@ -234,6 +233,13 @@ def _nullspace_projector(alpha_values: np.ndarray, dalpha_values: np.ndarray,
     return proj, k
 
 
+def star_contraction(t4: np.ndarray, ginv: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """rho*(T)(X,Y) = g^{pa} J^q_a T(X, d_p, d_q, J Y): the frame sum
+    sum_a T(X, e_a, J e_a, J Y), which is the same for every g-orthonormal
+    frame (e_a), since sum_a e_a (x) e_a = g^{-1}."""
+    return np.einsum("ipqr,pq->ir", t4, ginv @ J.T) @ J
+
+
 @lru_cache(maxsize=None)
 def structure_at(cp: ContactPairManifold, point: rm.Point) -> StructureData:
     geo = rm.geometry_at(cp.metric, point)
@@ -275,15 +281,12 @@ def structure_at(cp: ContactPairManifold, point: rm.Point) -> StructureData:
             defect=abs(dim1 - expected1) + abs(dim2 - expected2))
     H = np.eye(cp.dim) - np.outer(z1, a1) - np.outer(z2, a2)
 
-    frame = rm.orthonormal_frame(cp.metric, point, preferred=[z1, z2])
-    JE = frame @ J.T
-    K = np.einsum("ap,aq->pq", frame, JE)
-    star = np.einsum("ipqr,pq,rj->ij", geo.riem4, K, J)
-    tau_star = float(np.einsum("ij,ai,aj->", star, frame, frame))
+    star = star_contraction(geo.riem4, ginv, J)
+    tau_star = float(np.einsum("ij,ij->", star, ginv))
 
     return StructureData(cp, point, geo, a1, a2, da1_partial, da2_partial,
                          z1, z2, dz1, dz2, dalpha1, dalpha2, ddalpha1, ddalpha2,
-                         phi, dphi, J, dJ, T, dT, P1, P2, H, frame, star, tau_star)
+                         phi, dphi, J, dJ, T, dT, P1, P2, H, star, tau_star)
 
 
 # --- public operations ----------------------------------------------------------
@@ -372,7 +375,8 @@ def nijenhuis(cp: ContactPairManifold, point: Sequence[float],
 
 
 def star_ricci(cp: ContactPairManifold, point: Sequence[float]) -> rm.TensorValue:
-    """rho*(X,Y) = sum_a R(X, e_a, J e_a, J Y) over an orthonormal frame."""
+    """rho*(X,Y) = g^{pa} J^q_a R(X, d_p, d_q, J Y), equal to the frame sum
+    sum_a R(X, e_a, J e_a, J Y) for every g-orthonormal frame (e_a)."""
     pt = tuple(float(v) for v in point)
     st = structure_at(cp, pt)
     return rm.TensorValue(st.star_ricci, ("d", "d"), pt)

@@ -18,7 +18,7 @@ def flat_context(kappa=0.0):
     J[1, 0], J[0, 1] = 1.0, -1.0   # J e1 = e2, J e2 = -e1
     J[3, 2], J[2, 3] = 1.0, -1.0
     r4 = kappa * (np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g))
-    ctx = bm.CurvatureContext((0.0,) * 4, g, g, J, r4, np.eye(4), 1, 0, 0.0, 0.0)
+    ctx = bm.CurvatureContext((0.0,) * 4, g, g, J, r4, 1, 0, 0.0, 0.0)
     ctx.tau = bm.trace_form(bm.contract_ricci(r4, ctx), ctx)
     ctx.tau_star = bm.trace_form(bm.contract_star(r4, ctx), ctx)
     return ctx
@@ -58,8 +58,7 @@ class TestPiTensors:
         point = (0.7, 0.9, 1.1, 0.5)
         geo = rm.geometry_at(metric, point)
         J = np.zeros((4, 4))  # any g-orthogonal J works for pi1
-        ctx = bm.CurvatureContext(point, geo.g, geo.ginv, J, geo.riem4,
-                                  rm.orthonormal_frame(metric, point), 1, 0,
+        ctx = bm.CurvatureContext(point, geo.g, geo.ginv, J, geo.riem4, 1, 0,
                                   geo.tau, 0.0)
         assert np.max(np.abs(geo.riem4 + bm.pi1(ctx))) < 1e-12
 
@@ -124,16 +123,32 @@ class TestContractions:
         assert st.z1 @ rho @ st.z1 == pytest.approx(2.0, abs=1e-10)
         assert abs(st.z1 @ star @ st.z1) < 1e-10
 
-    def test_frame_independence(self, hopf2_ctx):
+    def test_contractions_equal_rotated_frame_sums(self):
+        # the g^{-1} contractions against explicit sums over a randomly
+        # rotated orthonormal frame, at every catalog sample point
         rng = np.random.default_rng(17)
-        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        rotated = hopf2_ctx.with_frame(q @ hopf2_ctx.frame)
-        for ctx2 in (rotated,):
-            assert np.max(np.abs(bm.contract_ricci(hopf2_ctx.riem4, ctx2)
-                                 - bm.contract_ricci(hopf2_ctx.riem4, hopf2_ctx))) < 1e-8
-            assert np.max(np.abs(bm.contract_star(hopf2_ctx.riem4, ctx2)
-                                 - bm.contract_star(hopf2_ctx.riem4, hopf2_ctx))) < 1e-8
-            assert np.max(np.abs(bm.bochner(ctx2) - bm.bochner(hopf2_ctx))) < 1e-8
+        for key in ("hopf:1", "hopf:2", "hopf:3", "hopf:4",
+                    "sphere_product:1,1", "heisenberg_r"):
+            cp = catalog.resolve(key)
+            for pt in cp.chart.sample_points:
+                q, _ = np.linalg.qr(rng.normal(size=(cp.dim, cp.dim)))
+                e = q @ rm.orthonormal_frame(cp.metric, pt)
+                st = cpm.structure_at(cp, pt)
+                r4 = st.geo.riem4
+                for which in ("J", "T"):
+                    ctx = bm.context(cp, pt, which)
+                    je = e @ ctx.J.T
+                    rho = np.einsum("ipqj,ap,aq->ij", r4, e, e)
+                    star = np.einsum("ipqr,ap,aq,rj->ij", r4, e, je, ctx.J)
+                    assert np.max(np.abs(bm.contract_ricci(r4, ctx) - rho)) < 1e-10
+                    assert np.max(np.abs(bm.contract_star(r4, ctx) - star)) < 1e-10
+                    for s in (rho, star):
+                        trace = np.einsum("ij,ai,aj->", s, e, e)
+                        assert abs(bm.trace_form(s, ctx) - trace) < 1e-10
+                    if which == "J":
+                        assert np.max(np.abs(st.star_ricci - star)) < 1e-10
+                        tau_star = np.einsum("ij,ai,aj->", star, e, e)
+                        assert abs(st.tau_star - tau_star) < 1e-10
 
 
 class TestBochnerAssembly:

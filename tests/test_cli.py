@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,18 @@ class TestCheck:
         (tmp_path / "m.json").write_text(json.dumps(data))
         code, _, err = run(capsys, "check", str(tmp_path / "m.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("type", [1.9, 0]), ("type", [-1, 2]), ("type", [True, 0]),
+        ("type", ["1", 0]), ("dim", 4.0), ("dim", "4")])
+    def test_counts_must_be_json_integers(self, capsys, tmp_path, field, value):
+        run(capsys, "export", "hopf:1", str(tmp_path / "m.json"))
+        data = json.loads((tmp_path / "m.json").read_text())
+        data[field] = value
+        (tmp_path / "m.json").write_text(json.dumps(data))
+        code, _, err = run(capsys, "check", str(tmp_path / "m.json"))
+        assert code == 2
+        assert "non-negative integer" in err
 
     def test_degenerate_metric_is_input_error(self, capsys, tmp_path):
         run(capsys, "export", "hopf:1", str(tmp_path / "m.json"))
@@ -191,6 +207,26 @@ def test_points_must_be_a_positive_integer(capsys, command, points):
         cli.main([command, "hopf:1", "--points", points])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "1e400", "-1"])
+def test_tolerance_must_be_finite_and_non_negative(capsys, command, tolerance):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "hopf:1", "--tolerance", tolerance, "--format", "json"])
+    assert exc.value.code == 2
+    assert "finite number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["contactcurv", "contactcurv.cli"])
+def test_python_m_entry_points(module):
+    src = str(Path(contactcurv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", module, "list"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "hopf:1" in done.stdout
 
 
 def _reject_constant(token):

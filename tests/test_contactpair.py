@@ -319,24 +319,13 @@ class TestReebCovariantDerivative:
 
 
 @pytest.mark.parametrize("field", ["a1", "dalpha1", "ddalpha2", "dz1", "phi",
-                                   "dJ", "frame", "star_ricci"])
+                                   "dJ", "star_ricci"])
 def test_structure_arrays_are_read_only(hopf1, field):
     pt = hopf1.chart.sample_points[1]
     original = getattr(cpm.structure_at(hopf1, pt), field).copy()
     with pytest.raises(ValueError):
         getattr(cpm.structure_at(hopf1, pt), field)[0] += 100.0
     assert np.array_equal(getattr(cpm.structure_at(hopf1, pt), field), original)
-
-
-def test_structure_frame_starts_with_the_reeb_fields():
-    for key in ("hopf:1", "hopf:2", "sphere_product:1,1", "heisenberg_r"):
-        cp = catalog.resolve(key)
-        pt = cp.chart.sample_points[0]
-        st = cpm.structure_at(cp, pt)
-        assert np.allclose(st.frame[0], st.z1, atol=1e-12)
-        assert np.allclose(st.frame[1], st.z2, atol=1e-12)
-        gram = st.frame @ st.geo.g @ st.frame.T
-        assert np.max(np.abs(gram - np.eye(cp.dim))) < 1e-10
 
 
 def test_phi_sectional_on_hopf(hopf1):
