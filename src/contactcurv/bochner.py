@@ -77,15 +77,6 @@ def context(cp: ContactPairManifold, point: Sequence[float], which: str = "J",
     return _context(pt, st.geo, st.J if which == "J" else st.T, cp.m, cp.n, reading)
 
 
-def context_for_metric(metric: rm.MetricField, point: Sequence[float],
-                       J: np.ndarray, m: int, n: int,
-                       reading: str = DEFAULT_READING) -> CurvatureContext:
-    """Context over an arbitrary metric with an externally supplied J;
-    used by the conformal-invariance check, which keeps J fixed."""
-    pt = tuple(float(v) for v in point)
-    return _context(pt, rm.geometry_at(metric, pt), J, m, n, reading)
-
-
 # --- auxiliary tensors and operators -----------------------------------------
 
 def pi1(ctx: CurvatureContext) -> np.ndarray:
@@ -226,36 +217,38 @@ def reeb_plane_closed_form(m: int, n: int, tau: float) -> float:
         + (tau - 3.0 * (m * m + n * n)) / ((m + n + 2) * (m + n + 3))
 
 
-def bochner_13(ctx: CurvatureContext, regime: Optional[str] = None) -> np.ndarray:
-    """Bochner tensor with the last slot raised; the (1,3)-variance form
-    compared across conformal rescalings."""
-    return np.einsum("ijka,al->ijkl", bochner(ctx, regime), ctx.ginv)
+def _conformal_shift(report: Report, cp: ContactPairManifold, pt: rm.Point,
+                     b: np.ndarray, c: float, reading: str) -> None:
+    """Record the change of the (1,3) form B_J g^{-1} under g -> c g with J
+    fixed, at ``pt``, where ``b`` is B_J of g there."""
+    st = cpm.structure_at(cp, pt)
+    scaled = st.geo.rescaled(c)
+    again = bochner(_context(pt, scaled, st.J, cp.m, cp.n, reading))
+    residual = float(np.max(np.abs(np.einsum("ijka,al->ijkl", again, scaled.ginv)
+                                   - np.einsum("ijka,al->ijkl", b, st.geo.ginv))))
+    report.add("bochner_13_conformal_shift",
+               "change of the (1,3) Bochner tensor under g -> e^{2f} g "
+               "(constant factor: asserted invariant)", residual, 1e-7, pt)
 
 
 def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
                                reading: str = DEFAULT_READING,
                                points: Optional[Sequence[rm.Point]] = None) -> Report:
-    """Recompute B for the metric e^{2f} g with the same J.
-
-    For constant f the (1,3)-variance form must be unchanged; for
-    non-constant f the residual is recorded without a pass/fail claim.
-    """
+    """Check that the (1,3) Bochner tensor is unchanged, to 1e-7, under
+    g -> e^{2f} g with the same J.  f may name chart parameters but no
+    coordinate, else ``ValueError``; the rescaled geometry is built from the
+    stored jets by :meth:`riemann.PointGeometry.rescaled`."""
     fe = el.as_expr(f)
-    constant = not (el.free_names(fe) & set(cp.chart.coords))
-    rescaled = rm.conformal_rescale(cp.metric, fe)
+    moving = el.free_names(fe) & set(cp.chart.coords)
+    if moving:
+        raise ValueError(f"the conformal factor must be constant; it varies "
+                         f"with {sorted(moving)}")
+    c = math.exp(2.0 * el.evaluate(fe, cp.chart.param_env()))
     report = Report(cp.name, cp.conventions() | convention_ledger())
     pts = tuple(points) if points is not None else cp.chart.sample_points
     for pt in pts:
-        st = cpm.structure_at(cp, pt)
-        base = bochner_13(context(cp, pt, "J", reading))
-        again = bochner_13(context_for_metric(rescaled, pt, st.J, cp.m, cp.n, reading))
-        residual = float(np.max(np.abs(again - base)))
-        report.add("bochner_13_conformal_shift",
-                   "change of the (1,3) Bochner tensor under g -> e^{2f} g "
-                   + ("(constant factor: asserted invariant)" if constant
-                      else "(non-constant factor: recorded only)"),
-                   residual, 1e-7 if constant else None, pt,
-                   passed=(residual <= 1e-7) if constant else True)
+        _conformal_shift(report, cp, pt, bochner(context(cp, pt, "J", reading)),
+                         c, reading)
     return report
 
 
@@ -274,15 +267,15 @@ def loosen(default: float, requested: Optional[float]) -> float:
 
 
 def _theorem1(report: Report, cp: ContactPairManifold, expected: Mapping,
-              tol: Optional[float], points: Sequence[rm.Point]) -> None:
+              tol: Optional[float], points: Sequence[rm.Point],
+              b_j: Sequence[np.ndarray]) -> None:
     """Bochner-flatness consequences on the model space; measured controls
     on the expected-nonflat entries."""
     flat = expected["bochner_flat"]
     m, n = cp.pair_type
     tight, loose = loosen(1e-7, tol), loosen(1e-6, tol)
-    for pt in points:
+    for pt, b in zip(points, b_j):
         st = cpm.structure_at(cp, pt)
-        b = bochner(context(cp, pt))
         sup = float(np.max(np.abs(b)))
         plane = float(np.einsum("ijkl,i,j,k,l", b, st.z1, st.z2, st.z2, st.z1))
         if flat:
@@ -320,7 +313,8 @@ def _theorem1(report: Report, cp: ContactPairManifold, expected: Mapping,
 
 
 def _theorem2(report: Report, cp: ContactPairManifold, expected: Mapping,
-              tol: Optional[float], points: Sequence[rm.Point]) -> None:
+              tol: Optional[float], points: Sequence[rm.Point],
+              b_j: Sequence[np.ndarray]) -> None:
     """Conformal flatness on the model space, plus constant-factor
     conformal invariance of the Bochner tensor."""
     flat = expected["weyl_flat"]
@@ -333,7 +327,9 @@ def _theorem2(report: Report, cp: ContactPairManifold, expected: Mapping,
             report.add("weyl_not_flat", "sup |W| stays above the control bound",
                        sup, 1e-2, pt, passed=sup > 1e-2)
     if flat:
-        report.extend(conformal_invariance_check(cp, str(math.log(2.0)), points=points))
+        c = math.exp(2.0 * math.log(2.0))  # f = log 2
+        for pt, b in zip(points, b_j):
+            _conformal_shift(report, cp, pt, b, c, DEFAULT_READING)
 
 
 def run_suites(cp: ContactPairManifold, suites: Collection[str],
@@ -363,8 +359,11 @@ def run_suites(cp: ContactPairManifold, suites: Collection[str],
         raise MissingExpectedTable(
             f"theorem suites need the expected-results table of a catalog "
             f"entry; '{cp.name}' is not in the catalog")
+    # B_J at each point, assembled once for the stages that read it
+    wants_b = "theorem1" in suites or ("theorem2" in suites and expected["weyl_flat"])
+    b_j = tuple(bochner(context(cp, pt)) for pt in pts) if wants_b else ()
     if "theorem1" in suites:
-        _theorem1(report, cp, expected, tolerance, pts)
+        _theorem1(report, cp, expected, tolerance, pts, b_j)
     if "theorem2" in suites:
-        _theorem2(report, cp, expected, tolerance, pts)
+        _theorem2(report, cp, expected, tolerance, pts, b_j)
     return report

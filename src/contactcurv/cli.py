@@ -68,23 +68,36 @@ def _count(value, field: str) -> int:
     return value
 
 
+def _object(value, field: str) -> dict:
+    """A JSON object; a list or a number is a malformed file."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a JSON object, got {value!r}")
+    return value
+
+
 def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
     try:
         coords = tuple(str(c) for c in data["coords"])
         dim = _count(data["dim"], "dim")
         if len(coords) != dim:
             raise UsageError(f"dim={dim} but {len(coords)} coordinates declared")
-        params = tuple(sorted((str(k), float(v))
-                              for k, v in data.get("params", {}).items()))
+        if len(set(coords)) != dim:
+            raise ValueError(f"coordinate names repeat in {list(coords)}")
+        params = _object(data.get("params", {}), "params")
+        params = tuple(sorted((str(k), float(v)) for k, v in params.items()))
         points = tuple(tuple(float(v) for v in p) for p in data["sample_points"])
         if any(len(p) != dim for p in points):
             raise UsageError("sample points must have one value per coordinate")
         chart = rm.Chart(coords=coords, params=params, sample_points=points)
         entries = {}
-        for key, src in data["metric"].items():
+        for key, src in _object(data["metric"], "metric").items():
             i, j = (int(part) for part in key.split(","))
             entries[(i, j)] = src
         metric = rm.MetricField.from_entries(chart, entries)
+        for field in ("alpha1", "alpha2", "Z1", "Z2"):
+            if len(data[field]) != dim:
+                raise ValueError(f"{field} has {len(data[field])} entries, "
+                                 f"chart has dim {dim}")
         alpha1 = rm.OneForm.of(chart, data["alpha1"])
         alpha2 = rm.OneForm.of(chart, data["alpha2"])
         z1 = rm.VectorField.of(chart, data["Z1"])
@@ -96,7 +109,7 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
                                    z1, z2, (m, n))
     except UsageError:
         raise
-    except (KeyError, ValueError, TypeError, el.ExprError) as exc:
+    except (KeyError, IndexError, ValueError, TypeError, el.ExprError) as exc:
         raise UsageError(f"bad manifold file: {exc}") from exc
 
 
@@ -148,6 +161,14 @@ def _tolerance(raw: str) -> float:
     return value
 
 
+def _sample_points(cp: ContactPairManifold, limit: Optional[int]):
+    """The first ``limit`` sample points; a manifold without any is an
+    input error, never a vacuous pass."""
+    if not cp.chart.sample_points:
+        raise UsageError(f"{cp.name} declares no sample points")
+    return cp.chart.sample_points[:limit]
+
+
 def _emit(report: Report, fmt: str) -> int:
     print(report.to_json() if fmt == "json" else report.to_text())
     return 0 if report.passed else 1
@@ -180,7 +201,7 @@ def cmd_list(args) -> int:
 def cmd_check(args) -> int:
     cp = resolve_manifold(args.manifold)
     report = bm.run_suites(cp, ("definitions", "lemmas"), tolerance=args.tolerance,
-                           points=cp.chart.sample_points[:args.points])
+                           points=_sample_points(cp, args.points))
     report.conventions["tolerance_structure"] = bm.loosen(cpm.STRUCTURE_TOL, args.tolerance)
     report.conventions["tolerance_identities"] = bm.loosen(cpm.LEMMA_TOL, args.tolerance)
     return _emit(report, args.format)
@@ -206,9 +227,7 @@ def _tensor_at(cp: ContactPairManifold, what: str, point) -> tuple[np.ndarray, d
 
 def _parse_point(cp: ContactPairManifold, raw: str):
     if raw == "default":
-        if not cp.chart.sample_points:
-            raise UsageError(f"{cp.name} declares no sample points")
-        return cp.chart.sample_points[0]
+        return _sample_points(cp, 1)[0]
     try:
         values = tuple(float(v) for v in raw.split(","))
     except ValueError as exc:
@@ -262,7 +281,7 @@ def cmd_verify(args) -> int:
     entry = catalog.entry_for(cp.name)
     try:
         report = bm.run_suites(cp, suites, dict(entry.expected) if entry else None,
-                               args.tolerance, cp.chart.sample_points[:args.points])
+                               args.tolerance, _sample_points(cp, args.points))
     except bm.MissingExpectedTable as exc:
         raise UsageError(str(exc)) from exc
     if args.tolerance is not None:

@@ -13,11 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 
-def _clean(x: float) -> float:
-    # 17 significant digits round-trip doubles exactly
-    return float(f"{x:.17g}")
-
-
 @dataclass
 class CheckRecord:
     name: str
@@ -32,8 +27,8 @@ class CheckRecord:
             "name": self.name,
             "detail": self.detail,
             "point": list(self.point) if self.point is not None else None,
-            "value": _clean(self.value),
-            "tolerance": _clean(self.tolerance) if self.tolerance is not None else None,
+            "value": self.value,
+            "tolerance": self.tolerance,
             "passed": self.passed,
         }
 

@@ -217,7 +217,6 @@ def freeze_arrays(record) -> None:
 
 @dataclass
 class PointGeometry:
-    metric: MetricField
     point: Point
     g: np.ndarray
     ginv: np.ndarray
@@ -255,6 +254,11 @@ class PointGeometry:
     def dim(self) -> int:
         return self.g.shape[0]
 
+    def rescaled(self, c: float) -> "PointGeometry":
+        """Geometry of c g for a constant c > 0, whose jets are c g, c dg, c d2g."""
+        g = c * self.g
+        return PointGeometry(self.point, g, np.linalg.inv(g), c * self.dg, c * self.d2g)
+
 
 @lru_cache(maxsize=None)
 def geometry_at(metric: MetricField, point: Point) -> PointGeometry:
@@ -280,7 +284,7 @@ def geometry_at(metric: MetricField, point: Point) -> PointGeometry:
             f"metric condition number {cond:.3e} at {point}",
             IllConditionedMetricWarning, stacklevel=2)
     ginv = np.linalg.inv(g)
-    return PointGeometry(metric, point, g, ginv, dg, d2g)
+    return PointGeometry(point, g, ginv, dg, d2g)
 
 
 # --- public operations --------------------------------------------------------

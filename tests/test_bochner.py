@@ -271,9 +271,8 @@ class TestConformalInvariance:
         report = bm.conformal_invariance_check(catalog.hopf(2), "0")
         assert all(c.value == 0.0 for c in report.checks)
 
-    def test_nonconstant_factor_is_recorded_not_asserted(self):
+    def test_nonconstant_factor_is_rejected(self):
+        # non-constant factors are covered by the Weyl property test
         cp = catalog.sphere_product(1, 1)
-        report = bm.conformal_invariance_check(cp, "0.05*mu")
-        assert report.passed  # recorded only
-        assert all(c.tolerance is None for c in report.checks)
-        assert any(c.value != 0.0 for c in report.checks)
+        with pytest.raises(ValueError, match="constant"):
+            bm.conformal_invariance_check(cp, "0.05*mu")

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import contactcurv
-from contactcurv import catalog, cli, contactpair, exprlang
+from contactcurv import bochner, catalog, cli, contactpair, exprlang, riemann
+from contactcurv.report import Report
 
 
 def run(capsys, *argv):
@@ -54,6 +55,14 @@ class TestCheck:
         names = {c["name"] for c in report["checks"]}
         assert "reeb_ricci_values" in names
         assert report["summary"]["failed"] == 0
+        # values and tolerances round-trip bit for bit
+        extremes = (0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3)
+        edge = Report("edge")
+        for x in extremes:
+            edge.add("edge", "", x, x)
+        back = json.loads(edge.to_json())["checks"]
+        for x, rec in zip(extremes, back):
+            assert rec["value"].hex() == rec["tolerance"].hex() == x.hex()
 
     def test_broken_reeb_normalization_fails(self, capsys, tmp_path):
         code, out, _ = run(capsys, "export", "hopf:1", str(tmp_path / "m.json"))
@@ -279,6 +288,34 @@ def test_verify_all_validates_the_structure_once(capsys, monkeypatch, key, per_p
     assert all(c["passed"] for c in checks)
 
 
+@pytest.mark.parametrize("key, bochner_per_point", [
+    ("hopf:1", 2), ("hopf:2", 2), ("hopf:3", 2), ("hopf:4", 2),
+    ("sphere_product:1,1", 1), ("heisenberg_r", 1)])
+def test_verify_all_assembles_bochner_once_per_structure(capsys, monkeypatch, key,
+                                                         bochner_per_point):
+    # B_J once per point, plus B_J of the rescaled geometry on the Weyl-flat
+    # entries; no second metric is walked over jets
+    _clear_package_caches()
+    calls = {"bochner": 0, "field_jets": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def refuse(*args):
+        raise AssertionError("second metric built for a constant factor")
+
+    monkeypatch.setattr(bochner, "bochner", counted("bochner", bochner.bochner))
+    monkeypatch.setattr(riemann, "field_jets", counted("field_jets", riemann.field_jets))
+    monkeypatch.setattr(riemann, "conformal_rescale", refuse)
+    code, _, err = run(capsys, "verify", key, "--suite", "all")
+    assert code == 0, err
+    points = len(catalog.resolve(key).chart.sample_points)
+    assert calls == {"bochner": bochner_per_point * points, "field_jets": 2 * points}
+
+
 def _hopf1_variant(capsys, tmp_path, edit):
     path = tmp_path / "variant.json"
     run(capsys, "export", "hopf:1", str(path))
@@ -308,6 +345,55 @@ def test_non_finite_input_is_an_input_error(capsys, tmp_path, edit, argv):
     assert code == 2
     assert err.startswith("error:")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _set(field, value):
+    def edit(data):
+        data[field] = value
+    return edit
+
+
+def _metric_key(key):
+    def edit(data):
+        data["metric"][key] = "1"
+    return edit
+
+
+def _resize(field, count):
+    def edit(data):
+        data[field] = (data[field] * 2)[:count]
+    return edit
+
+
+def _repeat_coordinate(data):
+    data["coords"][1] = data["coords"][0]
+
+
+@pytest.mark.parametrize("edit", [
+    _metric_key("9,9"), _metric_key("-1,0"), _set("metric", [1, 2]),
+    _set("params", [1]), _resize("alpha1", 2), _resize("Z1", 5),
+    _repeat_coordinate],
+    ids=["metric-9,9", "metric--1,0", "metric-list", "params-list",
+         "alpha1-short", "Z1-long", "repeated-coordinate"])
+@pytest.mark.parametrize("argv", [["verify"], ["check"],
+                                  ["tensor", "--what", "ricci"]])
+def test_malformed_manifold_file_is_an_input_error(capsys, tmp_path, edit, argv):
+    path = _hopf1_variant(capsys, tmp_path, edit)
+    code, _, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2
+    assert err.startswith("error: bad manifold file:")
+
+
+def test_manifold_without_sample_points(capsys, tmp_path):
+    path = _hopf1_variant(capsys, tmp_path, _set("sample_points", []))
+    for argv in (["check"], ["verify", "--suite", "definitions"], ["verify"]):
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, out) == (2, "")
+        assert "declares no sample points" in err
+    code, out, _ = run(capsys, "tensor", path, "--what", "ricci",
+                       "--at", "0.5,0.4,0.3,0.2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["tau"] == pytest.approx(6.0)
 
 
 @pytest.mark.parametrize("entry, point", [("exp(1000*t)", 1.0), ("1 + t^400", 30.0)])

@@ -3,12 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from contactcurv import catalog
 from contactcurv import exprlang as el
 from contactcurv import riemann as rm
 from contactcurv.jets import Jet2
 
-from helpers import fd_gradient
+from helpers import fd_gradient, random_expr
 
 
 def flat_chart(d=3):
@@ -312,6 +315,67 @@ class TestConformalRescale:
             w13.append(np.einsum("ijka,al->ijkl", rm.weyl(m, point).comps, geo.ginv))
         assert np.max(np.abs(w13[0])) > 1e-3
         assert np.max(np.abs(w13[1] - w13[0])) < 1e-8
+
+
+CATALOG_KEYS = [entry.key for entry in catalog.ENTRIES]
+
+# log 2, log 3, a negative constant, a literal log, and the two chart
+# parameters of heisenberg_r
+CONSTANT_FACTORS = (str(math.log(2.0)), str(math.log(3.0)), "-0.37", "log(5)",
+                    "a", "0.5*b")
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_rescaled_geometry_is_the_geometry_of_the_rescaled_metric(key):
+    # a constant times a jet scales its value, gradient and Hessian exactly,
+    # so the stored jets times c are the jets of e^{2f} g bit for bit
+    cp = catalog.resolve(key)
+    params = cp.chart.param_env()
+    checked = 0
+    for source in CONSTANT_FACTORS:
+        f = el.parse(source)
+        if el.free_names(f) - set(params):
+            continue
+        c = math.exp(2.0 * el.evaluate(f, params))
+        scaled = rm.conformal_rescale(cp.metric, f)
+        for pt in cp.chart.sample_points:
+            mine = rm.geometry_at(cp.metric, pt).rescaled(c)
+            ref = rm.geometry_at(scaled, pt)
+            for name in ("g", "ginv", "dg", "d2g", "riem4", "tau"):
+                assert np.array_equal(getattr(mine, name), getattr(ref, name)), \
+                    (source, pt, name)
+            checked += 1
+    assert checked == len(cp.chart.sample_points) * (6 if params else 4)
+
+
+def _weyl13(metric, point):
+    """W^i_jkl, the Weyl tensor with its first slot raised."""
+    ginv = rm.geometry_at(metric, point).ginv
+    return np.einsum("ajkl,ai->ijkl", rm.weyl(metric, point).comps, ginv)
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_weyl_is_conformally_invariant(key, seed):
+    # W^i_jkl(e^{2f} g) = W^i_jkl(g) for every smooth f (Besse, Einstein
+    # Manifolds, 1987, ch. 1); f here is far from constant
+    cp = catalog.resolve(key)
+    rng = np.random.default_rng(seed)
+    f = el.mul(el.Const(0.3), random_expr(rng, list(cp.chart.coords), 3))
+    scaled = rm.conformal_rescale(cp.metric, f)
+    for pt in cp.chart.sample_points[:2]:
+        try:
+            w_scaled = _weyl13(scaled, pt)
+        except el.ExprEvalError:  # e^{2f} overflows
+            reject()
+        w = _weyl13(cp.metric, pt)
+        # W is a difference of curvature terms of the rescaled metric, so
+        # rounding grows with their size when f is steep
+        scale = max(1.0, float(np.max(np.abs(rm.geometry_at(scaled, pt).riem13))))
+        assert np.max(np.abs(w_scaled - w)) < 1e-10 * scale
+        if not dict(catalog.entry(key).expected)["weyl_flat"]:
+            assert np.max(np.abs(w)) > 1e-3  # the property is not vacuous
 
 
 def test_condition_number_warning():
