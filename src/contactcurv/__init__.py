@@ -14,11 +14,7 @@ from .contactpair import (
     InvalidStructureError,
     check_contact_pair,
     exterior_derivative,
-    foliation_projectors,
     lemma_suite,
-    nijenhuis,
-    star_ricci,
-    star_scalar,
     synthesize_phi,
     validate_structure,
 )
@@ -35,7 +31,6 @@ from .riemann import (
     conformal_rescale,
     covariant_derivative,
     lie_bracket,
-    metric_jet,
     orthonormal_frame,
     ricci,
     scalar,
@@ -50,9 +45,8 @@ __all__ = [
     "VectorField", "bochner", "bochner_pair", "catalog", "check_contact_pair",
     "christoffel", "cli", "conformal_invariance_check", "conformal_rescale",
     "contactpair", "covariant_derivative", "exprlang", "exterior_derivative",
-    "foliation_projectors", "jets", "lemma_suite", "lie_bracket", "metric_jet",
-    "nijenhuis", "orthonormal_frame", "ricci", "riemann", "scalar",
-    "star_ricci", "star_scalar", "synthesize_phi", "validate_structure", "weyl",
+    "jets", "lemma_suite", "lie_bracket", "orthonormal_frame", "ricci",
+    "riemann", "scalar", "synthesize_phi", "validate_structure", "weyl",
 ]
 # "riemann" in __all__ names the submodule; the (0,4) curvature function
 # stays at contactcurv.riemann.riemann to avoid shadowing it.

@@ -146,16 +146,17 @@ def bochner(ctx: CurvatureContext, regime: Optional[str] = None) -> np.ndarray:
     """Assemble the Bochner tensor in the regime of the complex dimension.
 
     ``general`` covers complex dimension m + n + 1 > 2; ``dim4`` is the
-    separate four-dimensional formula.  The scalar coefficients always use
-    tau and tau* of the curvature tensor itself.
+    separate four-dimensional formula.  Both are B = R + phi(S_phi) +
+    psi(S_psi), as phi(g) = 2 pi_1 and psi(g) = 2 pi_2; the regime only picks
+    the coefficients, which always use tau and tau* of R itself.
     """
-    m, n = ctx.m, ctx.n
+    mn = ctx.m + ctx.n
     if regime is None:
         regime = DIM4 if ctx.dim == 4 else GENERAL
-    if regime == GENERAL and m + n + 1 <= 2:
-        raise ValueError("general regime needs complex dimension m+n+1 > 2")
-    if regime == DIM4 and ctx.dim != 4:
-        raise ValueError(f"dim4 regime needs a 4-dimensional chart, got {ctx.dim}")
+    if not {GENERAL: mn + 1 > 2, DIM4: ctx.dim == 4}.get(regime, False):
+        raise ValueError(f"regime must be {GENERAL!r} with m+n+1 > 2 or {DIM4!r} "
+                         f"on a 4-dimensional chart; got {regime!r} with "
+                         f"m+n+1 = {mn + 1}, dim {ctx.dim}")
 
     R = ctx.riem4
     # the curvature reading is the combination reading with R -+ l3(R)
@@ -174,22 +175,17 @@ def bochner(ctx: CurvatureContext, regime: Optional[str] = None) -> np.ndarray:
     s5 = rho - rho_star
 
     tau, tau_star = ctx.tau, ctx.tau_star
-    p1, p2 = pi1(ctx), pi2(ctx)
     if regime == GENERAL:
-        mn = m + n
-        return (R
-                + psi_op(s2, ctx) / (4.0 * (mn + 2))
-                + phi_op(s3, ctx) / (4.0 * mn)
-                + (phi_op(s4, ctx) + psi_op(s4, ctx)) / (16.0 * (mn + 3))
-                + (3.0 * phi_op(s5, ctx) - psi_op(s5, ctx)) / (16.0 * (mn - 1))
-                - (tau + 3.0 * tau_star) / (16.0 * (mn + 2) * (mn + 3)) * (p1 + p2)
-                - (tau - tau_star) / (16.0 * (mn - 1) * mn) * (3.0 * p1 - p2))
-    return (R
-            + psi_op(s2, ctx) / 12.0
-            + phi_op(s3, ctx) / 4.0
-            + (phi_op(s4, ctx) + psi_op(s4, ctx)) / 64.0
-            - (tau + 3.0 * tau_star) / 192.0 * (p1 + p2)
-            + (tau - tau_star) / 32.0 * (3.0 * p1 - p2))
+        c2, c3 = 1.0 / (4 * (mn + 2)), 1.0 / (4 * mn)
+        c4, c5 = 1.0 / (16 * (mn + 3)), 1.0 / (16 * (mn - 1))
+        u = (tau + 3.0 * tau_star) / (16.0 * (mn + 2) * (mn + 3))
+        v = (tau - tau_star) / (16.0 * (mn - 1) * mn)
+    else:
+        c2, c3, c4, c5 = 1.0 / 12, 1.0 / 4, 1.0 / 64, 0.0
+        u, v = (tau + 3.0 * tau_star) / 192.0, -(tau - tau_star) / 32.0
+    s_phi = c3 * s3 + c4 * s4 + 3.0 * c5 * s5 - 0.5 * (u + 3.0 * v) * ctx.g
+    s_psi = c2 * s2 + c4 * s4 - c5 * s5 - 0.5 * (u - v) * ctx.g
+    return R + phi_op(s_phi, ctx) + psi_op(s_psi, ctx)
 
 
 def bochner_pair(cp: ContactPairManifold, point: Sequence[float],

@@ -75,17 +75,27 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _real(value, field: str) -> float:
+    """A number; JSON true and false are not read as 1 and 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
     try:
         coords = tuple(str(c) for c in data["coords"])
         dim = _count(data["dim"], "dim")
         if len(coords) != dim:
             raise UsageError(f"dim={dim} but {len(coords)} coordinates declared")
-        if len(set(coords)) != dim:
-            raise ValueError(f"coordinate names repeat in {list(coords)}")
         params = _object(data.get("params", {}), "params")
-        params = tuple(sorted((str(k), float(v)) for k, v in params.items()))
-        points = tuple(tuple(float(v) for v in p) for p in data["sample_points"])
+        if len(set(coords) | set(params)) != dim + len(params):
+            raise ValueError(f"names repeat among coordinates {list(coords)} "
+                             f"and params {list(params)}")
+        params = tuple(sorted((str(k), _real(v, f"params[{k!r}]"))
+                              for k, v in params.items()))
+        points = tuple(tuple(_real(v, "sample point coordinate") for v in p)
+                       for p in data["sample_points"])
         if any(len(p) != dim for p in points):
             raise UsageError("sample points must have one value per coordinate")
         chart = rm.Chart(coords=coords, params=params, sample_points=points)

@@ -158,8 +158,6 @@ class StructureData:
     geo: rm.PointGeometry
     a1: np.ndarray
     a2: np.ndarray
-    da1_partial: np.ndarray  # [m, i] = d_m (alpha1)_i
-    da2_partial: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
     dz1: np.ndarray  # [m, k] = d_m Z1^k
@@ -243,7 +241,7 @@ def star_contraction(t4: np.ndarray, ginv: np.ndarray, J: np.ndarray) -> np.ndar
 @lru_cache(maxsize=None)
 def structure_at(cp: ContactPairManifold, point: rm.Point) -> StructureData:
     geo = rm.geometry_at(cp.metric, point)
-    g, ginv, dg = geo.g, geo.ginv, geo.dg
+    g, ginv = geo.g, geo.ginv
 
     # one jet walk over (alpha1, alpha2, Z1, Z2); d alpha and its partials
     # come from the gradients and Hessians of the alphas
@@ -259,8 +257,7 @@ def structure_at(cp: ContactPairManifold, point: rm.Point) -> StructureData:
     A = dalpha1 + dalpha2
     dA = ddalpha1 + ddalpha2
     phi = ginv @ A
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-    dphi = np.einsum("mka,aj->mkj", dginv, A) + np.einsum("ka,maj->mkj", ginv, dA)
+    dphi = np.einsum("mka,aj->mkj", geo.dginv, A) + np.einsum("ka,maj->mkj", ginv, dA)
 
     J = phi - np.outer(z1, a2) + np.outer(z2, a1)
     T = phi + np.outer(z1, a2) - np.outer(z2, a1)
@@ -284,9 +281,9 @@ def structure_at(cp: ContactPairManifold, point: rm.Point) -> StructureData:
     star = star_contraction(geo.riem4, ginv, J)
     tau_star = float(np.einsum("ij,ij->", star, ginv))
 
-    return StructureData(cp, point, geo, a1, a2, da1_partial, da2_partial,
-                         z1, z2, dz1, dz2, dalpha1, dalpha2, ddalpha1, ddalpha2,
-                         phi, dphi, J, dJ, T, dT, P1, P2, H, star, tau_star)
+    return StructureData(cp, point, geo, a1, a2, z1, z2, dz1, dz2, dalpha1, dalpha2,
+                         ddalpha1, ddalpha2, phi, dphi, J, dJ, T, dT, P1, P2, H,
+                         star, tau_star)
 
 
 # --- public operations ----------------------------------------------------------
@@ -340,50 +337,11 @@ def _pair_clauses(cp: ContactPairManifold, pt: rm.Point, a1: np.ndarray,
     return report
 
 
-def foliation_projectors(cp: ContactPairManifold, point: Sequence[float]):
-    """(P1, P2, H): g-orthogonal projectors onto the characteristic
-    foliations and the horizontal bundle."""
-    st = structure_at(cp, tuple(float(v) for v in point))
-    return st.P1, st.P2, st.H
-
-
-def build_J_T(cp: ContactPairManifold, point: Sequence[float]):
-    pt = tuple(float(v) for v in point)
-    st = structure_at(cp, pt)
-    return (rm.TensorValue(st.J, ("u", "d"), pt),
-            rm.TensorValue(st.T, ("u", "d"), pt))
-
-
 def nijenhuis_from(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
     """N^k_ij on coordinate fields from pointwise J and dJ."""
     t1 = np.einsum("ai,akj->kij", J, dJ)
     t3 = np.einsum("kb,jbi->kij", J, dJ)
     return t1 - t1.transpose(0, 2, 1) + t3 - t3.transpose(0, 2, 1)
-
-
-def nijenhuis(cp: ContactPairManifold, point: Sequence[float],
-              which: str = "J") -> rm.TensorValue:
-    pt = tuple(float(v) for v in point)
-    st = structure_at(cp, pt)
-    if which == "J":
-        comps = nijenhuis_from(st.J, st.dJ)
-    elif which == "T":
-        comps = nijenhuis_from(st.T, st.dT)
-    else:
-        raise ValueError("which must be 'J' or 'T'")
-    return rm.TensorValue(comps, ("u", "d", "d"), pt)
-
-
-def star_ricci(cp: ContactPairManifold, point: Sequence[float]) -> rm.TensorValue:
-    """rho*(X,Y) = g^{pa} J^q_a R(X, d_p, d_q, J Y), equal to the frame sum
-    sum_a R(X, e_a, J e_a, J Y) for every g-orthonormal frame (e_a)."""
-    pt = tuple(float(v) for v in point)
-    st = structure_at(cp, pt)
-    return rm.TensorValue(st.star_ricci, ("d", "d"), pt)
-
-
-def star_scalar(cp: ContactPairManifold, point: Sequence[float]) -> float:
-    return structure_at(cp, tuple(float(v) for v in point)).tau_star
 
 
 def phi_sectional_values(cp: ContactPairManifold, point: Sequence[float]) -> list[float]:

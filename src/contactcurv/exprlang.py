@@ -294,6 +294,8 @@ def as_expr(value: Union[Expr, str, float, int]) -> Expr:
         return value
     if isinstance(value, str):
         return parse(value)
+    if isinstance(value, bool):
+        raise ExprError(f"{value!r} is not a number or an expression")
     return Const(float(value))
 
 

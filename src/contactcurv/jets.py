@@ -137,10 +137,3 @@ class Jet2:
 
     def __repr__(self) -> str:
         return f"Jet2({self.val!r}, grad={self.grad!r})"
-
-
-def seed_point(point, d: int | None = None) -> list[Jet2]:
-    """Jets of all coordinate functions at ``point``."""
-    values = list(point)
-    d = len(values) if d is None else d
-    return [Jet2.seed(i, v, d) for i, v in enumerate(values)]

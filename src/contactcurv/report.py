@@ -73,8 +73,8 @@ class Report:
             "checks": [c.to_dict() for c in self.checks],
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
         lines = [f"manifold: {self.manifold}"]

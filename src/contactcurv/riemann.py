@@ -59,9 +59,6 @@ class Chart:
     def dim(self) -> int:
         return len(self.coords)
 
-    def index(self, name: str) -> int:
-        return self.coords.index(name)
-
     def param_env(self) -> dict[str, float]:
         return dict(self.params)
 
@@ -222,6 +219,7 @@ class PointGeometry:
     ginv: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
+    dginv: np.ndarray = field(init=False)  # [m, k, l] = d_m g^{kl}
     gamma: np.ndarray = field(init=False)
     dgamma: np.ndarray = field(init=False)
     riem13: np.ndarray = field(init=False)
@@ -235,7 +233,7 @@ class PointGeometry:
         T = (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg)
              - np.einsum("lij->lij", dg))
         self.gamma = 0.5 * np.einsum("kl,lij->kij", ginv, T)
-        dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
+        self.dginv = dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
         dT = (np.einsum("mijl->mlij", d2g) + np.einsum("mjil->mlij", d2g)
               - np.einsum("mlij->mlij", d2g))
         self.dgamma = 0.5 * (np.einsum("mkl,lij->mkij", dginv, T)
@@ -289,19 +287,9 @@ def geometry_at(metric: MetricField, point: Point) -> PointGeometry:
 
 # --- public operations --------------------------------------------------------
 
-def metric_jet(metric: MetricField, point: Sequence[float]):
-    geo = geometry_at(metric, tuple(float(v) for v in point))
-    return geo.g, geo.dg, geo.d2g
-
-
 def christoffel(metric: MetricField, point: Sequence[float]) -> TensorValue:
     geo = geometry_at(metric, tuple(float(v) for v in point))
     return TensorValue(geo.gamma, ("u", "d", "d"), geo.point)
-
-
-def christoffel_derivative(metric: MetricField, point: Sequence[float]) -> np.ndarray:
-    geo = geometry_at(metric, tuple(float(v) for v in point))
-    return geo.dgamma
 
 
 def riemann(metric: MetricField, point: Sequence[float]) -> TensorValue:

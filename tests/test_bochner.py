@@ -24,6 +24,43 @@ def flat_context(kappa=0.0):
     return ctx
 
 
+def two_regime_bochner(ctx):
+    """The Bochner tensor written out term by term, one formula per regime,
+    with pi_1 and pi_2 as separate tensors."""
+    m, n = ctx.m, ctx.n
+    R = ctx.riem4
+    if ctx.reading == "combination":
+        l3r = bm.l3(ctx, R)
+        minus, plus = R - l3r, R + l3r
+    else:
+        minus = plus = R
+    s2, s3 = bm.contract_star(minus, ctx), bm.contract_ricci(minus, ctx)
+    rho, rho_star = bm.contract_ricci(plus, ctx), bm.contract_star(plus, ctx)
+    s4, s5 = rho + 3.0 * rho_star, rho - rho_star
+    tau, tau_star = ctx.tau, ctx.tau_star
+    p1, p2 = bm.pi1(ctx), bm.pi2(ctx)
+    phi, psi = bm.phi_op, bm.psi_op
+    if ctx.dim != 4:
+        mn = m + n
+        return (R
+                + psi(s2, ctx) / (4.0 * (mn + 2))
+                + phi(s3, ctx) / (4.0 * mn)
+                + (phi(s4, ctx) + psi(s4, ctx)) / (16.0 * (mn + 3))
+                + (3.0 * phi(s5, ctx) - psi(s5, ctx)) / (16.0 * (mn - 1))
+                - (tau + 3.0 * tau_star) / (16.0 * (mn + 2) * (mn + 3)) * (p1 + p2)
+                - (tau - tau_star) / (16.0 * (mn - 1) * mn) * (3.0 * p1 - p2))
+    return (R
+            + psi(s2, ctx) / 12.0
+            + phi(s3, ctx) / 4.0
+            + (phi(s4, ctx) + psi(s4, ctx)) / 64.0
+            - (tau + 3.0 * tau_star) / 192.0 * (p1 + p2)
+            + (tau - tau_star) / 32.0 * (3.0 * p1 - p2))
+
+
+CATALOG_KEYS = ("hopf:1", "hopf:2", "hopf:3", "hopf:4", "sphere_product:1,1",
+                "heisenberg_r")
+
+
 @pytest.fixture(scope="module")
 def hopf2_ctx():
     cp = catalog.hopf(2)
@@ -104,7 +141,7 @@ class TestContractions:
         cp = catalog.sphere_product(1, 1)
         pt = cp.chart.sample_points[0]
         ctx = bm.context(cp, pt)
-        expected = cpm.star_ricci(cp, pt).comps
+        expected = cpm.structure_at(cp, pt).star_ricci
         assert np.max(np.abs(bm.contract_star(ctx.riem4, ctx) - expected)) < 1e-9
 
     def test_ricci_contraction_of_pi1(self, hopf2_ctx):
@@ -127,8 +164,7 @@ class TestContractions:
         # the g^{-1} contractions against explicit sums over a randomly
         # rotated orthonormal frame, at every catalog sample point
         rng = np.random.default_rng(17)
-        for key in ("hopf:1", "hopf:2", "hopf:3", "hopf:4",
-                    "sphere_product:1,1", "heisenberg_r"):
+        for key in CATALOG_KEYS:
             cp = catalog.resolve(key)
             for pt in cp.chart.sample_points:
                 q, _ = np.linalg.qr(rng.normal(size=(cp.dim, cp.dim)))
@@ -161,6 +197,8 @@ class TestBochnerAssembly:
         ctx2 = bm.context(cp2, cp2.chart.sample_points[0])
         with pytest.raises(ValueError):
             bm.bochner(ctx2, bm.DIM4)
+        with pytest.raises(ValueError, match="regime must be"):
+            bm.bochner(ctx2, "general ")  # an unknown name picks no formula
 
     def test_model_space_is_bochner_flat_in_the_general_regime(self):
         cp = catalog.hopf(2)
@@ -201,6 +239,29 @@ class TestBochnerAssembly:
         b1 = bm.bochner(base, bm.DIM4)
         b2 = bm.bochner(doubled, bm.DIM4)
         assert np.max(np.abs(b2 - 2.0 * b1)) < 1e-12
+
+    @pytest.mark.parametrize("key", CATALOG_KEYS)
+    def test_matches_the_two_regime_formula(self, key):
+        cp = catalog.resolve(key)
+        for pt in cp.chart.sample_points:
+            for which in ("J", "T"):
+                for reading in bm.READINGS:
+                    ctx = bm.context(cp, pt, which, reading)
+                    expected = two_regime_bochner(ctx)
+                    bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+                    assert np.max(np.abs(bm.bochner(ctx) - expected)) <= bound
+
+    @pytest.mark.parametrize("key", ["hopf:1", "hopf:2"])
+    def test_one_phi_and_one_psi_evaluation(self, monkeypatch, key):
+        calls = []
+        for name in ("phi_op", "psi_op", "pi1", "pi2"):
+            def counted(*args, _name=name, _inner=getattr(bm, name)):
+                calls.append(_name)
+                return _inner(*args)
+            monkeypatch.setattr(bm, name, counted)
+        cp = catalog.resolve(key)
+        bm.bochner(bm.context(cp, cp.chart.sample_points[0]))
+        assert sorted(calls) == ["phi_op", "psi_op"]
 
     def test_scalar_consistency_on_hopf(self):
         for m, key in ((1, "hopf:1"), (2, "hopf:2")):

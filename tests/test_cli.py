@@ -238,6 +238,12 @@ def test_python_m_entry_points(module):
     assert "hopf:1" in done.stdout
 
 
+def test_every_public_name_resolves():
+    namespace: dict = {}
+    exec("from contactcurv import *", namespace)
+    assert set(contactcurv.__all__) <= set(namespace)
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
@@ -369,12 +375,28 @@ def _repeat_coordinate(data):
     data["coords"][1] = data["coords"][0]
 
 
+def _put(field, index, value):
+    def edit(data):
+        data[field][index] = value
+    return edit
+
+
+def _first_point_coordinate(value):
+    def edit(data):
+        data["sample_points"][0][0] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _metric_key("9,9"), _metric_key("-1,0"), _set("metric", [1, 2]),
     _set("params", [1]), _resize("alpha1", 2), _resize("Z1", 5),
-    _repeat_coordinate],
+    _repeat_coordinate, _set("params", {"t": 1.0}), _put("metric", "3,3", True),
+    _put("alpha1", 0, False), _put("alpha2", 3, True), _put("Z1", 1, True),
+    _put("Z2", 3, True), _set("params", {"c": True}), _first_point_coordinate(False)],
     ids=["metric-9,9", "metric--1,0", "metric-list", "params-list",
-         "alpha1-short", "Z1-long", "repeated-coordinate"])
+         "alpha1-short", "Z1-long", "repeated-coordinate", "params-coordinate",
+         "metric-true", "alpha1-false", "alpha2-true", "Z1-true", "Z2-true",
+         "params-true", "point-false"])
 @pytest.mark.parametrize("argv", [["verify"], ["check"],
                                   ["tensor", "--what", "ricci"]])
 def test_malformed_manifold_file_is_an_input_error(capsys, tmp_path, edit, argv):

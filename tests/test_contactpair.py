@@ -155,7 +155,8 @@ class TestContactPairCheck:
 class TestFoliations:
     def test_hopf_leaf_dimensions(self, hopf1):
         pt = hopf1.chart.sample_points[0]
-        p1, p2, h = cpm.foliation_projectors(hopf1, pt)
+        st = cpm.structure_at(hopf1, pt)
+        p1, p2, h = st.P1, st.P2, st.H
         # TF_1 is spanned by Z_2 alone for type (1, 0); TF_2 is the sphere leaf
         assert round(np.trace(p1)) == 1
         assert round(np.trace(p2)) == 3
@@ -163,7 +164,8 @@ class TestFoliations:
 
     def test_projector_algebra(self, sphere_prod):
         pt = sphere_prod.chart.sample_points[1]
-        p1, p2, _ = cpm.foliation_projectors(sphere_prod, pt)
+        st = cpm.structure_at(sphere_prod, pt)
+        p1, p2 = st.P1, st.P2
         assert np.max(np.abs(p1 @ p2)) < 1e-8
         assert np.max(np.abs(p1 + p2 - np.eye(6))) < 1e-8
 
@@ -176,18 +178,17 @@ class TestFoliations:
     def test_wrong_nullspace_dimension_raises(self, hopf1):
         wrong = dataclasses.replace(hopf1, pair_type=(0, 1))
         with pytest.raises(cpm.InvalidStructureError, match="foliation"):
-            cpm.foliation_projectors(wrong, hopf1.chart.sample_points[0])
+            cpm.structure_at(wrong, hopf1.chart.sample_points[0])
 
 
 class TestComplexStructures:
     def test_reeb_rotation(self, hopf1):
         pt = hopf1.chart.sample_points[0]
         st = cpm.structure_at(hopf1, pt)
-        jv, tv = cpm.build_J_T(hopf1, pt)
-        assert np.allclose(jv.comps @ st.z1, st.z2, atol=1e-12)
-        assert np.allclose(jv.comps @ st.z2, -st.z1, atol=1e-12)
-        assert np.allclose(tv.comps @ st.z1, -st.z2, atol=1e-12)
-        assert np.allclose(tv.comps @ st.z2, st.z1, atol=1e-12)
+        assert np.allclose(st.J @ st.z1, st.z2, atol=1e-12)
+        assert np.allclose(st.J @ st.z2, -st.z1, atol=1e-12)
+        assert np.allclose(st.T @ st.z1, -st.z2, atol=1e-12)
+        assert np.allclose(st.T @ st.z2, st.z1, atol=1e-12)
 
     def test_j_equals_t_on_horizontal_vectors(self, sphere_prod):
         pt = sphere_prod.chart.sample_points[0]
@@ -207,7 +208,9 @@ class TestNijenhuis:
     def test_catalog_structures_are_integrable(self, key, which):
         cp = catalog.resolve(key)
         for pt in cp.chart.sample_points[:2]:
-            n = cpm.nijenhuis(cp, pt, which).comps
+            st = cpm.structure_at(cp, pt)
+            J, dJ = (st.J, st.dJ) if which == "J" else (st.T, st.dT)
+            n = cpm.nijenhuis_from(J, dJ)
             assert np.max(np.abs(n)) < 1e-7
 
     def test_flat_complex_plane(self):
@@ -231,7 +234,7 @@ class TestStarRicci:
     def test_vanishes_on_reeb_fields_of_hopf(self, hopf1):
         pt = hopf1.chart.sample_points[0]
         st = cpm.structure_at(hopf1, pt)
-        star = cpm.star_ricci(hopf1, pt).comps
+        star = st.star_ricci
         for u in (st.z1, st.z2):
             for v in (st.z1, st.z2):
                 assert abs(u @ star @ v) < 1e-10
@@ -249,7 +252,7 @@ class TestStarRicci:
         cp = catalog.resolve(key)
         pt = cp.chart.sample_points[0]
         m, n = cp.pair_type
-        defect = rm.scalar(cp.metric, pt) - cpm.star_scalar(cp, pt)
+        defect = rm.scalar(cp.metric, pt) - cpm.structure_at(cp, pt).tau_star
         assert defect == pytest.approx(4.0 * (m * m + n * n), abs=1e-10)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactcurv import exprlang as el
-from contactcurv.jets import Jet2, seed_point
+from contactcurv.jets import Jet2
 
 from helpers import fd_gradient, fd_hessian, random_expr
 
@@ -30,7 +30,7 @@ class TestSeed:
 
 class TestCalculus:
     def test_product_rule(self):
-        x, y = seed_point((2.0, 3.0))
+        x, y = Jet2.seed(0, 2.0, 2), Jet2.seed(1, 3.0, 2)
         p = x * y
         assert p.val == 6.0
         assert np.array_equal(p.grad, [3.0, 2.0])
@@ -53,7 +53,7 @@ class TestCalculus:
     def test_quadratic_is_exact(self):
         # 3x^2 + 2xy - y + 5: derivatives of degree-2 polynomials carry no
         # truncation error at all.
-        x, y = seed_point((0.7, -1.3))
+        x, y = Jet2.seed(0, 0.7, 2), Jet2.seed(1, -1.3, 2)
         p = 3.0 * x * x + 2.0 * x * y - y + 5.0
         assert p.val == 3.0 * 0.49 + 2.0 * 0.7 * (-1.3) + 1.3 + 5.0
         assert np.array_equal(p.grad, [6.0 * 0.7 + 2.0 * (-1.3), 2.0 * 0.7 - 1.0])

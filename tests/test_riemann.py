@@ -63,23 +63,23 @@ WAVY_POINT = (0.4, 0.7, 1.1)
 
 class TestMetricJet:
     def test_flat_derivatives_vanish(self):
-        g, dg, d2g = rm.metric_jet(flat_chart(), (0.1, 0.2, 0.3))
-        assert np.array_equal(g, np.eye(3))
-        assert not dg.any() and not d2g.any()
+        geo = rm.geometry_at(flat_chart(), (0.1, 0.2, 0.3))
+        assert np.array_equal(geo.g, np.eye(3))
+        assert not geo.dg.any() and not geo.d2g.any()
 
     def test_hopf_leaf_chart_derivative(self):
         chart = rm.Chart(coords=("eta", "xi1", "xi2"))
         metric = rm.MetricField.diagonal(chart, ["1", "cos(eta)^2", "sin(eta)^2"])
-        _, dg, _ = rm.metric_jet(metric, (math.pi / 6, 0.2, 0.4))
+        dg = rm.geometry_at(metric, (math.pi / 6, 0.2, 0.4)).dg
         assert dg[0, 1, 1] == pytest.approx(-math.sqrt(3) / 2, abs=1e-14)
 
     def test_matches_finite_differences(self):
         metric = wavy_metric()
-        g, dg, _ = rm.metric_jet(metric, WAVY_POINT)
+        dg = rm.geometry_at(metric, WAVY_POINT).dg
         for i in range(3):
             for j in range(3):
                 def entry(q, i=i, j=j):
-                    return rm.metric_jet(metric, tuple(q))[0][i, j]
+                    return rm.geometry_at(metric, tuple(q)).g[i, j]
                 fd = fd_gradient(entry, np.array(WAVY_POINT), 1e-5)
                 assert np.allclose(dg[:, i, j], fd, rtol=1e-5, atol=1e-5)
 
@@ -87,7 +87,7 @@ class TestMetricJet:
         chart = rm.Chart(coords=("x", "y"))
         metric = rm.MetricField.diagonal(chart, ["1", "x"])
         with pytest.raises(rm.MetricError):
-            rm.metric_jet(metric, (-1.0, 0.0))
+            rm.geometry_at(metric, (-1.0, 0.0))
 
 
 class TestChristoffel:
@@ -112,7 +112,7 @@ class TestChristoffel:
 
     def test_derivative_matches_finite_differences(self):
         metric = wavy_metric()
-        dgamma = rm.christoffel_derivative(metric, WAVY_POINT)
+        dgamma = rm.geometry_at(metric, WAVY_POINT).dgamma
         for k in range(3):
             for i in range(3):
                 for j in range(3):
@@ -417,7 +417,7 @@ class TestFieldJets:
 @pytest.mark.parametrize("query", [
     lambda m, p: rm.riemann(m, p).comps,
     lambda m, p: rm.christoffel(m, p).comps,
-    lambda m, p: rm.metric_jet(m, p)[1],
+    lambda m, p: rm.geometry_at(m, p).dg,
 ])
 def test_cached_arrays_are_read_only(query):
     metric, point = wavy_metric(), (0.41, -0.23, 0.67)
