@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Mapping, Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,25 +44,27 @@ def convention_ledger() -> dict:
 
 @dataclass
 class CurvatureContext:
-    """Pointwise ingredients for one complex structure."""
+    """Pointwise ingredients for one complex structure, at one point or over
+    a stack of points (arrays with a leading point axis, ``tau`` and
+    ``tau_star`` arrays over it)."""
 
-    point: rm.Point
+    point: Union[rm.Point, tuple[rm.Point, ...]]
     g: np.ndarray
     ginv: np.ndarray
     J: np.ndarray
     riem4: np.ndarray
     m: int
     n: int
-    tau: float
-    tau_star: float
+    tau: Union[float, np.ndarray]
+    tau_star: Union[float, np.ndarray]
     reading: str = DEFAULT_READING
 
     @property
     def dim(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
 
-def _context(point: rm.Point, geo: rm.PointGeometry, J: np.ndarray, m: int,
+def _context(point, geo: rm.PointGeometry, J: np.ndarray, m: int,
              n: int, reading: str) -> CurvatureContext:
     ctx = CurvatureContext(point, geo.g, geo.ginv, J, geo.riem4, m, n,
                            geo.tau, 0.0, reading)
@@ -70,10 +72,12 @@ def _context(point: rm.Point, geo: rm.PointGeometry, J: np.ndarray, m: int,
     return ctx
 
 
-def context(cp: ContactPairManifold, point: Sequence[float], which: str = "J",
+def context(cp: ContactPairManifold, point, which: str = "J",
             reading: str = DEFAULT_READING) -> CurvatureContext:
-    pt = tuple(float(v) for v in point)
+    """The context at a point, or over a stack of points."""
+    pt = rm.as_point(point)
     st = cpm.structure_at(cp, pt)
+    cpm.require_foliations(st)
     return _context(pt, st.geo, st.J if which == "J" else st.T, cp.m, cp.n, reading)
 
 
@@ -82,49 +86,52 @@ def context(cp: ContactPairManifold, point: Sequence[float], which: str = "J",
 def pi1(ctx: CurvatureContext) -> np.ndarray:
     """pi_1(X,Y,Z,W) = g(X,Z) g(Y,W) - g(Y,Z) g(X,W)."""
     g = ctx.g
-    return np.einsum("ik,jl->ijkl", g, g) - np.einsum("jk,il->ijkl", g, g)
+    return np.einsum("...ik,...jl->...ijkl", g, g) - np.einsum("...jk,...il->...ijkl", g, g)
 
 
 def pi2(ctx: CurvatureContext) -> np.ndarray:
     """pi_2(X,Y,Z,W) = 2 g(JX,Y) g(JZ,W) + g(JX,Z) g(JY,W) - g(JY,Z) g(JX,W)."""
     gJ = ctx.g @ ctx.J  # g(., J .); the sign flip to g(J., .) cancels pairwise
-    return (2.0 * np.einsum("ij,kl->ijkl", gJ, gJ)
-            + np.einsum("ik,jl->ijkl", gJ, gJ)
-            - np.einsum("jk,il->ijkl", gJ, gJ))
+    return (2.0 * np.einsum("...ij,...kl->...ijkl", gJ, gJ)
+            + np.einsum("...ik,...jl->...ijkl", gJ, gJ)
+            - np.einsum("...jk,...il->...ijkl", gJ, gJ))
 
 
 def l3(ctx: CurvatureContext, t4: np.ndarray) -> np.ndarray:
     """J-conjugation in all four slots: (L3 T)(X,Y,Z,W) = T(JX,JY,JZ,JW)."""
-    J = ctx.J
-    out = np.einsum("abcd,ai->ibcd", t4, J)
-    out = np.einsum("ibcd,bj->ijcd", out, J)
-    out = np.einsum("ijcd,ck->ijkd", out, J)
-    return np.einsum("ijkd,dl->ijkl", out, J)
+    out = t4
+    for _ in range(4):  # contract the first slot with J and move it last
+        out = rm.contract_last(np.moveaxis(out, -4, -1), ctx.J)
+    return out
 
 
 def phi_op(s: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
     """phi(S)(X,Y,Z,W) = g(X,Z)S(Y,W) + g(Y,W)S(X,Z) - g(X,W)S(Y,Z) - g(Y,Z)S(X,W)."""
     g = ctx.g
-    return (np.einsum("ik,jl->ijkl", g, s) + np.einsum("jl,ik->ijkl", g, s)
-            - np.einsum("il,jk->ijkl", g, s) - np.einsum("jk,il->ijkl", g, s))
+    out = np.einsum("...ik,...jl->...ijkl", g, s)  # summed in place, term by term
+    out += np.einsum("...jl,...ik->...ijkl", g, s)
+    out -= np.einsum("...il,...jk->...ijkl", g, s)
+    out -= np.einsum("...jk,...il->...ijkl", g, s)
+    return out
 
 
 def psi_op(s: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
     """psi(S): the six-term J-twisted companion of phi(S)."""
     gJ = ctx.g @ ctx.J   # g(X, JY)
     sJ = s @ ctx.J       # S(X, JY)
-    return (2.0 * np.einsum("ij,kl->ijkl", gJ, sJ)
-            + 2.0 * np.einsum("kl,ij->ijkl", gJ, sJ)
-            + np.einsum("ik,jl->ijkl", gJ, sJ)
-            + np.einsum("jl,ik->ijkl", gJ, sJ)
-            - np.einsum("il,jk->ijkl", gJ, sJ)
-            - np.einsum("jk,il->ijkl", gJ, sJ))
+    out = np.einsum("...ij,...kl->...ijkl", 2.0 * gJ, sJ)  # summed in place, term by term
+    out += np.einsum("...kl,...ij->...ijkl", 2.0 * gJ, sJ)
+    out += np.einsum("...ik,...jl->...ijkl", gJ, sJ)
+    out += np.einsum("...jl,...ik->...ijkl", gJ, sJ)
+    out -= np.einsum("...il,...jk->...ijkl", gJ, sJ)
+    out -= np.einsum("...jk,...il->...ijkl", gJ, sJ)
+    return out
 
 
 def contract_ricci(t4: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
     """Ricci-type contraction rho(T)(X,Y) = g^{pq} T(X, d_p, d_q, Y), equal to
     sum_a T(X, e_a, e_a, Y) for every g-orthonormal frame (e_a)."""
-    return np.einsum("ipqj,pq->ij", t4, ctx.ginv)
+    return np.einsum("...ipqj,...pq->...ij", t4, ctx.ginv)
 
 
 def contract_star(t4: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
@@ -134,10 +141,10 @@ def contract_star(t4: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
     return cpm.star_contraction(t4, ctx.ginv, ctx.J)
 
 
-def trace_form(s: np.ndarray, ctx: CurvatureContext) -> float:
+def trace_form(s: np.ndarray, ctx: CurvatureContext):
     """g^{ij} S(d_i, d_j), equal to sum_a S(e_a, e_a) for every g-orthonormal
-    frame (e_a)."""
-    return float(np.einsum("ij,ij->", s, ctx.ginv))
+    frame (e_a); a float at one point, an array over a stack."""
+    return rm.point_scalar(np.einsum("...ij,...ij->...", s, ctx.ginv))
 
 
 # --- Bochner assembly ----------------------------------------------------------
@@ -158,23 +165,13 @@ def bochner(ctx: CurvatureContext, regime: Optional[str] = None) -> np.ndarray:
                          f"on a 4-dimensional chart; got {regime!r} with "
                          f"m+n+1 = {mn + 1}, dim {ctx.dim}")
 
-    R = ctx.riem4
-    # the curvature reading is the combination reading with R -+ l3(R)
-    # replaced by R itself
-    if ctx.reading == "combination":
-        l3r = l3(ctx, R)
-        minus, plus = R - l3r, R + l3r
-    elif ctx.reading == "curvature":
-        minus = plus = R
-    else:
-        raise ValueError(f"unknown notation reading {ctx.reading!r}")
-    s2 = contract_star(minus, ctx)
-    s3 = contract_ricci(minus, ctx)
-    rho, rho_star = contract_ricci(plus, ctx), contract_star(plus, ctx)
+    s2, s3, rho, rho_star = _reading_contractions(ctx)
     s4 = rho + 3.0 * rho_star
     s5 = rho - rho_star
 
-    tau, tau_star = ctx.tau, ctx.tau_star
+    # scalars broadcast against the trailing matrix axes of a stack
+    tau = np.asarray(ctx.tau)[..., None, None]
+    tau_star = np.asarray(ctx.tau_star)[..., None, None]
     if regime == GENERAL:
         c2, c3 = 1.0 / (4 * (mn + 2)), 1.0 / (4 * mn)
         c4, c5 = 1.0 / (16 * (mn + 3)), 1.0 / (16 * (mn - 1))
@@ -185,7 +182,25 @@ def bochner(ctx: CurvatureContext, regime: Optional[str] = None) -> np.ndarray:
         u, v = (tau + 3.0 * tau_star) / 192.0, -(tau - tau_star) / 32.0
     s_phi = c3 * s3 + c4 * s4 + 3.0 * c5 * s5 - 0.5 * (u + 3.0 * v) * ctx.g
     s_psi = c2 * s2 + c4 * s4 - c5 * s5 - 0.5 * (u - v) * ctx.g
-    return R + phi_op(s_phi, ctx) + psi_op(s_psi, ctx)
+    out = ctx.riem4 + phi_op(s_phi, ctx)
+    out += psi_op(s_psi, ctx)
+    return out
+
+
+def _reading_contractions(ctx: CurvatureContext):
+    """rho*(R - L3 R), rho(R - L3 R), rho(R + L3 R) and rho*(R + L3 R) in
+    the combination reading; the curvature reading replaces R -+ L3 R by R
+    itself."""
+    R = ctx.riem4
+    if ctx.reading == "combination":
+        l3r = l3(ctx, R)
+        minus, plus = R - l3r, R + l3r
+    elif ctx.reading == "curvature":
+        minus = plus = R
+    else:
+        raise ValueError(f"unknown notation reading {ctx.reading!r}")
+    return (contract_star(minus, ctx), contract_ricci(minus, ctx),
+            contract_ricci(plus, ctx), contract_star(plus, ctx))
 
 
 def bochner_pair(cp: ContactPairManifold, point: Sequence[float],
@@ -213,18 +228,22 @@ def reeb_plane_closed_form(m: int, n: int, tau: float) -> float:
         + (tau - 3.0 * (m * m + n * n)) / ((m + n + 2) * (m + n + 3))
 
 
-def _conformal_shift(report: Report, cp: ContactPairManifold, pt: rm.Point,
-                     b: np.ndarray, c: float, reading: str) -> None:
+def _conformal_shift(report: Report, cp: ContactPairManifold,
+                     points: Sequence[rm.Point], b: np.ndarray, c: float,
+                     reading: str) -> None:
     """Record the change of the (1,3) form B_J g^{-1} under g -> c g with J
-    fixed, at ``pt``, where ``b`` is B_J of g there."""
-    st = cpm.structure_at(cp, pt)
-    scaled = st.geo.rescaled(c)
-    again = bochner(_context(pt, scaled, st.J, cp.m, cp.n, reading))
-    residual = float(np.max(np.abs(np.einsum("ijka,al->ijkl", again, scaled.ginv)
-                                   - np.einsum("ijka,al->ijkl", b, st.geo.ginv))))
-    report.add("bochner_13_conformal_shift",
-               "change of the (1,3) Bochner tensor under g -> e^{2f} g "
-               "(constant factor: asserted invariant)", residual, 1e-7, pt)
+    fixed, at each point of the stack ``points``, where ``b`` is B_J of g
+    over that stack."""
+    st = cpm.structure_at(cp, points)
+    # the context keeps only what the assembly reads of the rescaled geometry
+    scaled = _context(points, st.geo.rescaled(c), st.J, cp.m, cp.n, reading)
+    shift = rm.contract_last(bochner(scaled), scaled.ginv)
+    shift -= rm.contract_last(b, st.geo.ginv)
+    residual = rm.pointwise_sup(shift)
+    for pt, r in zip(points, residual):
+        report.add("bochner_13_conformal_shift",
+                   "change of the (1,3) Bochner tensor under g -> e^{2f} g "
+                   "(constant factor: asserted invariant)", r, 1e-7, pt)
 
 
 def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
@@ -241,9 +260,9 @@ def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
                          f"with {sorted(moving)}")
     c = math.exp(2.0 * el.evaluate(fe, cp.chart.param_env()))
     report = Report(cp.name, cp.conventions() | convention_ledger())
-    pts = tuple(points) if points is not None else cp.chart.sample_points
-    for pt in pts:
-        _conformal_shift(report, cp, pt, bochner(context(cp, pt, "J", reading)),
+    pts = rm.as_point(points if points is not None else cp.chart.sample_points)
+    if pts:
+        _conformal_shift(report, cp, pts, bochner(context(cp, pts, "J", reading)),
                          c, reading)
     return report
 
@@ -264,68 +283,73 @@ def loosen(default: float, requested: Optional[float]) -> float:
 
 def _theorem1(report: Report, cp: ContactPairManifold, expected: Mapping,
               tol: Optional[float], points: Sequence[rm.Point],
-              b_j: Sequence[np.ndarray]) -> None:
+              b_j: np.ndarray) -> None:
     """Bochner-flatness consequences on the model space; measured controls
-    on the expected-nonflat entries."""
+    on the expected-nonflat entries.  ``b_j`` is B_J over the stack of
+    points."""
     flat = expected["bochner_flat"]
     m, n = cp.pair_type
     tight, loose = loosen(1e-7, tol), loosen(1e-6, tol)
-    for pt, b in zip(points, b_j):
-        st = cpm.structure_at(cp, pt)
-        sup = float(np.max(np.abs(b)))
-        plane = float(np.einsum("ijkl,i,j,k,l", b, st.z1, st.z2, st.z2, st.z1))
-        if flat:
-            report.add("bochner_flatness", "sup |B_J| vanishes on the model space",
-                       sup, loose, pt)
-            report.add("bochner_reeb_plane", "B_J(Z1,Z2,Z2,Z1) = 0", plane, tight, pt)
-            report.add("scalar_curvature_value", "tau = 2m(2m+1) + 2n(2n+1) + 2mn",
-                       st.geo.tau - (2 * m * (2 * m + 1) + 2 * n * (2 * n + 1)
-                                     + 2 * m * n), tight, pt)
-            worst_r, worst_s, worst_p = 0.0, 0.0, 0.0
-            for x in st.horizontal_leaf_vectors(2):
-                worst_r = max(worst_r, abs(float(x @ st.geo.ricci @ x) - 2.0 * m))
-                worst_s = max(worst_s, abs(float(x @ st.star_ricci @ x) - 1.0))
-                px = st.phi @ x
-                sect = float(np.einsum("ijkl,i,j,k,l", st.geo.riem4, x, px, px, x))
-                worst_p = max(worst_p, abs(sect - 1.0))
-            report.add("horizontal_ricci", "rho(X,X) = 2m for unit horizontal "
-                       "leaf-tangent X", worst_r, tight, pt)
-            report.add("horizontal_star_ricci", "rho*(X,X) = 1", worst_s, tight, pt)
-            report.add("phi_sectional_curvature", "R(X,phiX,phiX,X) = 1",
-                       worst_p, tight, pt)
-        else:
-            report.add("bochner_not_flat", "sup |B_J| stays above the control "
-                       "bound on a non-model structure", sup, 1e-2, pt,
-                       passed=sup > 1e-2)
-            target = expected.get("bochner_reeb_plane")
-            if target is not None:
-                closed = reeb_plane_closed_form(m, n, st.geo.tau)
-                report.add("bochner_reeb_plane_value",
-                           "B_J(Z1,Z2,Z2,Z1) matches the closed-form value "
-                           "computed from the measured scalar curvature",
-                           plane - closed, loose, pt)
-                report.add("bochner_reeb_plane_expected",
-                           f"B_J(Z1,Z2,Z2,Z1) = {target}", plane - target, loose, pt)
+    st = cpm.structure_at(cp, points)
+    tau = st.geo.tau
+    sup = rm.pointwise_sup(b_j)
+    plane = np.einsum("...ijkl,...i,...j,...k,...l->...", b_j, st.z1, st.z2, st.z2, st.z1)
+    if flat:
+        # unit horizontal leaf-tangent candidates x[p, c], of which kept[p, c] count
+        x, kept = st.horizontal_leaf_frame(2)
+        rows = (
+            ("bochner_flatness", "sup |B_J| vanishes on the model space", sup, loose),
+            ("bochner_reeb_plane", "B_J(Z1,Z2,Z2,Z1) = 0", plane, tight),
+            ("scalar_curvature_value", "tau = 2m(2m+1) + 2n(2n+1) + 2mn",
+             tau - (2 * m * (2 * m + 1) + 2 * n * (2 * n + 1) + 2 * m * n), tight),
+            ("horizontal_ricci", "rho(X,X) = 2m for unit horizontal leaf-tangent X",
+             _quadratic_defect(x, st.geo.ricci, 2.0 * m, kept), tight),
+            ("horizontal_star_ricci", "rho*(X,X) = 1",
+             _quadratic_defect(x, st.star_ricci, 1.0, kept), tight),
+            ("phi_sectional_curvature", "R(X,phiX,phiX,X) = 1",
+             cpm.kept_max(cpm.phi_sectional(st, x) - 1.0, kept), tight),
+        )
+        for p, pt in enumerate(points):
+            cpm.record_rows(report, rows, p, pt)
+        return
+    target = expected.get("bochner_reeb_plane")
+    closed = reeb_plane_closed_form(m, n, tau)
+    for p, pt in enumerate(points):
+        report.add("bochner_not_flat", "sup |B_J| stays above the control "
+                   "bound on a non-model structure", sup[p], 1e-2, pt,
+                   passed=sup[p] > 1e-2)
+        if target is not None:
+            report.add("bochner_reeb_plane_value",
+                       "B_J(Z1,Z2,Z2,Z1) matches the closed-form value "
+                       "computed from the measured scalar curvature",
+                       plane[p] - closed[p], loose, pt)
+            report.add("bochner_reeb_plane_expected",
+                       f"B_J(Z1,Z2,Z2,Z1) = {target}", plane[p] - target, loose, pt)
+
+
+def _quadratic_defect(x: np.ndarray, s: np.ndarray, value: float,
+                     kept: np.ndarray) -> np.ndarray:
+    """max |S(x, x) - value| over the kept candidate rows x[c]."""
+    return cpm.kept_max(np.einsum("...ci,...ij,...cj->...c", x, s, x) - value, kept)
 
 
 def _theorem2(report: Report, cp: ContactPairManifold, expected: Mapping,
               tol: Optional[float], points: Sequence[rm.Point],
-              b_j: Sequence[np.ndarray]) -> None:
+              b_j: Optional[np.ndarray]) -> None:
     """Conformal flatness on the model space, plus constant-factor
     conformal invariance of the Bochner tensor."""
     flat = expected["weyl_flat"]
-    for pt in points:
-        sup = float(np.max(np.abs(rm.weyl(cp.metric, pt).comps)))
+    sup = rm.pointwise_sup(rm.weyl(cp.metric, points).comps)
+    for pt, s in zip(points, sup):
         if flat:
             report.add("weyl_flatness", "sup |W| vanishes on the model space",
-                       sup, loosen(1e-8, tol), pt)
+                       s, loosen(1e-8, tol), pt)
         else:
             report.add("weyl_not_flat", "sup |W| stays above the control bound",
-                       sup, 1e-2, pt, passed=sup > 1e-2)
+                       s, 1e-2, pt, passed=s > 1e-2)
     if flat:
         c = math.exp(2.0 * math.log(2.0))  # f = log 2
-        for pt, b in zip(points, b_j):
-            _conformal_shift(report, cp, pt, b, c, DEFAULT_READING)
+        _conformal_shift(report, cp, points, b_j, c, DEFAULT_READING)
 
 
 def run_suites(cp: ContactPairManifold, suites: Collection[str],
@@ -334,10 +358,12 @@ def run_suites(cp: ContactPairManifold, suites: Collection[str],
                points: Optional[Sequence[rm.Point]] = None) -> Report:
     """Run the requested suites of :data:`SUITES`, always in that order.
 
-    The definitions report, over ``points`` at the loosened structure
-    tolerance, is built once and gates the later stages.  It is emitted
-    when requested, else only its failed records are.  ``expected`` is the
-    catalog entry's expected-results table that the theorem suites read.
+    Every stage evaluates its checks over the whole stack of points at once
+    and records them point by point.  The definitions report, over
+    ``points`` at the loosened structure tolerance, is built once and gates
+    the later stages.  It is emitted when requested, else only its failed
+    records are.  ``expected`` is the catalog entry's expected-results table
+    that the theorem suites read.
     """
     pts = tuple(points) if points is not None else cp.chart.sample_points
     report = Report(cp.name, cp.conventions() | convention_ledger())
@@ -355,9 +381,11 @@ def run_suites(cp: ContactPairManifold, suites: Collection[str],
         raise MissingExpectedTable(
             f"theorem suites need the expected-results table of a catalog "
             f"entry; '{cp.name}' is not in the catalog")
-    # B_J at each point, assembled once for the stages that read it
+    if not pts:
+        return report
+    # B_J over the stack, assembled once for the stages that read it
     wants_b = "theorem1" in suites or ("theorem2" in suites and expected["weyl_flat"])
-    b_j = tuple(bochner(context(cp, pt)) for pt in pts) if wants_b else ()
+    b_j = bochner(context(cp, pts)) if wants_b else None
     if "theorem1" in suites:
         _theorem1(report, cp, expected, tolerance, pts, b_j)
     if "theorem2" in suites:

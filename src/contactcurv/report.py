@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
+
+# how json.dumps spells the floats that JSON itself has no literal for
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass
@@ -74,7 +78,13 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """``json.dumps(self.to_dict(), indent=2)``, byte for byte.  With an
+        indent, :mod:`json` runs its pure-Python encoder, so the check
+        records, nearly all of the output, are written directly."""
+        head = json.dumps({"manifold": self.manifold, "conventions": self.conventions,
+                           "summary": self.summary()}, indent=2)
+        checks = f"[{_records(self.checks)}\n  ]" if self.checks else "[]"
+        return f'{head[:-2]},\n  "checks": {checks}\n}}'
 
     def to_text(self) -> str:
         lines = [f"manifold: {self.manifold}"]
@@ -94,3 +104,44 @@ class Report:
 
 def _fmt_point(point: Iterable[float]) -> str:
     return "(" + ", ".join(f"{v:.3g}" for v in point) + ")"
+
+
+# --- check records in the layout of json.dumps(indent=2) ------------------------
+
+def _scalar(v) -> str:
+    """One JSON scalar as json.dumps writes it."""
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        return _NONFINITE.get(text, text)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _records(checks: list[CheckRecord]) -> str:
+    """The check records as items of the report's "checks" list."""
+    # the records of one point share its tuple, so its text is built once;
+    # keyed by identity, since equal tuples such as (0.0,) and (-0.0,) are
+    # written differently
+    points: dict[int, str] = {}
+    out = []
+    for c in checks:
+        point = points.get(id(c.point))
+        if point is None:
+            point = points[id(c.point)] = json.dumps(
+                c.to_dict()["point"], indent=2).replace("\n", "\n      ")
+        out.append(f'\n    {{\n      "name": {_scalar(c.name)},'
+                   f'\n      "detail": {_scalar(c.detail)},'
+                   f'\n      "point": {point},'
+                   f'\n      "value": {_scalar(c.value)},'
+                   f'\n      "tolerance": {_scalar(c.tolerance)},'
+                   f'\n      "passed": {_scalar(c.passed)}\n    }}')
+    return ",".join(out)

@@ -5,7 +5,10 @@ over second-order jets yields g, dg and d2g exactly, from which Christoffel
 symbols, their first derivatives, and the curvature tensors follow by the
 coordinate formulas.
 
-Index conventions used throughout (all plain numpy arrays):
+Every array may carry a leading point axis: the same kernels evaluate one
+point or a stack of points at once, and a stack is given as a tuple of
+points wherever a point is.  Index conventions (plain numpy arrays, the
+point axis omitted):
 
 * ``dg[k, i, j]``          = d_k g_ij
 * ``d2g[k, l, i, j]``      = d_k d_l g_ij
@@ -147,15 +150,38 @@ class TensorField11:
 
 @dataclass
 class TensorValue:
-    """Pointwise dense tensor with an explicit variance signature."""
+    """Pointwise dense tensor with an explicit variance signature; over a
+    stack of points, ``comps`` has a leading point axis."""
 
     comps: np.ndarray
     variance: tuple[str, ...]  # 'u' or 'd' per slot
-    point: Point
+    point: Union[Point, tuple[Point, ...]]
 
     def __post_init__(self):
-        if len(self.variance) != self.comps.ndim:
+        if len(self.variance) != self.comps.ndim - is_stack(self.point):
             raise ValueError("variance length must equal tensor rank")
+
+
+def is_stack(point) -> bool:
+    """True for a tuple of points, False for one point."""
+    return np.ndim(point) == 2
+
+
+def as_point(point) -> Union[Point, tuple[Point, ...]]:
+    """One point as a tuple of floats, or a stack of points as a tuple of them."""
+    if is_stack(point):
+        return tuple(tuple(float(v) for v in p) for p in point)
+    return tuple(float(v) for v in point)
+
+
+def point_scalar(x):
+    """A Python float at one point, the array itself over a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def pointwise_sup(x: np.ndarray) -> np.ndarray:
+    """max |x| over every axis but the leading point axis."""
+    return np.abs(x).reshape(len(x), -1).max(axis=1)
 
 
 # --- field evaluation ---------------------------------------------------------
@@ -204,6 +230,12 @@ def eval_field(comps, chart: Chart, point: Sequence[float]):
 
 # --- per-point geometry -------------------------------------------------------
 
+def contract_last(t4: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_a T[..., a] m[a, b] over the last slot of a four-slot tensor,
+    with one matrix m per point."""
+    return t4 @ m[..., None, None, :, :]
+
+
 def freeze_arrays(record) -> None:
     """Make every array attribute of a cached record read-only, so callers
     cannot change what later calls return."""
@@ -214,7 +246,7 @@ def freeze_arrays(record) -> None:
 
 @dataclass
 class PointGeometry:
-    point: Point
+    point: Union[Point, tuple[Point, ...]]
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray
@@ -225,32 +257,38 @@ class PointGeometry:
     riem13: np.ndarray = field(init=False)
     riem4: np.ndarray = field(init=False)
     ricci: np.ndarray = field(init=False)
-    tau: float = field(init=False)
+    tau: Union[float, np.ndarray] = field(init=False)
 
     def __post_init__(self):
         g, ginv, dg, d2g = self.g, self.ginv, self.dg, self.d2g
         # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-        T = (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg)
-             - np.einsum("lij->lij", dg))
-        self.gamma = 0.5 * np.einsum("kl,lij->kij", ginv, T)
-        self.dginv = dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-        dT = (np.einsum("mijl->mlij", d2g) + np.einsum("mjil->mlij", d2g)
-              - np.einsum("mlij->mlij", d2g))
-        self.dgamma = 0.5 * (np.einsum("mkl,lij->mkij", dginv, T)
-                             + np.einsum("kl,mlij->mkij", ginv, dT))
+        T = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
+             - dg)
+        self.gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, T)
+        ginv_m = ginv[..., None, :, :]  # broadcast over the derivative index m
+        self.dginv = dginv = -(ginv_m @ dg @ ginv_m)
+        dT = (np.einsum("...mijl->...mlij", d2g) + np.einsum("...mjil->...mlij", d2g)
+              - d2g)
+        # with the pair ij merged: [m, k, l] @ [l, (ij)] + [k, l] @ [m, l, (ij)]
+        pairs = T.shape[:-2] + (-1,)
+        self.dgamma = 0.5 * (dginv @ T.reshape(pairs)[..., None, :, :]
+                             + ginv_m @ dT.reshape(dT.shape[:-2] + (-1,))).reshape(dT.shape)
         gamma, dgamma = self.gamma, self.dgamma
-        self.riem13 = (np.einsum("iljk->lijk", dgamma)
-                       - np.einsum("jlik->lijk", dgamma)
-                       + np.einsum("lim,mjk->lijk", gamma, gamma)
-                       - np.einsum("ljm,mik->lijk", gamma, gamma))
-        self.riem4 = np.einsum("lijk,lw->ijkw", self.riem13, g)
-        self.ricci = np.einsum("iijk->jk", self.riem13)
-        self.tau = float(np.einsum("jk,jk->", ginv, self.ricci))
+        # [l, i, j, k] = Gamma^l_im Gamma^m_jk as [(li), m] @ [m, (jk)]; the
+        # second quadratic term is the same product with i and j exchanged
+        quad = (gamma.reshape(gamma.shape[:-3] + (-1, self.dim))
+                @ gamma.reshape(pairs)).reshape(dgamma.shape)
+        self.riem13 = (np.einsum("...iljk->...lijk", dgamma)
+                       - np.einsum("...jlik->...lijk", dgamma)
+                       + quad - np.swapaxes(quad, -3, -2))
+        self.riem4 = contract_last(np.moveaxis(self.riem13, -4, -1), g)
+        self.ricci = np.einsum("...iijk->...jk", self.riem13)
+        self.tau = point_scalar(np.einsum("...jk,...jk->...", ginv, self.ricci))
         freeze_arrays(self)
 
     @property
     def dim(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
     def rescaled(self, c: float) -> "PointGeometry":
         """Geometry of c g for a constant c > 0, whose jets are c g, c dg, c d2g."""
@@ -258,31 +296,74 @@ class PointGeometry:
         return PointGeometry(self.point, g, np.linalg.inv(g), c * self.dg, c * self.d2g)
 
 
+def stacked_jets(comps, chart: Chart, points: Sequence[Point]):
+    """:func:`field_jets` at each point in turn, stacked along a leading
+    point axis.  An evaluation fault stops the walk: the result is the jets
+    of the points before it and the fault (else ``None``)."""
+    jets, fault = [], None
+    for pt in points:
+        try:
+            jets.append(field_jets(comps, chart, pt))
+        except el.ExprError as err:
+            fault = err
+            break
+    if not jets:
+        return None, fault
+    return tuple(np.stack(parts) for parts in zip(*jets)), fault
+
+
 @lru_cache(maxsize=None)
-def geometry_at(metric: MetricField, point: Point) -> PointGeometry:
-    """Metric, Christoffel and curvature data at one chart point."""
+def geometry_at(metric: MetricField, point) -> PointGeometry:
+    """Metric, Christoffel and curvature data at one chart point, or stacked
+    over a tuple of points.
+
+    Over a stack, faults are reported as a point-by-point run would meet
+    them: the first point whose metric is non-finite or not positive
+    definite raises, after one :class:`IllConditionedMetricWarning` for each
+    ill-conditioned point before it.
+    """
+    stacked = is_stack(point)
+    points = point if stacked else (point,)
     d = metric.dim
     upper = np.triu_indices(d)
-    values, derivs, hess = field_jets(np.asarray(metric.comps, dtype=object)[upper],
-                                      metric.chart, point)
-    g = np.zeros((d, d))
-    dg = np.zeros((d, d, d))
-    d2g = np.zeros((d, d, d, d))
+    jets, fault = stacked_jets(np.asarray(metric.comps, dtype=object)[upper],
+                               metric.chart, points)
+    if jets is None:
+        raise fault
+    values, derivs, hess = jets
+    n = len(values)
+    g = np.zeros((n, d, d))
+    dg = np.zeros((n, d, d, d))
+    d2g = np.zeros((n, d, d, d, d))
     for i, j in (upper, upper[::-1]):  # the upper triangle, then its mirror
-        g[i, j] = values
-        dg[:, i, j] = derivs
-        d2g[:, :, i, j] = hess
+        g[:, i, j] = values
+        dg[:, :, i, j] = derivs
+        d2g[:, :, :, i, j] = hess
+    try:
+        np.linalg.cholesky(g)
+        first_bad = n
+    except np.linalg.LinAlgError:
+        first_bad = next(k for k in range(n) if not _positive_definite(g[k]))
+    cond = np.linalg.cond(g[:first_bad])
+    for k in np.flatnonzero(cond > CONDITION_LIMIT):
+        warnings.warn(
+            f"metric condition number {cond[k]:.3e} at {points[k]}",
+            IllConditionedMetricWarning, stacklevel=2)
+    if first_bad < n:
+        raise MetricError(f"metric is not positive definite at {points[first_bad]}")
+    if fault is not None:
+        raise fault
+    if not stacked:
+        g, dg, d2g = g[0], dg[0], d2g[0]
+    return PointGeometry(point, g, np.linalg.inv(g), dg, d2g)
+
+
+def _positive_definite(g: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        raise MetricError(f"metric is not positive definite at {point}") from None
-    cond = np.linalg.cond(g)
-    if cond > CONDITION_LIMIT:
-        warnings.warn(
-            f"metric condition number {cond:.3e} at {point}",
-            IllConditionedMetricWarning, stacklevel=2)
-    ginv = np.linalg.inv(g)
-    return PointGeometry(point, g, ginv, dg, d2g)
+        return False
+    return True
 
 
 # --- public operations --------------------------------------------------------
@@ -309,14 +390,14 @@ def scalar(metric: MetricField, point: Sequence[float]) -> float:
 
 def covd_vector(values: np.ndarray, derivs: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(grad_i V)^k from pointwise values and partials; returns [i, k]."""
-    return derivs + np.einsum("kia,a->ik", gamma, values)
+    return derivs + np.einsum("...kia,...a->...ik", gamma, values)
 
 
 def covd_11(values: np.ndarray, derivs: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(grad_i A)^k_j for a (1,1) field; returns [i, k, j]."""
     return (derivs
-            + np.einsum("kia,aj->ikj", gamma, values)
-            - np.einsum("aij,ka->ikj", gamma, values))
+            + np.einsum("...kia,...aj->...ikj", gamma, values)
+            - np.einsum("...aij,...ka->...ikj", gamma, values))
 
 
 def covariant_derivative(field_, metric: MetricField, point: Sequence[float]) -> TensorValue:
@@ -334,8 +415,8 @@ def covariant_derivative(field_, metric: MetricField, point: Sequence[float]) ->
 def lie_bracket_from(x_values: np.ndarray, x_derivs: np.ndarray,
                      y_values: np.ndarray, y_derivs: np.ndarray) -> np.ndarray:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i from pointwise values and partials."""
-    return (np.einsum("j,ji->i", x_values, y_derivs)
-            - np.einsum("j,ji->i", y_values, x_derivs))
+    return (np.einsum("...j,...ji->...i", x_values, y_derivs)
+            - np.einsum("...j,...ji->...i", y_values, x_derivs))
 
 
 def lie_bracket(x: VectorField, y: VectorField, point: Sequence[float]) -> TensorValue:
@@ -349,9 +430,9 @@ def lie_bracket(x: VectorField, y: VectorField, point: Sequence[float]) -> Tenso
 def lie_derivative_metric(z_values: np.ndarray, z_derivs: np.ndarray,
                           geo: PointGeometry) -> np.ndarray:
     """(L_Z g)_ij from pointwise Z and dZ."""
-    term = np.einsum("a,aij->ij", z_values, geo.dg)
-    mixed = np.einsum("aj,ia->ij", geo.g, z_derivs)
-    return term + mixed + mixed.T
+    term = np.einsum("...a,...aij->...ij", z_values, geo.dg)
+    mixed = np.einsum("...aj,...ia->...ij", geo.g, z_derivs)
+    return term + mixed + np.swapaxes(mixed, -1, -2)
 
 
 def orthonormal_frame(metric: MetricField, point: Sequence[float],
@@ -383,23 +464,25 @@ def orthonormal_frame(metric: MetricField, point: Sequence[float],
     return np.array(frame)
 
 
-def weyl(metric: MetricField, point: Sequence[float]) -> TensorValue:
-    """Trace-free conformal part of the curvature; needs dim >= 4."""
-    pt = tuple(float(v) for v in point)
+def weyl(metric: MetricField, point) -> TensorValue:
+    """Trace-free conformal part of the curvature, at a point or over a
+    stack of points; needs dim >= 4."""
+    pt = as_point(point)
     geo = geometry_at(metric, pt)
     d = geo.dim
     if d < 4:
         raise MetricError(f"Weyl tensor needs dimension >= 4, got {d}")
+    tau = np.asarray(geo.tau)[..., None, None, None, None]
     comps = (geo.riem4
              - kulkarni_nomizu(geo.ricci, geo.g) / (d - 2)
-             + geo.tau * kulkarni_nomizu(geo.g, geo.g) / (2.0 * (d - 1) * (d - 2)))
+             + tau * kulkarni_nomizu(geo.g, geo.g) / (2.0 * (d - 1) * (d - 2)))
     return TensorValue(comps, ("d", "d", "d", "d"), pt)
 
 
 def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(A o B)_ijkl = A_il B_jk + A_jk B_il - A_ik B_jl - A_jl B_ik."""
-    return (np.einsum("il,jk->ijkl", a, b) + np.einsum("jk,il->ijkl", a, b)
-            - np.einsum("ik,jl->ijkl", a, b) - np.einsum("jl,ik->ijkl", a, b))
+    return (np.einsum("...il,...jk->...ijkl", a, b) + np.einsum("...jk,...il->...ijkl", a, b)
+            - np.einsum("...ik,...jl->...ijkl", a, b) - np.einsum("...jl,...ik->...ijkl", a, b))
 
 
 def conformal_rescale(metric: MetricField, f: ExprLike) -> MetricField:

@@ -294,13 +294,15 @@ def test_verify_all_validates_the_structure_once(capsys, monkeypatch, key, per_p
     assert all(c["passed"] for c in checks)
 
 
-@pytest.mark.parametrize("key, bochner_per_point", [
+@pytest.mark.parametrize("key, bochner_per_request", [
     ("hopf:1", 2), ("hopf:2", 2), ("hopf:3", 2), ("hopf:4", 2),
     ("sphere_product:1,1", 1), ("heisenberg_r", 1)])
 def test_verify_all_assembles_bochner_once_per_structure(capsys, monkeypatch, key,
-                                                         bochner_per_point):
-    # B_J once per point, plus B_J of the rescaled geometry on the Weyl-flat
-    # entries; no second metric is walked over jets
+                                                         bochner_per_request):
+    # B_J once over the stack of points, plus B_J of the rescaled geometry
+    # on the Weyl-flat entries; no second metric is walked over jets, and
+    # the jets are still walked once per point for the metric and once for
+    # the forms and fields
     _clear_package_caches()
     calls = {"bochner": 0, "field_jets": 0}
 
@@ -319,7 +321,7 @@ def test_verify_all_assembles_bochner_once_per_structure(capsys, monkeypatch, ke
     code, _, err = run(capsys, "verify", key, "--suite", "all")
     assert code == 0, err
     points = len(catalog.resolve(key).chart.sample_points)
-    assert calls == {"bochner": bochner_per_point * points, "field_jets": 2 * points}
+    assert calls == {"bochner": bochner_per_request, "field_jets": 2 * points}
 
 
 def _hopf1_variant(capsys, tmp_path, edit):
@@ -351,6 +353,79 @@ def test_non_finite_input_is_an_input_error(capsys, tmp_path, edit, argv):
     assert code == 2
     assert err.startswith("error:")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# points of a hopf:1 chart (eta1, xi0, xi1, t) at which a point-by-point
+# run meets a fault
+NOT_PD = [0.0, 0.5, 0.5, 0.5]  # sin(eta1) = 0
+NAN = ["nan", 0.5, 0.5, 0.5]
+ILL = [1e-5, 0.5, 0.5, 0.5]  # condition number 1e10
+BAD_ALPHA = [0.7, 0.6, 0.5, 0.7]  # t = 0.7, where alpha2 below divides by zero
+NOT_PD_MESSAGE = "error: metric is not positive definite at (0.0, 0.5, 0.5, 0.5)\n"
+BAD_ALPHA_MESSAGE = "error: division by zero in '1.0/(t - 0.7)'\n"
+ILL_WARNING = "metric condition number 1.000e+10 at (1e-05, 0.5, 0.5, 0.5)"
+
+
+def _insert(*placed):
+    """Keep four of the export's points and insert each (index, point)."""
+    def edit(data):
+        points = data["sample_points"][:4]
+        for index, point in placed:
+            points.insert(index, point)
+        data["sample_points"] = points
+        if any(point is BAD_ALPHA for _, point in placed):
+            data["alpha2"][3] = "1/(t - 0.7)"
+    return edit
+
+
+@pytest.mark.parametrize("edit, code, err, warned", [
+    (_insert((2, NOT_PD)), 2, NOT_PD_MESSAGE, []),
+    (_insert((2, NAN)), 2, "error: non-finite value or derivative at "
+                           "(nan, 0.5, 0.5, 0.5) in 'cos(eta1)^2.0'\n", []),
+    (_insert((1, ILL), (3, [2e-5, 0.5, 0.5, 0.5])), 1, "",
+     [ILL_WARNING, "metric condition number 2.500e+09 at (2e-05, 0.5, 0.5, 0.5)"]),
+    # the first faulty point in point order decides, whichever its fault
+    (_insert((1, BAD_ALPHA), (3, NOT_PD)), 2, BAD_ALPHA_MESSAGE, []),
+    (_insert((1, NOT_PD), (3, BAD_ALPHA)), 2, NOT_PD_MESSAGE, []),
+    (_insert((1, ILL), (3, NOT_PD)), 2, NOT_PD_MESSAGE, [ILL_WARNING]),
+    (_insert((1, BAD_ALPHA), (3, ILL)), 2, BAD_ALPHA_MESSAGE, []),
+])
+@pytest.mark.parametrize("command", ["verify", "check"])
+def test_faulty_point_is_reported_in_point_order(capsys, tmp_path, edit, code, err,
+                                                 warned, command):
+    path = _hopf1_variant(capsys, tmp_path, edit)
+    _clear_package_caches()  # a cached geometry does not warn again
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, command, path, "--format", "json")
+    assert result[0] == code
+    assert result[2] == err
+    assert [str(w.message) for w in caught] == warned
+    assert all(w.category is riemann.IllConditionedMetricWarning for w in caught)
+
+
+@pytest.mark.parametrize("command", ["verify", "check"])
+def test_foliation_fault_at_one_point_is_recorded_there(capsys, tmp_path, command):
+    # at eta1 = pi/2, d alpha1 vanishes to rounding, so the first foliation
+    # has dimension 3; the other points keep their full records
+    odd = [1.5707963267948966, 0.6, 0.5, 0.7]
+    path = _hopf1_variant(capsys, tmp_path, _insert((2, odd)))
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, command, path, "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 1 + 4 * 18 + 4
+    at_odd = [(c["name"], c["passed"]) for c in checks if c["point"] == odd]
+    assert at_odd == [("volume_form", False), ("dalpha1_power_vanishes", True),
+                      ("dalpha2_power_vanishes", True), ("foliation_dimensions", False)]
+    fault = next(c for c in checks if c["name"] == "foliation_dimensions")
+    assert fault["detail"] == (
+        "characteristic foliations of variant have dimensions (3, 3) at "
+        "(1.5707963267948966, 0.6, 0.5, 0.7); type (1, 0) needs (1, 3)")
+    assert (fault["value"], fault["tolerance"]) == (2.0, 0.0)
+    assert [c["name"] for c in checks if not c["passed"]] == ["volume_form",
+                                                              "foliation_dimensions"]
 
 
 def _set(field, value):

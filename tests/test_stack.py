@@ -1,0 +1,113 @@
+"""One kernel for a point and for a stack of points.
+
+``geometry_at``, ``structure_at``, the Bochner assembly and the Weyl tensor
+take either one point or a tuple of points; over a stack every array gains
+a leading point axis.  The suites evaluate their sample points as one stack,
+so the stacked values must be the pointwise ones, and the number of kernel
+calls of a run must not grow with its points.
+"""
+
+import contextlib
+import dataclasses
+import io
+
+import numpy as np
+import pytest
+
+from contactcurv import bochner as bm
+from contactcurv import catalog, cli
+from contactcurv import contactpair as cpm
+from contactcurv import riemann as rm
+
+KEYS = [entry.key for entry in catalog.ENTRIES]
+
+
+def _fields(record, prefix=""):
+    """Every array and scalar field of a geometry or structure record."""
+    out = {}
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, (np.ndarray, float)):
+            out[prefix + f.name] = value
+    return out
+
+
+def _close(stacked, single):
+    if np.asarray(single).dtype == bool:
+        return np.array_equal(stacked, single)
+    scale = max(1.0, float(np.max(np.abs(single))))
+    return float(np.max(np.abs(np.asarray(stacked) - single))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_stack_matches_pointwise(key):
+    cp = catalog.resolve(key)
+    pts = cp.chart.sample_points
+    st = cpm.structure_at(cp, pts)
+
+    def tensors(point, st):
+        rescaled = bm._context(point, st.geo.rescaled(4.0), st.J, cp.m, cp.n,
+                               bm.DEFAULT_READING)
+        x, kept = st.horizontal_leaf_frame(2)
+        return {**_fields(st.geo, "geo."), **_fields(st),
+                "B_J": bm.bochner(bm.context(cp, point, "J")),
+                "B_T": bm.bochner(bm.context(cp, point, "T")),
+                "rescaled B_J": bm.bochner(rescaled),
+                "weyl": rm.weyl(cp.metric, point).comps,
+                "leaf vectors": x, "leaf mask": kept}
+
+    stacked = tensors(pts, st)
+    assert isinstance(st.tau_star, np.ndarray) and st.tau_star.shape == (len(pts),)
+    for p, pt in enumerate(pts):
+        one = cpm.structure_at(cp, pt)
+        single = tensors(pt, one)
+        assert isinstance(one.tau_star, float) and isinstance(one.geo.tau, float)
+        assert single.keys() == stacked.keys()
+        for name, value in single.items():
+            assert np.shape(stacked[name][p]) == np.shape(value), name
+            assert _close(stacked[name][p], value), (name, p)
+
+
+def _export(tmp_path, key, count):
+    cp = catalog.resolve(key)
+    rng = np.random.default_rng(count)
+    points = tuple(tuple(float(v) for v in row)
+                   for row in 0.3 + 0.9 * rng.random((count, cp.dim)))
+    path = tmp_path / str(count) / f"{key}.json"  # the stem names the catalog entry
+    path.parent.mkdir()
+    cli.save_manifold(dataclasses.replace(cp, chart=dataclasses.replace(
+        cp.chart, sample_points=points)), str(path))
+    return str(path)
+
+
+def test_kernel_calls_do_not_grow_with_points(tmp_path, monkeypatch):
+    einsum = np.einsum
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    counts = {}
+    for count in (5, 50):
+        path = _export(tmp_path, "hopf:2", count)
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", path, "--suite", "all", "--format", "json"]) == 0
+        counts[count] = len(calls)
+    assert counts[5] == counts[50] <= 10 * 50
+
+
+def test_stacked_callers_raise_the_pointwise_foliation_fault():
+    # relabelled as type (0, 1), hopf:1 has swapped foliation dimensions
+    cp = dataclasses.replace(catalog.resolve("hopf:1"), pair_type=(0, 1))
+    pts = cp.chart.sample_points
+    with pytest.raises(cpm.InvalidStructureError) as pointwise:
+        cpm.structure_at(cp, pts[0])
+    for call in (lambda: cpm.lemma_checks(cp, 1e-7, pts),
+                 lambda: bm.context(cp, pts),
+                 lambda: bm.conformal_invariance_check(cp, "log(2)")):
+        with pytest.raises(cpm.InvalidStructureError) as stacked:
+            call()
+        assert str(stacked.value) == str(pointwise.value)
