@@ -365,7 +365,7 @@ def run_suites(cp: ContactPairManifold, suites: Collection[str],
     records are.  ``expected`` is the catalog entry's expected-results table
     that the theorem suites read.
     """
-    pts = tuple(points) if points is not None else cp.chart.sample_points
+    pts = rm.as_point(points if points is not None else cp.chart.sample_points)
     report = Report(cp.name, cp.conventions() | convention_ledger())
     gate = cpm.validate_structure(cp, loosen(cpm.STRUCTURE_TOL, tolerance),
                                   points=pts)

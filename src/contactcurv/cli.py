@@ -179,7 +179,15 @@ def _sample_points(cp: ContactPairManifold, limit: Optional[int]):
     return cp.chart.sample_points[:limit]
 
 
-def _emit(report: Report, fmt: str) -> int:
+def _require_finite(numbers) -> None:
+    """Curvature or residuals that overflow, or a non-finite coordinate that
+    no field reads, are input errors where results leave the program."""
+    if not all(map(math.isfinite, numbers)):
+        raise UsageError("a result or its point is not finite")
+
+
+def _emit(report: Report, fmt: str, points) -> int:
+    _require_finite([c.value for c in report.checks] + [v for p in points for v in p])
     print(report.to_json() if fmt == "json" else report.to_text())
     return 0 if report.passed else 1
 
@@ -210,11 +218,12 @@ def cmd_list(args) -> int:
 
 def cmd_check(args) -> int:
     cp = resolve_manifold(args.manifold)
+    points = _sample_points(cp, args.points)
     report = bm.run_suites(cp, ("definitions", "lemmas"), tolerance=args.tolerance,
-                           points=_sample_points(cp, args.points))
+                           points=points)
     report.conventions["tolerance_structure"] = bm.loosen(cpm.STRUCTURE_TOL, args.tolerance)
     report.conventions["tolerance_identities"] = bm.loosen(cpm.LEMMA_TOL, args.tolerance)
-    return _emit(report, args.format)
+    return _emit(report, args.format, points)
 
 
 _TENSOR_CHOICES = ("riemann", "ricci", "star-ricci", "weyl", "bochner-j", "bochner-t")
@@ -254,6 +263,7 @@ def cmd_tensor(args) -> int:
         comps, scalars = _tensor_at(cp, args.what, point)
     except (rm.MetricError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
+    _require_finite([np.max(np.abs(comps)), scalars["tau"], scalars["tau_star"], *point])
     names = cp.chart.coords
     entries = []
     for idx in np.ndindex(*comps.shape):
@@ -277,10 +287,9 @@ def cmd_tensor(args) -> int:
         print(f"{args.what} on {cp.name} at ({', '.join(f'{v:.6g}' for v in point)})")
         print(f"  tau = {scalars['tau']:.12g}   tau* = {scalars['tau_star']:.12g}"
               f"   max|component| = {summary['max_abs_component']:.6e}")
-        if entries:
-            for label, value in entries:
-                print(f"  [{label}] = {value: .12e}")
-        else:
+        for label, value in entries:
+            print(f"  [{label}] = {value: .12e}")
+        if not entries:
             print("  all components below 1e-12")
     return 0
 
@@ -288,15 +297,15 @@ def cmd_tensor(args) -> int:
 def cmd_verify(args) -> int:
     cp = resolve_manifold(args.manifold)
     suites = bm.SUITES if args.suite == "all" else (args.suite,)
-    entry = catalog.entry_for(cp.name)
+    entry, points = catalog.entry_for(cp.name), _sample_points(cp, args.points)
     try:
         report = bm.run_suites(cp, suites, dict(entry.expected) if entry else None,
-                               args.tolerance, _sample_points(cp, args.points))
+                               args.tolerance, points)
     except bm.MissingExpectedTable as exc:
         raise UsageError(str(exc)) from exc
     if args.tolerance is not None:
         report.conventions["tolerance_requested"] = args.tolerance
-    return _emit(report, args.format)
+    return _emit(report, args.format, points)
 
 
 def cmd_export(args) -> int:
@@ -362,7 +371,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # overflow is caught by _require_finite
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -370,7 +380,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         clauses = ", ".join(exc.clauses) if exc.clauses else "structure"
         print(f"invalid structure ({clauses}): {exc}", file=sys.stderr)
         return 1
-    except (el.ExprError, rm.MetricError) as exc:
+    except (el.ExprError, rm.MetricError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,10 @@ suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -97,56 +99,67 @@ def exterior_derivative(alpha: rm.OneForm, s: float = DALPHA_FACTOR):
     return tuple(tuple(row) for row in grid)
 
 
-# --- alternating forms over increasing index tuples ---------------------------
+# --- the pair clauses as Pfaffians ---------------------------------------------
 
-class AltForm:
-    """Exterior form stored by its coefficients on the dx^I basis."""
-
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree: int, terms: dict[tuple[int, ...], float]):
-        self.degree = degree
-        self.terms = terms
-
-    @staticmethod
-    def one_form(vec: np.ndarray) -> "AltForm":
-        return AltForm(1, {(i,): float(v) for i, v in enumerate(vec) if v != 0.0})
-
-    @staticmethod
-    def two_form(mat: np.ndarray) -> "AltForm":
-        d = mat.shape[0]
-        return AltForm(2, {(i, j): float(mat[i, j])
-                           for i in range(d) for j in range(i + 1, d)
-                           if mat[i, j] != 0.0})
-
-    def wedge(self, other: "AltForm") -> "AltForm":
-        out: dict[tuple[int, ...], float] = {}
-        for idx_a, ca in self.terms.items():
-            set_a = set(idx_a)
-            for idx_b, cb in other.terms.items():
-                if set_a & set(idx_b):
-                    continue
-                sign, merged = _merge_sign(idx_a, idx_b)
-                out[merged] = out.get(merged, 0.0) + sign * ca * cb
-        return AltForm(self.degree + other.degree, out)
-
-    def power(self, k: int) -> "AltForm":
-        result = AltForm(0, {(): 1.0})
-        for _ in range(k):
-            result = result.wedge(self)
-        return result
-
-    def sup(self) -> float:
-        return max((abs(v) for v in self.terms.values()), default=0.0)
-
-    def coeff(self, idx: tuple[int, ...]) -> float:
-        return self.terms.get(idx, 0.0)
+def pfaffian(a: np.ndarray) -> np.ndarray:
+    """Pf of a stack of skew-symmetric matrices over the last two axes, real
+    or complex: Parlett-Reid elimination with the largest pivot in each
+    column (Wimmer, "Algorithm 923", ACM TOMS 38(4), 2012)."""
+    a = np.array(a, dtype=np.result_type(a, float))
+    shape, n = a.shape[:-2], a.shape[-1]
+    if n % 2:
+        return np.zeros(shape, a.dtype)
+    a = a.reshape(math.prod(shape), n, n)
+    pf, flips, stack = np.ones(len(a), a.dtype), 0, np.arange(len(a))[:, None]
+    while n > 2:
+        # eliminate rows and columns 0 and r, the largest |a[r, 0]|: the Schur complement
+        # keeps the others' order, pf gains (-1)^r a[r, 0], the Gauss vector is <= 1.
+        # A pivot below the smallest normal float (complex division overflows) is 0.
+        r = 1 + np.argmax(np.abs(a[:, 1:, 0]), axis=1)[:, None]
+        pivot = a[stack, r, 0]
+        live = np.abs(pivot) >= np.finfo(float).tiny
+        pf *= np.where(live, pivot, 0)[:, 0]
+        flips = flips + r[:, 0]
+        update = _outer(a[:, :, 0] / np.where(live, pivot, 1), a[stack, :, r][:, 0])
+        a = a + (update - np.swapaxes(update, 1, 2))  # exactly skew again
+        rest = np.arange(1, n - 1)
+        rest = rest + (rest >= r)  # skips 0 and r
+        a = a[stack[:, :, None], rest[:, :, None], rest[:, None]]
+        n -= 2
+    return (np.where(flips % 2, -pf, pf) * (a[:, 0, 1] if n else 1)).reshape(shape)
 
 
-def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    # parity of the shuffle that sorts the concatenation of two increasing tuples
-    inversions = sum(1 for x in a for y in b if y < x)
-    return (-1 if inversions % 2 else 1), tuple(sorted(a + b))
+def pair_clauses(pair_type: tuple[int, int], a1: np.ndarray, a2: np.ndarray,
+                 dalpha1: np.ndarray, dalpha2: np.ndarray):
+    """Rows for :func:`record_rows`: the volume and vanishing-power clauses of
+    type (m, n) over the leading axes.  (d alpha)^p has the coefficients
+    p! Pf(d alpha[I, I]); alpha1 ^ (d alpha1)^m ^ alpha2 ^ (d alpha2)^n has
+    m! n! [t^n] (Pf(d alpha1 + t d alpha2 + alpha1 ^ alpha2) - Pf(d alpha1 +
+    t d alpha2)), read off at the (m + n + 1)-th roots of unity."""
+    m, n = pair_type
+    d = a1.shape[-1]
+    top = np.zeros(a1.shape[:-1])  # unless the wedge has the top degree
+    if d == 2 * (m + n + 1):
+        t = np.exp(2j * np.pi * np.arange(m + n + 1) / (m + n + 1))
+        pencil = dalpha1[..., None, :, :] + t[:, None, None] * dalpha2[..., None, :, :]
+        beta = (_outer(a1, a2) - _outer(a2, a1))[..., None, :, :]
+        with_beta, without = pfaffian(np.stack((pencil + beta, pencil)))
+        top = math.factorial(m) * math.factorial(n) * np.mean(
+            (with_beta - without) * t ** -n, axis=-1).real
+
+    def power_sup(dalpha, p):  # the sup of p! |Pf| over the principal 2p-minors
+        if p == 1:
+            return np.max(np.abs(dalpha), axis=(-2, -1))
+        rows = np.array(list(combinations(range(d), 2 * p)), dtype=int).reshape(-1, 2 * p)
+        minors = pfaffian(dalpha[..., rows[:, :, None], rows[:, None, :]])
+        return math.factorial(p) * np.max(np.abs(minors), axis=-1, initial=0.0)
+
+    return (("volume_form", "alpha1 ^ (dalpha1)^m ^ alpha2 ^ (dalpha2)^n has a "
+             "nonzero top coefficient", top, 1e-10, np.abs(top) > 1e-10),
+            ("dalpha1_power_vanishes", "(dalpha1)^(m+1) = 0",
+             power_sup(dalpha1, m + 1), 1e-10),
+            ("dalpha2_power_vanishes", "(dalpha2)^(n+1) = 0",
+             power_sup(dalpha2, n + 1), 1e-10))
 
 
 # --- pointwise structure data --------------------------------------------------
@@ -204,16 +217,9 @@ class StructureData:
         norm2 = np.einsum("...ci,...ij,...cj->...c", w, g, w)
         kept = norm2 >= 1e-12  # norm >= 1e-6
         x = w / np.sqrt(np.where(kept, norm2, 1.0))[..., None]
-        cosines = np.abs(x @ g @ np.swapaxes(x, -1, -2))
-        limit = np.cos(1e-3)
-        d = self.cp.dim
-        for row, cos in zip(kept.reshape(-1, d), cosines.reshape(-1, d, d).tolist()):
-            chosen: list[int] = []
-            for c in np.flatnonzero(row):
-                if any(cos[c][u] > limit for u in chosen):
-                    row[c] = False
-                else:
-                    chosen.append(c)
+        near = np.abs(x @ g @ np.swapaxes(x, -1, -2)) > np.cos(1e-3)
+        for c in range(self.cp.dim):  # greedy, in candidate order
+            kept[..., c] &= ~np.any(kept[..., :c] & near[..., c, :c], axis=-1)
         return x, kept
 
     def horizontal_leaf_vectors(self, which: int = 2) -> list[np.ndarray]:
@@ -373,26 +379,9 @@ def check_contact_pair(cp: ContactPairManifold, point: Sequence[float]) -> Repor
     pt = tuple(float(v) for v in point)
     values, derivs, _ = rm.field_jets((cp.alpha1.comps, cp.alpha2.comps), cp.chart, pt)
     dalpha1, dalpha2 = _exterior(np.moveaxis(derivs, 1, 0), cp.dalpha_factor)
-    return _pair_clauses(cp, pt, values[0], values[1], dalpha1, dalpha2)
-
-
-def _pair_clauses(cp: ContactPairManifold, pt: rm.Point, a1: np.ndarray,
-                  a2: np.ndarray, dalpha1: np.ndarray, dalpha2: np.ndarray) -> Report:
-    f_a1, f_a2 = AltForm.one_form(a1), AltForm.one_form(a2)
-    f_d1, f_d2 = AltForm.two_form(dalpha1), AltForm.two_form(dalpha2)
-    m, n = cp.pair_type
-
     report = Report(cp.name, cp.conventions())
-    vol = f_a1.wedge(f_d1.power(m)).wedge(f_a2).wedge(f_d2.power(n))
-    top = vol.coeff(tuple(range(cp.dim)))
-    report.add("volume_form",
-               "alpha1 ^ (dalpha1)^m ^ alpha2 ^ (dalpha2)^n has a nonzero "
-               "top coefficient",
-               top, 1e-10, pt, passed=abs(top) > 1e-10)
-    report.add("dalpha1_power_vanishes", "(dalpha1)^(m+1) = 0",
-               f_d1.power(m + 1).sup(), 1e-10, pt)
-    report.add("dalpha2_power_vanishes", "(dalpha2)^(n+1) = 0",
-               f_d2.power(n + 1).sup(), 1e-10, pt)
+    record_rows(report, pair_clauses(cp.pair_type, values[:1], values[1:],
+                                     dalpha1[None], dalpha2[None]), 0, pt)
     return report
 
 
@@ -420,10 +409,10 @@ def phi_sectional_values(cp: ContactPairManifold, point: Sequence[float]) -> lis
 # --- validation and lemma suite ---------------------------------------------------
 
 def record_rows(report: Report, rows, p: int, pt: rm.Point) -> None:
-    """Record the values of ``rows`` (name, detail, values, tolerance) at
-    point number ``p``."""
-    for name, detail, values, tolerance in rows:
-        report.add(name, detail, values[p], tolerance, pt)
+    """Record the values of ``rows`` (name, detail, values, tolerance and
+    optionally pass flags, else the tolerance decides) at point number ``p``."""
+    for row in rows:
+        report.add(row[0], row[1], row[2][p], row[3], pt, row[4][p] if len(row) > 4 else None)
 
 
 def validate_structure(cp: ContactPairManifold,
@@ -436,7 +425,7 @@ def validate_structure(cp: ContactPairManifold,
     m, n = cp.pair_type
     report.add("dimension_type", "dim = 2m + 2n + 2",
                d - (2 * m + 2 * n + 2), 0.0, passed=(d == 2 * m + 2 * n + 2))
-    pts = tuple(points) if points is not None else cp.chart.sample_points
+    pts = rm.as_point(points if points is not None else cp.chart.sample_points)
     if not pts:
         return report
     st = structure_at(cp, pts)
@@ -480,15 +469,13 @@ def validate_structure(cp: ContactPairManifold,
         ("normality_T", "Nijenhuis tensor of T vanishes",
          sup(nijenhuis_from(T, st.dT)), LEMMA_TOL),
     )
+    pair = pair_clauses(cp.pair_type, st.a1, st.a2, st.dalpha1, st.dalpha2)
     for p, pt in enumerate(pts):
-        report.extend(_pair_clauses(cp, pt, st.a1[p], st.a2[p], st.dalpha1[p],
-                                    st.dalpha2[p]))
-        fault = _foliation_fault(cp, pt, st.foliation_dims[p])
-        if fault is not None:
-            for clause in fault.clauses:
-                report.add(clause, str(fault), fault.defect, 0.0, pt, passed=False)
-            continue
-        record_rows(report, rows, p, pt)
+        record_rows(report, pair, p, pt)
+        if (fault := _foliation_fault(cp, pt, st.foliation_dims[p])) is not None:
+            report.add(fault.clauses[0], str(fault), fault.defect, 0.0, pt, passed=False)
+        else:
+            record_rows(report, rows, p, pt)
     return report
 
 
@@ -497,7 +484,7 @@ def lemma_suite(cp: ContactPairManifold, tolerance: float = LEMMA_TOL,
     """Pointwise identities satisfied by every normal metric contact pair
     with orthogonal characteristic foliations, gated on
     :func:`validate_structure` at the same points."""
-    pts = tuple(points) if points is not None else cp.chart.sample_points
+    pts = rm.as_point(points if points is not None else cp.chart.sample_points)
     gate = validate_structure(cp, points=pts)
     if not gate.passed:
         raise InvalidStructureError(
@@ -518,7 +505,7 @@ def lemma_checks(cp: ContactPairManifold, tolerance: float,
     points at which the structure has already passed
     :func:`validate_structure`; recorded point by point."""
     report = Report(cp.name, cp.conventions())
-    pts = tuple(points)
+    pts = rm.as_point(points)
     if not pts:
         return report
     m, n = cp.pair_type

@@ -1,4 +1,6 @@
-"""Shared test utilities: safe random expressions and finite differences.
+"""Shared test utilities: safe random expressions, finite differences and a
+dict-based wedge algebra that serves as the reference for the Pfaffian pair
+clauses.
 
 The random expression generator only produces trees whose domain is all of
 R^n (log and sqrt arguments are bounded below by 1, divisors bounded away
@@ -68,3 +70,65 @@ def fd_hessian(f, x: np.ndarray, h: float) -> np.ndarray:
             xmp[j] += h
             H[i, j] = H[j, i] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (4.0 * h * h)
     return H
+
+
+class AltForm:
+    """Exterior form stored by its coefficients on the dx^I basis, I an
+    increasing index tuple."""
+
+    __slots__ = ("degree", "terms")
+
+    def __init__(self, degree: int, terms: dict[tuple[int, ...], float]):
+        self.degree = degree
+        self.terms = terms
+
+    @staticmethod
+    def one_form(vec: np.ndarray) -> "AltForm":
+        return AltForm(1, {(i,): float(v) for i, v in enumerate(vec) if v != 0.0})
+
+    @staticmethod
+    def two_form(mat: np.ndarray) -> "AltForm":
+        d = mat.shape[0]
+        return AltForm(2, {(i, j): float(mat[i, j])
+                           for i in range(d) for j in range(i + 1, d)
+                           if mat[i, j] != 0.0})
+
+    def wedge(self, other: "AltForm") -> "AltForm":
+        out: dict[tuple[int, ...], float] = {}
+        for idx_a, ca in self.terms.items():
+            set_a = set(idx_a)
+            for idx_b, cb in other.terms.items():
+                if set_a & set(idx_b):
+                    continue
+                sign, merged = _merge_sign(idx_a, idx_b)
+                out[merged] = out.get(merged, 0.0) + sign * ca * cb
+        return AltForm(self.degree + other.degree, out)
+
+    def power(self, k: int) -> "AltForm":
+        result = AltForm(0, {(): 1.0})
+        for _ in range(k):
+            result = result.wedge(self)
+        return result
+
+    def sup(self) -> float:
+        return max((abs(v) for v in self.terms.values()), default=0.0)
+
+    def coeff(self, idx: tuple[int, ...]) -> float:
+        return self.terms.get(idx, 0.0)
+
+
+def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    # parity of the shuffle that sorts the concatenation of two increasing tuples
+    inversions = sum(1 for x in a for y in b if y < x)
+    return (-1 if inversions % 2 else 1), tuple(sorted(a + b))
+
+
+def pair_clauses_reference(pair_type, a1, a2, dalpha1, dalpha2) -> tuple[float, float, float]:
+    """The volume-form top coefficient and the sup coefficients of
+    (dalpha1)^(m+1) and (dalpha2)^(n+1) at one point, by wedge products."""
+    m, n = pair_type
+    f_d1, f_d2 = AltForm.two_form(dalpha1), AltForm.two_form(dalpha2)
+    vol = (AltForm.one_form(a1).wedge(f_d1.power(m)).wedge(AltForm.one_form(a2))
+           .wedge(f_d2.power(n)))
+    return (vol.coeff(tuple(range(len(a1)))), f_d1.power(m + 1).sup(),
+            f_d2.power(n + 1).sup())

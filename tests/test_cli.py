@@ -503,6 +503,33 @@ def test_overflowing_metric_is_an_input_error(capsys, tmp_path, entry, point):
     assert "error:" in err
 
 
+def _exp_metric(data):
+    data["metric"]["3,3"] = "exp(700*t)"  # finite, but its curvature overflows
+
+
+def _huge_alpha1(data):
+    data["alpha1"] = [f"1e200*({e})" for e in data["alpha1"]]
+
+
+def _unread_infinite_coordinate(data):
+    data["sample_points"][0][1] = "inf"  # xi0: no field of hopf:1 reads it
+
+
+@pytest.mark.parametrize("edit", [_exp_metric, _huge_alpha1, _unread_infinite_coordinate])
+@pytest.mark.parametrize("argv", [["verify"], ["check"], ["tensor", "--what", "weyl"]])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_non_finite_result_is_an_input_error(capsys, tmp_path, edit, argv, fmt):
+    path = _hopf1_variant(capsys, tmp_path, edit)
+    _clear_package_caches()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv[0], path, *argv[1:], "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    # the exp(700 t) metric is ill-conditioned, which warns; numpy does not
+    assert all(w.category is riemann.IllConditionedMetricWarning for w in caught)
+
+
 @pytest.mark.parametrize("entry", ["1 + 10^400", "1 + 0^(-1)", "1 + (-8)^(1/3)"])
 @pytest.mark.parametrize("argv", [["verify"], ["check"],
                                   ["tensor", "--what", "star-ricci"]])

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from contactcurv import catalog
+from contactcurv import bochner, catalog
 from contactcurv import contactpair as cpm
 from contactcurv import riemann as rm
 
-from helpers import random_expr
+from helpers import AltForm, random_expr
+from test_chart_change import CHECK_COUNTS, pull_back
 
 CATALOG_KEYS = ("hopf:1", "hopf:2", "sphere_product:1,1", "heisenberg_r")
 
@@ -85,22 +86,22 @@ class TestExteriorDerivativeFromJets:
 
 class TestAltForm:
     def test_wedge_anticommutes_on_one_forms(self):
-        a = cpm.AltForm.one_form(np.array([1.0, 2.0, 0.0]))
-        b = cpm.AltForm.one_form(np.array([0.0, 1.0, 3.0]))
+        a = AltForm.one_form(np.array([1.0, 2.0, 0.0]))
+        b = AltForm.one_form(np.array([0.0, 1.0, 3.0]))
         ab, ba = a.wedge(b), b.wedge(a)
         for idx, coeff in ab.terms.items():
             assert ba.terms.get(idx, 0.0) == -coeff
 
     def test_square_of_one_form_vanishes(self):
-        a = cpm.AltForm.one_form(np.array([1.0, 2.0, 3.0]))
+        a = AltForm.one_form(np.array([1.0, 2.0, 3.0]))
         assert a.wedge(a).sup() < 1e-15
 
     def test_top_coefficient_is_determinant(self):
         rng = np.random.default_rng(2)
         vecs = rng.normal(size=(3, 3))
-        form = cpm.AltForm.one_form(vecs[0])
+        form = AltForm.one_form(vecs[0])
         for v in vecs[1:]:
-            form = form.wedge(cpm.AltForm.one_form(v))
+            form = form.wedge(AltForm.one_form(v))
         assert form.coeff((0, 1, 2)) == pytest.approx(np.linalg.det(vecs), rel=1e-12)
 
 
@@ -343,3 +344,60 @@ def test_phi_sectional_on_heisenberg():
     assert values, "expected at least one horizontal leaf direction"
     for value in values:
         assert value == pytest.approx(-3.0, abs=1e-10)
+
+
+def _greedy_leaf_mask(st, which):
+    """The leaf-frame mask written out point by point: a candidate counts
+    if its projection is not tiny and it is not within 1e-3 rad of an
+    earlier candidate that counts."""
+    proj = st.P2 if which == 2 else st.P1
+    mask = np.zeros((len(st.point), st.cp.dim), dtype=bool)
+    for p in range(len(st.point)):
+        g, chosen = st.geo.g[p], []
+        for c in range(st.cp.dim):
+            w = (st.H[p] @ proj[p])[:, c]
+            norm2 = w @ g @ w
+            if norm2 < 1e-12:
+                continue
+            x = w / np.sqrt(norm2)
+            if all(abs(x @ g @ u) <= np.cos(1e-3) for u in chosen):
+                chosen.append(x)
+                mask[p, c] = True
+    return mask
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_leaf_frame_mask_is_the_greedy_rule(which):
+    manifolds = [catalog.resolve(entry.key) for entry in catalog.ENTRIES]
+    rng = np.random.default_rng(20261018)
+    for key in sorted(CHECK_COUNTS):
+        cp = catalog.resolve(key)
+        A = np.eye(cp.dim) + 0.3 * rng.uniform(-1.0, 1.0, (cp.dim, cp.dim))
+        manifolds.append(pull_back(cp, A))
+    dropped = 0
+    for cp in manifolds:
+        st = cpm.structure_at(cp, cp.chart.sample_points)
+        x, kept = st.horizontal_leaf_frame(which)
+        reference = _greedy_leaf_mask(st, which)
+        assert np.array_equal(kept, reference), cp.name
+        unit = np.einsum("pci,pij,pcj->pc", x, st.geo.g, x) > 0.5  # not tiny
+        dropped += np.count_nonzero(unit & ~kept)
+    assert dropped > 0  # near-parallel candidates were dropped
+
+
+@pytest.mark.parametrize("key", ["hopf:1", "sphere_product:1,1"])
+def test_points_given_as_lists_or_arrays(key):
+    cp = catalog.resolve(key)
+    points = cp.chart.sample_points[:3]
+    expected = dict(catalog.entry_for(cp.name).expected)
+    runs = {
+        "validate_structure": lambda pts: cpm.validate_structure(cp, points=pts),
+        "lemma_suite": lambda pts: cpm.lemma_suite(cp, points=pts),
+        "lemma_checks": lambda pts: cpm.lemma_checks(cp, cpm.LEMMA_TOL, pts),
+        "run_suites": lambda pts: bochner.run_suites(cp, bochner.SUITES, expected,
+                                                     points=pts),
+    }
+    for name, run in runs.items():
+        reference = run(points).to_json()
+        assert run([list(p) for p in points]).to_json() == reference, name
+        assert run(np.array(points)).to_json() == reference, name
