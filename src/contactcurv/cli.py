@@ -287,9 +287,10 @@ def cmd_tensor(args) -> int:
         print(f"{args.what} on {cp.name} at ({', '.join(f'{v:.6g}' for v in point)})")
         print(f"  tau = {scalars['tau']:.12g}   tau* = {scalars['tau_star']:.12g}"
               f"   max|component| = {summary['max_abs_component']:.6e}")
-        for label, value in entries:
-            print(f"  [{label}] = {value: .12e}")
-        if not entries:
+        if entries:
+            for label, value in entries:
+                print(f"  [{label}] = {value: .12e}")
+        else:
             print("  all components below 1e-12")
     return 0
 
@@ -297,7 +298,8 @@ def cmd_tensor(args) -> int:
 def cmd_verify(args) -> int:
     cp = resolve_manifold(args.manifold)
     suites = bm.SUITES if args.suite == "all" else (args.suite,)
-    entry, points = catalog.entry_for(cp.name), _sample_points(cp, args.points)
+    entry = catalog.entry_for(cp.name)
+    points = _sample_points(cp, args.points)
     try:
         report = bm.run_suites(cp, suites, dict(entry.expected) if entry else None,
                                args.tolerance, points)
@@ -373,16 +375,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):  # overflow is caught by _require_finite
             return args.func(args)
-    except UsageError as exc:
+    except (UsageError, el.ExprError, rm.MetricError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvalidStructureError as exc:
         clauses = ", ".join(exc.clauses) if exc.clauses else "structure"
         print(f"invalid structure ({clauses}): {exc}", file=sys.stderr)
         return 1
-    except (el.ExprError, rm.MetricError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

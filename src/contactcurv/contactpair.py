@@ -117,7 +117,7 @@ def pfaffian(a: np.ndarray) -> np.ndarray:
         # A pivot below the smallest normal float (complex division overflows) is 0.
         r = 1 + np.argmax(np.abs(a[:, 1:, 0]), axis=1)[:, None]
         pivot = a[stack, r, 0]
-        live = np.abs(pivot) >= np.finfo(float).tiny
+        live = ~(np.abs(pivot) < np.finfo(float).tiny)  # a NaN pivot stays live
         pf *= np.where(live, pivot, 0)[:, 0]
         flips = flips + r[:, 0]
         update = _outer(a[:, :, 0] / np.where(live, pivot, 1), a[stack, :, r][:, 0])
@@ -148,8 +148,6 @@ def pair_clauses(pair_type: tuple[int, int], a1: np.ndarray, a2: np.ndarray,
             (with_beta - without) * t ** -n, axis=-1).real
 
     def power_sup(dalpha, p):  # the sup of p! |Pf| over the principal 2p-minors
-        if p == 1:
-            return np.max(np.abs(dalpha), axis=(-2, -1))
         rows = np.array(list(combinations(range(d), 2 * p)), dtype=int).reshape(-1, 2 * p)
         minors = pfaffian(dalpha[..., rows[:, :, None], rows[:, None, :]])
         return math.factorial(p) * np.max(np.abs(minors), axis=-1, initial=0.0)
@@ -472,10 +470,12 @@ def validate_structure(cp: ContactPairManifold,
     pair = pair_clauses(cp.pair_type, st.a1, st.a2, st.dalpha1, st.dalpha2)
     for p, pt in enumerate(pts):
         record_rows(report, pair, p, pt)
-        if (fault := _foliation_fault(cp, pt, st.foliation_dims[p])) is not None:
-            report.add(fault.clauses[0], str(fault), fault.defect, 0.0, pt, passed=False)
-        else:
-            record_rows(report, rows, p, pt)
+        fault = _foliation_fault(cp, pt, st.foliation_dims[p])
+        if fault is not None:
+            for clause in fault.clauses:
+                report.add(clause, str(fault), fault.defect, 0.0, pt, passed=False)
+            continue
+        record_rows(report, rows, p, pt)
     return report
 
 

@@ -168,11 +168,9 @@ def is_stack(point) -> bool:
 
 
 def as_point(point) -> Union[Point, tuple[Point, ...]]:
-    """One point as a tuple of floats, or a stack of points as a tuple of
-    them; a tuple of floats is kept, so reports share the caller's points."""
+    """One point as a tuple of floats, or a stack of points as a tuple of them."""
     if is_stack(point):
-        return tuple(p if type(p) is tuple and all(type(v) is float for v in p)
-                     else tuple(float(v) for v in p) for p in point)
+        return tuple(tuple(float(v) for v in p) for p in point)
     return tuple(float(v) for v in point)
 
 

@@ -6,6 +6,8 @@ form's top coefficient is the t^n coefficient of a Pfaffian pencil.  The
 dict-based wedge algebra in ``tests/helpers.py`` is the reference.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,21 @@ def test_odd_sizes_and_zero_pivots():
     sparse = skew(sparse)
     assert cpm.pfaffian(sparse) == pytest.approx(-6.0, rel=1e-15)
     assert cpm.pfaffian(sparse) ** 2 == pytest.approx(np.linalg.det(sparse), rel=1e-12)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_a_non_finite_entry_gives_a_non_finite_pfaffian(complex_):
+    # an overflowing alpha1 ^ alpha2 puts inf - inf = NaN into the pencil; a NaN
+    # pivot must reach the result, not be read as a zero column (Pf = 0)
+    block = np.kron(np.eye(3), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    dense = skew(np.random.default_rng(7).normal(size=(6, 6)))
+    for a in (block, dense):
+        for i, j in combinations(range(6), 2):
+            for bad in (np.nan, np.inf, -np.inf):
+                b = a.astype(complex) if complex_ else a.copy()
+                b[i, j], b[j, i] = bad, -bad
+                with np.errstate(all="ignore"):
+                    assert not np.isfinite(cpm.pfaffian(b)), (i, j, bad)
 
 
 def _assert_matches_reference(pair_type, a1, a2, dalpha1, dalpha2):
