@@ -15,7 +15,6 @@ from .contactpair import (
     check_contact_pair,
     exterior_derivative,
     lemma_suite,
-    synthesize_phi,
     validate_structure,
 )
 from .jets import Jet2
@@ -29,8 +28,6 @@ from .riemann import (
     VectorField,
     christoffel,
     conformal_rescale,
-    covariant_derivative,
-    lie_bracket,
     orthonormal_frame,
     ricci,
     scalar,
@@ -44,9 +41,8 @@ __all__ = [
     "Jet2", "MetricError", "MetricField", "OneForm", "Report", "TensorValue",
     "VectorField", "bochner", "bochner_pair", "catalog", "check_contact_pair",
     "christoffel", "cli", "conformal_invariance_check", "conformal_rescale",
-    "contactpair", "covariant_derivative", "exprlang", "exterior_derivative",
-    "jets", "lemma_suite", "lie_bracket", "orthonormal_frame", "ricci",
-    "riemann", "scalar", "synthesize_phi", "validate_structure", "weyl",
+    "contactpair", "exprlang", "exterior_derivative", "jets", "lemma_suite",
+    "orthonormal_frame", "ricci", "riemann", "scalar", "validate_structure", "weyl",
 ]
 # "riemann" in __all__ names the submodule; the (0,4) curvature function
 # stays at contactcurv.riemann.riemann to avoid shadowing it.

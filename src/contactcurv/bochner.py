@@ -209,7 +209,7 @@ def bochner_pair(cp: ContactPairManifold, point: Sequence[float],
     pt = tuple(float(v) for v in point)
     bj = bochner(context(cp, pt, "J", reading))
     bt = bochner(context(cp, pt, "T", reading))
-    return (rm.TensorValue(bj, ("d",) * 4, pt), rm.TensorValue(bt, ("d",) * 4, pt))
+    return rm.TensorValue(bj), rm.TensorValue(bt)
 
 
 def reeb_plane_component(cp: ContactPairManifold, point: Sequence[float],

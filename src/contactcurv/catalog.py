@@ -18,7 +18,6 @@ with the table of values the verification suites assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -130,14 +129,7 @@ def heisenberg_r(n: int = 1) -> ContactPairManifold:
 class CatalogEntry:
     key: str
     description: str
-    factory: Callable[[], ContactPairManifold]
     expected: tuple[tuple[str, object], ...]
-
-    def build(self) -> ContactPairManifold:
-        return self.factory()
-
-    def expect(self, name: str):
-        return dict(self.expected)[name]
 
 
 def hopf_entry(m: int) -> CatalogEntry:
@@ -147,7 +139,6 @@ def hopf_entry(m: int) -> CatalogEntry:
         f"hopf:{m}",
         f"unit {2 * m + 1}-sphere x line, type ({m},0); Bochner-flat and "
         "conformally flat",
-        partial(hopf, m),
         (
             ("tau", float(2 * m * (2 * m + 1))),
             ("reeb_ricci", (float(2 * m), 0.0)),
@@ -167,7 +158,6 @@ ENTRIES: tuple[CatalogEntry, ...] = tuple(
     CatalogEntry(
         "sphere_product:1,1",
         "product of two unit 3-spheres, type (1,1); not Bochner-flat",
-        lambda: sphere_product(1, 1),
         (
             ("tau", 12.0),
             ("reeb_ricci", (2.0, 2.0)),
@@ -181,7 +171,6 @@ ENTRIES: tuple[CatalogEntry, ...] = tuple(
         "heisenberg_r",
         "Heisenberg group x line, type (1,0); negative control for both "
         "flatness properties",
-        lambda: heisenberg_r(1),
         (
             ("reeb_ricci", (2.0, 0.0)),
             ("scalar_defect", 4.0),

@@ -265,12 +265,9 @@ def cmd_tensor(args) -> int:
         raise UsageError(str(exc)) from exc
     _require_finite([np.max(np.abs(comps)), scalars["tau"], scalars["tau_star"], *point])
     names = cp.chart.coords
-    entries = []
-    for idx in np.ndindex(*comps.shape):
-        value = float(comps[idx])
-        if abs(value) > 1e-12:
-            label = ",".join(names[i] for i in idx)
-            entries.append((label, value))
+    nonzero = np.abs(comps) > 1e-12  # indices and values both in C order
+    entries = [(",".join(names[i] for i in idx), value)
+               for idx, value in zip(np.argwhere(nonzero).tolist(), comps[nonzero].tolist())]
     summary = {
         "manifold": cp.name,
         "tensor": args.what,

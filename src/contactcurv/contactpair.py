@@ -351,22 +351,6 @@ def structure_at(cp: ContactPairManifold, point) -> StructureData:
 
 # --- public operations ----------------------------------------------------------
 
-def synthesize_phi(cp: ContactPairManifold, point: Sequence[float],
-                   tolerance: float = STRUCTURE_TOL) -> rm.TensorValue:
-    """phi^k_j = g^{ki} (d alpha_1 + d alpha_2)_ij, validated against
-    phi^2 = -Id + alpha_1 (x) Z_1 + alpha_2 (x) Z_2."""
-    pt = tuple(float(v) for v in point)
-    st = structure_at(cp, pt)
-    residual = _phi_square_residual(st)
-    if residual > tolerance:
-        raise InvalidStructureError(
-            f"synthesized phi violates its square identity on {cp.name} at "
-            f"{pt} (residual {residual:.3e}); wrong exterior-derivative "
-            f"factor or inconsistent input data",
-            clauses=["phi_squared_identity"])
-    return rm.TensorValue(st.phi, ("u", "d"), pt)
-
-
 def _phi_square_residual(st: StructureData):
     target = -np.eye(st.cp.dim) + _outer(st.z1, st.a1) + _outer(st.z2, st.a2)
     return np.max(np.abs(st.phi @ st.phi - target), axis=(-2, -1))
@@ -397,13 +381,6 @@ def phi_sectional(st: StructureData, x: np.ndarray) -> np.ndarray:
                      optimize=True)
 
 
-def phi_sectional_values(cp: ContactPairManifold, point: Sequence[float]) -> list[float]:
-    """R(X, phi X, phi X, X) over the unit horizontal leaf-tangent vectors."""
-    st = structure_at(cp, tuple(float(v) for v in point))
-    x, kept = st.horizontal_leaf_frame(2)
-    return [float(v) for v in phi_sectional(st, x)[kept]]
-
-
 # --- validation and lemma suite ---------------------------------------------------
 
 def record_rows(report: Report, rows, p: int, pt: rm.Point) -> None:
@@ -432,7 +409,10 @@ def validate_structure(cp: ContactPairManifold,
     sup = rm.pointwise_sup
     alphas = np.stack((st.a1, st.a2), axis=1)  # [p, i, :]
     reebs = np.stack((st.z1, st.z2), axis=1)
-    svals = np.linalg.svd(phi, compute_uv=False)
+    # phi in a g-orthonormal frame, L^T phi L^-T with g = L L^T, has the
+    # singular values of L^-1 phi^T L, whatever the scale of the chart
+    L = np.linalg.cholesky(g)
+    svals = np.linalg.svd(np.linalg.solve(L, np.swapaxes(phi, 1, 2) @ L), compute_uv=False)
     rank = np.sum(svals > 1e-8 * svals[:, :1], axis=1)
     rows = (
         ("reeb_duality", "alpha_i(Z_j) = delta_ij",

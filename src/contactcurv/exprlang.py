@@ -165,12 +165,6 @@ def neg(a: Expr) -> Expr:
     return Neg(a)
 
 
-def fn(name: str, arg: Expr) -> Expr:
-    if name not in FUNCTION_NAMES:
-        raise ExprSyntaxError(f"unknown function '{name}'", 0)
-    return Fn(name, arg)
-
-
 # --- tokenizer and parser --------------------------------------------------
 
 _TOKEN_RE = re.compile(

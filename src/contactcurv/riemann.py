@@ -44,7 +44,7 @@ class MetricError(Exception):
     """Singular or non-positive-definite metric, or a degenerate frame."""
 
 
-class IllConditionedMetricWarning(RuntimeWarning):
+class IllConditionedMetricWarning(UserWarning):
     pass
 
 
@@ -142,29 +142,18 @@ class OneForm:
         return OneForm(chart, _expr_row(chart, comps))
 
 
-@dataclass(frozen=True)
-class TensorField11:
-    chart: Chart
-    comps: tuple[tuple[el.Expr, ...], ...]  # comps[k][j] = T^k_j
-
-
 @dataclass
 class TensorValue:
-    """Pointwise dense tensor with an explicit variance signature; over a
-    stack of points, ``comps`` has a leading point axis."""
+    """Pointwise dense tensor; over a stack of points, ``comps`` has a
+    leading point axis."""
 
     comps: np.ndarray
-    variance: tuple[str, ...]  # 'u' or 'd' per slot
-    point: Union[Point, tuple[Point, ...]]
-
-    def __post_init__(self):
-        if len(self.variance) != self.comps.ndim - is_stack(self.point):
-            raise ValueError("variance length must equal tensor rank")
 
 
 def is_stack(point) -> bool:
-    """True for a tuple of points, False for one point."""
-    return np.ndim(point) == 2
+    """True for a tuple of points, False for one point; decided from the
+    first element, so no array is built from the whole stack."""
+    return np.ndim(point[0]) == 1 if len(point) else np.ndim(point) == 2
 
 
 def as_point(point) -> Union[Point, tuple[Point, ...]]:
@@ -370,18 +359,18 @@ def _positive_definite(g: np.ndarray) -> bool:
 
 def christoffel(metric: MetricField, point: Sequence[float]) -> TensorValue:
     geo = geometry_at(metric, tuple(float(v) for v in point))
-    return TensorValue(geo.gamma, ("u", "d", "d"), geo.point)
+    return TensorValue(geo.gamma)
 
 
 def riemann(metric: MetricField, point: Sequence[float]) -> TensorValue:
     """Fully covariant curvature tensor R(e_i, e_j, e_k, e_l)."""
     geo = geometry_at(metric, tuple(float(v) for v in point))
-    return TensorValue(geo.riem4, ("d", "d", "d", "d"), geo.point)
+    return TensorValue(geo.riem4)
 
 
 def ricci(metric: MetricField, point: Sequence[float]) -> TensorValue:
     geo = geometry_at(metric, tuple(float(v) for v in point))
-    return TensorValue(geo.ricci, ("d", "d"), geo.point)
+    return TensorValue(geo.ricci)
 
 
 def scalar(metric: MetricField, point: Sequence[float]) -> float:
@@ -400,31 +389,11 @@ def covd_11(values: np.ndarray, derivs: np.ndarray, gamma: np.ndarray) -> np.nda
             - np.einsum("...aij,...ka->...ikj", gamma, values))
 
 
-def covariant_derivative(field_, metric: MetricField, point: Sequence[float]) -> TensorValue:
-    """Covariant derivative of a vector or (1,1) expression field."""
-    pt = tuple(float(v) for v in point)
-    geo = geometry_at(metric, pt)
-    values, derivs = eval_field(field_.comps, metric.chart, pt)
-    if isinstance(field_, VectorField):
-        return TensorValue(covd_vector(values, derivs, geo.gamma), ("d", "u"), pt)
-    if isinstance(field_, TensorField11):
-        return TensorValue(covd_11(values, derivs, geo.gamma), ("d", "u", "d"), pt)
-    raise TypeError("covariant_derivative expects a VectorField or TensorField11")
-
-
 def lie_bracket_from(x_values: np.ndarray, x_derivs: np.ndarray,
                      y_values: np.ndarray, y_derivs: np.ndarray) -> np.ndarray:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i from pointwise values and partials."""
     return (np.einsum("...j,...ji->...i", x_values, y_derivs)
             - np.einsum("...j,...ji->...i", y_values, x_derivs))
-
-
-def lie_bracket(x: VectorField, y: VectorField, point: Sequence[float]) -> TensorValue:
-    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i."""
-    pt = tuple(float(v) for v in point)
-    xv, dx = eval_field(x.comps, x.chart, pt)
-    yv, dy = eval_field(y.comps, y.chart, pt)
-    return TensorValue(lie_bracket_from(xv, dx, yv, dy), ("u",), pt)
 
 
 def lie_derivative_metric(z_values: np.ndarray, z_derivs: np.ndarray,
@@ -476,7 +445,7 @@ def weyl(metric: MetricField, point) -> TensorValue:
     comps = (geo.riem4
              - kulkarni_nomizu(geo.ricci, geo.g) / (d - 2)
              + tau * kulkarni_nomizu(geo.g, geo.g) / (2.0 * (d - 1) * (d - 2)))
-    return TensorValue(comps, ("d", "d", "d", "d"), pt)
+    return TensorValue(comps)
 
 
 def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:

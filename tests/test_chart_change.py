@@ -10,6 +10,7 @@ scalar invariants must not move.
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -109,3 +110,30 @@ def test_dense_chart_verifies_with_the_same_invariants(capsys, tmp_path, key):
 
     original, pulled = invariants(cp), invariants(dense)
     assert np.all(np.abs(pulled - original) <= 1e-10 * np.maximum(1.0, np.abs(original)))
+
+
+def _phi_rank_values(cp: cpm.ContactPairManifold) -> list:
+    with warnings.catch_warnings():
+        # these charts are ill-conditioned on purpose
+        warnings.simplefilter("ignore", rm.IllConditionedMetricWarning)
+        report = cpm.validate_structure(cp)
+    return [(c.value, c.passed) for c in report.checks if c.name == "phi_rank"]
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e4])
+@pytest.mark.parametrize("key", [entry.key for entry in catalog.ENTRIES])
+def test_phi_rank_does_not_see_a_diagonal_scaling(key, s):
+    # phi's rank is read in a g-orthonormal frame, so stretching one
+    # coordinate by s leaves it at dim - 2
+    cp = catalog.resolve(key)
+    A = np.eye(cp.dim)
+    A[0, 0] = s
+    assert _phi_rank_values(pull_back(cp, A)) == [(0, True)] * len(cp.chart.sample_points)
+
+
+def test_phi_rank_at_an_ill_conditioned_point():
+    # metric condition number 1e10 at eta1 = 1e-5 on hopf:1
+    cp = catalog.resolve("hopf:1")
+    cp = dataclasses.replace(cp, chart=dataclasses.replace(
+        cp.chart, sample_points=((1e-5, 0.5, 0.5, 0.5),)))
+    assert _phi_rank_values(cp) == [(0, True)]

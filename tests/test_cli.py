@@ -6,6 +6,7 @@ import types
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import contactcurv
@@ -142,6 +143,17 @@ class TestTensor:
         payload = json.loads(out)
         assert payload["point"] == [0.5, 0.4, 0.3, 0.2]
         assert payload["tau"] == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("what", cli._TENSOR_CHOICES)
+    def test_nonzero_components_in_index_order(self, capsys, what):
+        cp = catalog.resolve("hopf:4")
+        comps, _ = cli._tensor_at(cp, what, cp.chart.sample_points[0])
+        names = cp.chart.coords
+        scan = [(",".join(names[i] for i in idx), float(comps[idx]))
+                for idx in np.ndindex(*comps.shape) if abs(float(comps[idx])) > 1e-12]
+        code, out, _ = run(capsys, "tensor", "hopf:4", "--what", what, "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)["nonzero_components"].items()) == scan
 
     def test_point_dimension_mismatch(self, capsys):
         code, _, err = run(capsys, "tensor", "hopf:1", "--what", "ricci",
@@ -382,8 +394,6 @@ def _insert(*placed):
     (_insert((2, NOT_PD)), 2, NOT_PD_MESSAGE, []),
     (_insert((2, NAN)), 2, "error: non-finite value or derivative at "
                            "(nan, 0.5, 0.5, 0.5) in 'cos(eta1)^2.0'\n", []),
-    (_insert((1, ILL), (3, [2e-5, 0.5, 0.5, 0.5])), 1, "",
-     [ILL_WARNING, "metric condition number 2.500e+09 at (2e-05, 0.5, 0.5, 0.5)"]),
     # the first faulty point in point order decides, whichever its fault
     (_insert((1, BAD_ALPHA), (3, NOT_PD)), 2, BAD_ALPHA_MESSAGE, []),
     (_insert((1, NOT_PD), (3, BAD_ALPHA)), 2, NOT_PD_MESSAGE, []),
@@ -402,6 +412,49 @@ def test_faulty_point_is_reported_in_point_order(capsys, tmp_path, edit, code, e
     assert result[2] == err
     assert [str(w.message) for w in caught] == warned
     assert all(w.category is riemann.IllConditionedMetricWarning for w in caught)
+
+
+@pytest.mark.parametrize("command, code, err", [
+    ("verify", 2, "error: theorem suites need the expected-results table of a catalog "
+                  "entry; 'variant' is not in the catalog\n"),
+    ("check", 1, ""),
+], ids=["verify", "check"])
+def test_ill_conditioned_points_pass_the_structure_gate(capsys, tmp_path, command, code,
+                                                         err):
+    # phi's rank is read in a g-orthonormal frame, so both points pass the
+    # gate: check fails two lemma residuals there, and verify goes on to the
+    # theorem suites, which a file outside the catalog cannot run
+    path = _hopf1_variant(capsys, tmp_path, _insert((1, ILL), (3, [2e-5, 0.5, 0.5, 0.5])))
+    _clear_package_caches()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, command, path, "--format", "json")
+    assert result[0] == code
+    assert result[2] == err
+    assert [str(w.message) for w in caught] == [
+        ILL_WARNING, "metric condition number 2.500e+09 at (2e-05, 0.5, 0.5, 0.5)"]
+    assert all(w.category is riemann.IllConditionedMetricWarning for w in caught)
+    if command == "check":
+        failed = [(c["name"], c["point"][0]) for c in json.loads(result[1])["checks"]
+                  if not c["passed"]]
+        assert failed == [(name, x) for x in (1e-5, 2e-5) for name in (
+            "star_ricci_j_exchange", "ricci_j_invariance_horizontal")]
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "tensor"])
+def test_ill_conditioning_is_no_error_under_runtime_warnings(capsys, tmp_path, command):
+    # with RuntimeWarnings as errors, the ill-conditioning warning is still
+    # printed as a warning and the run ends in its own exit code
+    path = _hopf1_variant(capsys, tmp_path, _put("metric", "3,3", "exp(700*t)"))
+    argv = [command, path] + (["--what", "weyl"] if command == "tensor" else [])
+    src = str(Path(contactcurv.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "contactcurv", *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "IllConditionedMetricWarning: metric condition number" in done.stderr
+    assert done.stderr.splitlines()[-1].startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["verify", "check"])

@@ -10,6 +10,7 @@ from contactcurv import riemann as rm
 
 from helpers import AltForm, random_expr
 from test_chart_change import CHECK_COUNTS, pull_back
+from test_riemann import covariant_derivative
 
 CATALOG_KEYS = ("hopf:1", "hopf:2", "sphere_product:1,1", "heisenberg_r")
 
@@ -118,24 +119,29 @@ class TestPhiSynthesis:
 
     def test_synthesized_phi_validates(self, hopf1):
         pt = hopf1.chart.sample_points[0]
-        phi = cpm.synthesize_phi(hopf1, pt).comps
         st = cpm.structure_at(hopf1, pt)
-        assert np.max(np.abs(phi @ st.z1)) < 1e-12
-        assert np.max(np.abs(phi @ st.z2)) < 1e-12
+        assert cpm._phi_square_residual(st) < 1e-8
+        assert np.max(np.abs(st.phi @ st.z1)) < 1e-12
+        assert np.max(np.abs(st.phi @ st.z2)) < 1e-12
 
     def test_generic_forms_on_flat_space_are_rejected(self):
+        # the Heisenberg contact form dz - y dx keeps the foliation dimensions
+        # right, so the point gets its phi^2 record; the flat metric is not
+        # associated with it
         chart = rm.Chart(coords=("x", "y", "z", "t"),
                          sample_points=((0.3, 0.4, 0.5, 0.6),))
         metric = rm.MetricField.diagonal(chart, ["1", "1", "1", "1"])
         cp = cpm.ContactPairManifold(
             "bogus", chart, metric,
-            rm.OneForm.of(chart, ["0", "0", "1", "0"]),
+            rm.OneForm.of(chart, ["-y", "0", "1", "0"]),
             rm.OneForm.of(chart, ["0", "0", "0", "1"]),
             rm.VectorField.of(chart, ["0", "0", "1", "0"]),
             rm.VectorField.of(chart, ["0", "0", "0", "1"]),
             (1, 0))
-        with pytest.raises(cpm.InvalidStructureError):
-            cpm.synthesize_phi(cp, chart.sample_points[0])
+        report = cpm.validate_structure(cp)
+        square = [c for c in report.checks if c.name == "phi_squared_identity"]
+        assert len(square) == 1 and not square[0].passed
+        assert square[0].value > 1e-8
 
 
 class TestContactPairCheck:
@@ -312,12 +318,12 @@ class TestReebCovariantDerivative:
     def test_second_reeb_field_is_parallel_on_hopf(self, hopf1):
         # phi_2 = 0 for type (1, 0), so grad_X Z_2 = 0 for every X
         for pt in hopf1.chart.sample_points:
-            nabla = rm.covariant_derivative(hopf1.z2, hopf1.metric, pt).comps
+            nabla = covariant_derivative(hopf1.z2.comps, hopf1.metric, pt)
             assert np.max(np.abs(nabla)) < 1e-12
 
     def test_first_reeb_field_matches_phi1(self, hopf1):
         for pt in hopf1.chart.sample_points:
-            nabla = rm.covariant_derivative(hopf1.z1, hopf1.metric, pt).comps
+            nabla = covariant_derivative(hopf1.z1.comps, hopf1.metric, pt)
             st = cpm.structure_at(hopf1, pt)
             assert np.max(np.abs(nabla.T + st.phi1)) < 1e-8
 
@@ -332,16 +338,23 @@ def test_structure_arrays_are_read_only(hopf1, field):
     assert np.array_equal(getattr(cpm.structure_at(hopf1, pt), field), original)
 
 
+def _phi_sectional_values(cp, pt):
+    """R(X, phi X, phi X, X) over the kept unit horizontal leaf-tangent vectors."""
+    st = cpm.structure_at(cp, pt)
+    x, kept = st.horizontal_leaf_frame(2)
+    return cpm.phi_sectional(st, x)[kept]
+
+
 def test_phi_sectional_on_hopf(hopf1):
     for pt in hopf1.chart.sample_points:
-        for value in cpm.phi_sectional_values(hopf1, pt):
+        for value in _phi_sectional_values(hopf1, pt):
             assert value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_phi_sectional_on_heisenberg():
     cp = catalog.heisenberg_r(1)
-    values = cpm.phi_sectional_values(cp, cp.chart.sample_points[0])
-    assert values, "expected at least one horizontal leaf direction"
+    values = _phi_sectional_values(cp, cp.chart.sample_points[0])
+    assert values.size, "expected at least one horizontal leaf direction"
     for value in values:
         assert value == pytest.approx(-3.0, abs=1e-10)
 

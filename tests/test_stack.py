@@ -111,3 +111,19 @@ def test_stacked_callers_raise_the_pointwise_foliation_fault():
         with pytest.raises(cpm.InvalidStructureError) as stacked:
             call()
         assert str(stacked.value) == str(pointwise.value)
+
+
+_POINT = (0.3, 0.4, 0.5, 0.6)
+
+
+@pytest.mark.parametrize("point, stacked", [
+    (_POINT, False), (list(_POINT), False), (np.array(_POINT), False),
+    ((_POINT, _POINT), True), ([list(_POINT)], True), (np.array([_POINT] * 3), True),
+    ([np.array(_POINT)], True), ((), False), ([], False), (np.empty((0, 4)), True),
+], ids=["tuple", "list", "array", "tuple stack", "list stack", "array stack",
+        "list of arrays", "empty tuple", "empty list", "empty array stack"])
+def test_is_stack_agrees_with_the_array_rank(point, stacked):
+    # it reads only the first element, and gives what the rank of the whole
+    # array would give
+    assert rm.is_stack(point) is stacked
+    assert (np.ndim(point) == 2) is stacked
