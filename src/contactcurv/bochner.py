@@ -239,11 +239,11 @@ def _conformal_shift(report: Report, cp: ContactPairManifold,
     scaled = _context(points, st.geo.rescaled(c), st.J, cp.m, cp.n, reading)
     shift = rm.contract_last(bochner(scaled), scaled.ginv)
     shift -= rm.contract_last(b, st.geo.ginv)
-    residual = rm.pointwise_sup(shift)
-    for pt, r in zip(points, residual):
-        report.add("bochner_13_conformal_shift",
-                   "change of the (1,3) Bochner tensor under g -> e^{2f} g "
-                   "(constant factor: asserted invariant)", r, 1e-7, pt)
+    rows = (("bochner_13_conformal_shift", "change of the (1,3) Bochner tensor under "
+             "g -> e^{2f} g (constant factor: asserted invariant)",
+             rm.pointwise_sup(shift), 1e-7),)
+    for p, pt in enumerate(points):
+        cpm.record_rows(report, rows, p, pt)
 
 
 def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
@@ -309,22 +309,18 @@ def _theorem1(report: Report, cp: ContactPairManifold, expected: Mapping,
             ("phi_sectional_curvature", "R(X,phiX,phiX,X) = 1",
              cpm.kept_max(cpm.phi_sectional(st, x) - 1.0, kept), tight),
         )
-        for p, pt in enumerate(points):
-            cpm.record_rows(report, rows, p, pt)
-        return
-    target = expected.get("bochner_reeb_plane")
-    closed = reeb_plane_closed_form(m, n, tau)
-    for p, pt in enumerate(points):
-        report.add("bochner_not_flat", "sup |B_J| stays above the control "
-                   "bound on a non-model structure", sup[p], 1e-2, pt,
-                   passed=sup[p] > 1e-2)
+    else:
+        rows = (("bochner_not_flat", "sup |B_J| stays above the control bound on a "
+                 "non-model structure", sup, 1e-2, sup > 1e-2),)
+        target = expected.get("bochner_reeb_plane")
         if target is not None:
-            report.add("bochner_reeb_plane_value",
-                       "B_J(Z1,Z2,Z2,Z1) matches the closed-form value "
-                       "computed from the measured scalar curvature",
-                       plane[p] - closed[p], loose, pt)
-            report.add("bochner_reeb_plane_expected",
-                       f"B_J(Z1,Z2,Z2,Z1) = {target}", plane[p] - target, loose, pt)
+            rows += (("bochner_reeb_plane_value", "B_J(Z1,Z2,Z2,Z1) matches the "
+                      "closed-form value computed from the measured scalar curvature",
+                      plane - reeb_plane_closed_form(m, n, tau), loose),
+                     ("bochner_reeb_plane_expected", f"B_J(Z1,Z2,Z2,Z1) = {target}",
+                      plane - target, loose))
+    for p, pt in enumerate(points):
+        cpm.record_rows(report, rows, p, pt)
 
 
 def _quadratic_defect(x: np.ndarray, s: np.ndarray, value: float,
@@ -340,13 +336,12 @@ def _theorem2(report: Report, cp: ContactPairManifold, expected: Mapping,
     conformal invariance of the Bochner tensor."""
     flat = expected["weyl_flat"]
     sup = rm.pointwise_sup(rm.weyl(cp.metric, points).comps)
-    for pt, s in zip(points, sup):
-        if flat:
-            report.add("weyl_flatness", "sup |W| vanishes on the model space",
-                       s, loosen(1e-8, tol), pt)
-        else:
-            report.add("weyl_not_flat", "sup |W| stays above the control bound",
-                       s, 1e-2, pt, passed=s > 1e-2)
+    rows = ((("weyl_flatness", "sup |W| vanishes on the model space", sup,
+              loosen(1e-8, tol)),) if flat else
+            (("weyl_not_flat", "sup |W| stays above the control bound", sup, 1e-2,
+              sup > 1e-2),))
+    for p, pt in enumerate(points):
+        cpm.record_rows(report, rows, p, pt)
     if flat:
         c = math.exp(2.0 * math.log(2.0))  # f = log 2
         _conformal_shift(report, cp, points, b_j, c, DEFAULT_READING)

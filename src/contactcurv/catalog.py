@@ -23,15 +23,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .contactpair import ContactPairManifold
-from .riemann import Chart, MetricField, OneForm, VectorField
+from .riemann import MAX_DIM, Chart, MetricField, OneForm, VectorField
 
 # scale constants of the Heisenberg entry; the structure equations force
 # b = s * a for the exterior-derivative factor s = 1/2
 HEISENBERG_A = 1.0
 HEISENBERG_B = 0.5
 
-# largest hopf(m): d = 2m + 2 <= 10 is the chart size the jet engine serves
-HOPF_MAX_M = 4
+# largest hopf(m), whose chart has d = 2m + 2 coordinates
+HOPF_MAX_M = (MAX_DIM - 2) // 2
 
 
 def _sample_points(seed: int, lows, highs, count: int = 5):

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -86,6 +87,9 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
     try:
         coords = tuple(str(c) for c in data["coords"])
         dim = _count(data["dim"], "dim")
+        if dim > rm.MAX_DIM:
+            raise UsageError(f"dim={dim} is above the {rm.MAX_DIM} coordinates "
+                             f"the engine supports")
         if len(coords) != dim:
             raise UsageError(f"dim={dim} but {len(coords)} coordinates declared")
         params = _object(data.get("params", {}), "params")
@@ -366,8 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as one line, without the library line that issued it."""
+    return f"{category.__name__}: {message}\n"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    shown, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):  # overflow is caught by _require_finite
@@ -379,6 +389,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         clauses = ", ".join(exc.clauses) if exc.clauses else "structure"
         print(f"invalid structure ({clauses}): {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = shown
 
 
 def entry() -> None:

@@ -293,20 +293,21 @@ def structure_at(cp: ContactPairManifold, point) -> StructureData:
     At one point, characteristic foliations of the wrong dimensions raise
     :class:`InvalidStructureError`; over a stack they are left in
     ``foliation_dims`` for :func:`validate_structure` to report point by
-    point, and :func:`require_foliations` raises them.  Evaluation faults are reported as a point-by-point run would
-    meet them (see :func:`riemann.geometry_at`).
+    point, and :func:`require_foliations` raises them.  Evaluation faults
+    raise as in :func:`riemann.geometry_at`: the first faulty point in
+    point order, and at one point a metric fault before a form fault.
     """
     stacked = rm.is_stack(point)
     points = point if stacked else (point,)
-    # one jet walk per point over (alpha1, alpha2, Z1, Z2), ahead of the
-    # metric's: a fault in it stands only if the metric is sound at every
-    # point up to and including the faulty one
-    jets, fault = rm.stacked_jets(
-        (cp.alpha1.comps, cp.alpha2.comps, cp.z1.comps, cp.z2.comps), cp.chart, points)
-    if fault is not None:
-        reached = 0 if jets is None else len(jets[0])
-        rm.geometry_at(cp.metric, points[:reached + 1] if stacked else point)
-        raise fault
+    fields = (cp.alpha1.comps, cp.alpha2.comps, cp.z1.comps, cp.z2.comps)
+    # forms and fields are walked before the metric: a fault there leaves later points unwarned
+    try:
+        jets = rm.stacked_jets(fields, cp.chart, points)
+    except el.ExprError:
+        for pt in points:
+            rm.geometry_at(cp.metric, pt)
+            rm.field_jets(fields, cp.chart, pt)
+        raise
     geo = rm.geometry_at(cp.metric, point)
     g, ginv = geo.g, geo.ginv
     values, derivs, hess = jets if stacked else (part[0] for part in jets)

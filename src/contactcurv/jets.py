@@ -5,7 +5,7 @@ respect to the ``d`` chart coordinates.  Propagation through the arithmetic
 operators and the function set of the expression language is the exact
 second-order Taylor rule, so polynomials up to degree two differentiate with
 no truncation error.  Everything is dense double precision; charts stay
-small (d <= 10).
+small (d <= ``riemann.MAX_DIM`` = 10).
 """
 
 from __future__ import annotations

@@ -39,6 +39,9 @@ Point = tuple[float, ...]
 
 CONDITION_LIMIT = 1e8
 
+# the most chart coordinates the dense jets and the Pfaffian minors serve
+MAX_DIM = 10
+
 
 class MetricError(Exception):
     """Singular or non-positive-definite metric, or a degenerate frame."""
@@ -287,18 +290,9 @@ class PointGeometry:
 
 def stacked_jets(comps, chart: Chart, points: Sequence[Point]):
     """:func:`field_jets` at each point in turn, stacked along a leading
-    point axis.  An evaluation fault stops the walk: the result is the jets
-    of the points before it and the fault (else ``None``)."""
-    jets, fault = [], None
-    for pt in points:
-        try:
-            jets.append(field_jets(comps, chart, pt))
-        except el.ExprError as err:
-            fault = err
-            break
-    if not jets:
-        return None, fault
-    return tuple(np.stack(parts) for parts in zip(*jets)), fault
+    point axis; a fault raises."""
+    return tuple(np.stack(parts)
+                 for parts in zip(*(field_jets(comps, chart, pt) for pt in points)))
 
 
 @lru_cache(maxsize=None)
@@ -306,53 +300,42 @@ def geometry_at(metric: MetricField, point) -> PointGeometry:
     """Metric, Christoffel and curvature data at one chart point, or stacked
     over a tuple of points.
 
-    Over a stack, faults are reported as a point-by-point run would meet
-    them: the first point whose metric is non-finite or not positive
-    definite raises, after one :class:`IllConditionedMetricWarning` for each
-    ill-conditioned point before it.
+    A non-finite metric jet raises :class:`~contactcurv.exprlang.ExprError`,
+    and a metric that is not positive definite raises :class:`MetricError`;
+    an ill-conditioned metric only warns.  A stack is run as if every point
+    were sound.  Only after a fault are its points run again one at a time,
+    so the first faulty point raises, after the warnings of the points
+    before it, as in a point-by-point run.
     """
     stacked = is_stack(point)
     points = point if stacked else (point,)
     d = metric.dim
     upper = np.triu_indices(d)
-    jets, fault = stacked_jets(np.asarray(metric.comps, dtype=object)[upper],
-                               metric.chart, points)
-    if jets is None:
-        raise fault
-    values, derivs, hess = jets
-    n = len(values)
-    g = np.zeros((n, d, d))
-    dg = np.zeros((n, d, d, d))
-    d2g = np.zeros((n, d, d, d, d))
-    for i, j in (upper, upper[::-1]):  # the upper triangle, then its mirror
-        g[:, i, j] = values
-        dg[:, :, i, j] = derivs
-        d2g[:, :, :, i, j] = hess
     try:
+        values, derivs, hess = stacked_jets(np.asarray(metric.comps, dtype=object)[upper],
+                                            metric.chart, points)
+        g = np.zeros((len(points), d, d))
+        dg = np.zeros((len(points), d, d, d))
+        d2g = np.zeros((len(points), d, d, d, d))
+        for i, j in (upper, upper[::-1]):  # the upper triangle, then its mirror
+            g[:, i, j] = values
+            dg[:, :, i, j] = derivs
+            d2g[:, :, :, i, j] = hess
         np.linalg.cholesky(g)
-        first_bad = n
-    except np.linalg.LinAlgError:
-        first_bad = next(k for k in range(n) if not _positive_definite(g[k]))
-    cond = np.linalg.cond(g[:first_bad])
+    except (el.ExprError, np.linalg.LinAlgError) as err:
+        for pt in points if stacked else ():
+            geometry_at(metric, pt)  # raises at the first faulty point
+        if isinstance(err, el.ExprError):
+            raise
+        raise MetricError(f"metric is not positive definite at {point}") from None
+    cond = np.linalg.cond(g)
     for k in np.flatnonzero(cond > CONDITION_LIMIT):
         warnings.warn(
             f"metric condition number {cond[k]:.3e} at {points[k]}",
             IllConditionedMetricWarning, stacklevel=2)
-    if first_bad < n:
-        raise MetricError(f"metric is not positive definite at {points[first_bad]}")
-    if fault is not None:
-        raise fault
     if not stacked:
         g, dg, d2g = g[0], dg[0], d2g[0]
     return PointGeometry(point, g, np.linalg.inv(g), dg, d2g)
-
-
-def _positive_definite(g: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 # --- public operations --------------------------------------------------------

@@ -399,6 +399,11 @@ def _insert(*placed):
     (_insert((1, NOT_PD), (3, BAD_ALPHA)), 2, NOT_PD_MESSAGE, []),
     (_insert((1, ILL), (3, NOT_PD)), 2, NOT_PD_MESSAGE, [ILL_WARNING]),
     (_insert((1, BAD_ALPHA), (3, ILL)), 2, BAD_ALPHA_MESSAGE, []),
+    # the point-by-point re-run after a fault warns for the points before it
+    (_insert((1, ILL), (3, BAD_ALPHA)), 2, BAD_ALPHA_MESSAGE, [ILL_WARNING]),
+    (_insert((1, ILL), (3, NAN)), 2, "error: non-finite value or derivative at "
+                                     "(nan, 0.5, 0.5, 0.5) in 'cos(eta1)^2.0'\n",
+     [ILL_WARNING]),
 ])
 @pytest.mark.parametrize("command", ["verify", "check"])
 def test_faulty_point_is_reported_in_point_order(capsys, tmp_path, edit, code, err,
@@ -454,7 +459,11 @@ def test_ill_conditioning_is_no_error_under_runtime_warnings(capsys, tmp_path, c
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert "IllConditionedMetricWarning: metric condition number" in done.stderr
-    assert done.stderr.splitlines()[-1].startswith("error: ")
+    # each warning is one line, without the library line that issued it
+    *notes, last = done.stderr.splitlines()
+    assert notes and all(line.startswith("IllConditionedMetricWarning: metric condition "
+                                         "number ") for line in notes)
+    assert last.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["verify", "check"])
@@ -594,6 +603,25 @@ def test_literal_power_without_a_real_value_is_an_input_error(capsys, tmp_path,
                        *argv[1:])
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["check"], ["verify"], ["tensor", "--what", "ricci"]])
+def test_file_above_ten_coordinates_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # hopf(5), a sound structure on a 12-coordinate chart
+    monkeypatch.setattr(catalog, "HOPF_MAX_M", 5)
+    path = tmp_path / "big.json"
+    cli.save_manifold(catalog.hopf(5), str(path))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: dim=12 is above the 10 coordinates the engine supports\n"
+
+
+def test_file_of_ten_coordinates_passes(capsys, tmp_path):
+    path = tmp_path / "hopf4.json"
+    run(capsys, "export", "hopf:4", str(path))
+    for argv in (["check"], ["tensor", "--what", "weyl"]):
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0, err
 
 
 @pytest.mark.parametrize("key", ["hopf:0", "hopf:5"])
