@@ -65,10 +65,11 @@ class CurvatureContext:
 
 
 def _context(point, geo: rm.PointGeometry, J: np.ndarray, m: int,
-             n: int, reading: str) -> CurvatureContext:
+             n: int, reading: str, tau_star=None) -> CurvatureContext:
     ctx = CurvatureContext(point, geo.g, geo.ginv, J, geo.riem4, m, n,
-                           geo.tau, 0.0, reading)
-    ctx.tau_star = trace_form(contract_star(geo.riem4, ctx), ctx)
+                           geo.tau, tau_star, reading)
+    if tau_star is None:  # unless the caller holds it already
+        ctx.tau_star = trace_form(contract_star(geo.riem4, ctx), ctx)
     return ctx
 
 
@@ -78,7 +79,9 @@ def context(cp: ContactPairManifold, point, which: str = "J",
     pt = rm.as_point(point)
     st = cpm.structure_at(cp, pt)
     cpm.require_foliations(st)
-    return _context(pt, st.geo, st.J if which == "J" else st.T, cp.m, cp.n, reading)
+    # the structure holds tau* of J already
+    J, tau_star = (st.J, st.tau_star) if which == "J" else (st.T, None)
+    return _context(pt, st.geo, J, cp.m, cp.n, reading, tau_star)
 
 
 # --- auxiliary tensors and operators -----------------------------------------

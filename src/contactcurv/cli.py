@@ -133,7 +133,7 @@ def load_manifold(path: str) -> ContactPairManifold:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     name = os.path.splitext(os.path.basename(path))[0]
     return manifold_from_dict(data, name)

@@ -298,19 +298,17 @@ def structure_at(cp: ContactPairManifold, point) -> StructureData:
     point order, and at one point a metric fault before a form fault.
     """
     stacked = rm.is_stack(point)
-    points = point if stacked else (point,)
     fields = (cp.alpha1.comps, cp.alpha2.comps, cp.z1.comps, cp.z2.comps)
     # forms and fields are walked before the metric: a fault there leaves later points unwarned
     try:
-        jets = rm.stacked_jets(fields, cp.chart, points)
+        values, derivs, hess = rm.field_jets(fields, cp.chart, point)
     except el.ExprError:
-        for pt in points:
+        for pt in point if stacked else (point,):
             rm.geometry_at(cp.metric, pt)
             rm.field_jets(fields, cp.chart, pt)
         raise
     geo = rm.geometry_at(cp.metric, point)
     g, ginv = geo.g, geo.ginv
-    values, derivs, hess = jets if stacked else (part[0] for part in jets)
 
     # d alpha and its partials come from the gradients and Hessians of the alphas
     a1, a2, z1, z2 = (values[..., f, :] for f in range(4))

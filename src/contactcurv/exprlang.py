@@ -17,8 +17,10 @@ folds only to a finite real value; any other (``10^400``, ``0^(-1)``,
 Expressions evaluate over any scalar algebra that supports the arithmetic
 operators and, for the named functions, either a method of the same name
 (jets) or the ``math`` module fallback (plain floats).  The evaluation walk
-is the same in both cases, so the value slot of a jet evaluation is
-bit-for-bit the plain evaluation.
+is the same in both cases, so the value slot of a jet evaluation at one
+point is bit-for-bit the plain evaluation.  Over a stack of points the jets
+use numpy's vectorized ``sin``, ``cos``, ``exp``, ``log`` and the like,
+which may differ from ``math`` in the last place.
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "log", "sqrt")
+
+# the recursive parse, walks and hashes of an expression stay below the
+# interpreter's recursion limit: the parser recurses up to five frames per
+# level of nesting of the source, and evaluation, free_names and the hash and
+# comparison of a cached manifold about two frames per level of the tree
+MAX_NESTING = 150
+MAX_DEPTH = 400
 
 BUILTIN_PARAMS = {"pi": math.pi}
 
@@ -196,6 +205,7 @@ class _Parser:
         self.source = source
         self.stream = list(_tokens(source))
         self.index = 0
+        self.nesting = 0
 
     @property
     def current(self) -> tuple[str, str, int]:
@@ -217,6 +227,9 @@ class _Parser:
         kind, text, offset = self.current
         if kind != "end":
             raise ExprSyntaxError(f"unexpected token {text!r}", offset)
+        # each node takes a token, so only a long source can make a high tree
+        if len(self.stream) > MAX_DEPTH and _height(e) > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression tree higher than {MAX_DEPTH} levels", 0)
         return e
 
     def expr(self) -> Expr:
@@ -236,10 +249,17 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
+        self.nesting += 1  # each parenthesis, call, sign and exponent nests a factor
+        if self.nesting > MAX_NESTING:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels",
+                                  self.current[2])
         if self.current[:2] == ("op", "-"):
             self.advance()
-            return neg(self.factor())
-        return self.power()
+            e = neg(self.factor())
+        else:
+            e = self.power()
+        self.nesting -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -278,8 +298,19 @@ class _Parser:
         raise ExprSyntaxError("expected a number, name or '('", offset)
 
 
+def _height(e: Expr) -> int:
+    """The height of the tree of ``e``, counted level by level, not by recursion."""
+    h, level = 0, [e]
+    while level:
+        h, level = h + 1, [c for n in level if not isinstance(n, (Const, Sym))
+                           for c in ((n.lhs, n.rhs) if isinstance(n, Bin) else (n.arg,))]
+    return h
+
+
 def parse(source: str) -> Expr:
-    """Parse ``source`` into an expression tree, folding literal arithmetic."""
+    """Parse ``source`` into an expression tree, folding literal arithmetic;
+    source nested deeper than :data:`MAX_NESTING` levels, or a tree higher
+    than :data:`MAX_DEPTH`, is a syntax error."""
     return _Parser(source).parse()
 
 

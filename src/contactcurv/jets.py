@@ -1,4 +1,4 @@
-"""Second-order forward-mode scalars.
+"""Second-order forward-mode scalars, at one point or over a stack of points.
 
 A :class:`Jet2` carries a value, a gradient and a symmetric Hessian with
 respect to the ``d`` chart coordinates.  Propagation through the arithmetic
@@ -6,6 +6,15 @@ operators and the function set of the expression language is the exact
 second-order Taylor rule, so polynomials up to degree two differentiate with
 no truncation error.  Everything is dense double precision; charts stay
 small (d <= ``riemann.MAX_DIM`` = 10).
+
+Over a stack of N points the three carry a leading point axis, ``(N,)``,
+``(N, d)`` and ``(N, d, d)``, and every rule broadcasts over it; a gradient
+or Hessian that is the same at every point, as a seed's is, leaves it out.
+At one point the value is a float and the functions are the ``math``
+module's; over a stack they are numpy's, which may differ in the last
+place.  Over a stack, a domain error or a division by a zero value at any
+point raises as at one point; an overflow leaves a non-finite entry, which
+:func:`riemann.field_jets` reports.
 """
 
 from __future__ import annotations
@@ -16,15 +25,28 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _per_point(x):
+    """``x`` as a factor of a gradient and of a Hessian, at one point or
+    over a stack."""
+    if isinstance(x, np.ndarray):
+        return x[:, None], x[:, None, None]
+    return x, x
+
+
+def _lib(x):
+    """numpy over a stack, ``math`` at one point."""
+    return np if isinstance(x, np.ndarray) else math
+
+
 @dataclass(eq=False)
 class Jet2:
-    val: float
-    grad: np.ndarray  # shape (d,)
-    hess: np.ndarray  # shape (d, d), symmetric
+    val: float        # or shape (N,) over a stack
+    grad: np.ndarray  # shape (d,) or (N, d)
+    hess: np.ndarray  # shape (d, d) or (N, d, d), symmetric
 
     @property
     def dim(self) -> int:
-        return self.grad.shape[0]
+        return self.grad.shape[-1]
 
     # construction ----------------------------------------------------------
 
@@ -33,68 +55,67 @@ class Jet2:
         return Jet2(float(value), np.zeros(d), np.zeros((d, d)))
 
     @staticmethod
-    def seed(coord_index: int, value: float, d: int) -> "Jet2":
-        """Jet of the coordinate function ``x_coord_index`` at ``value``."""
+    def seed(coord_index: int, value, d: int) -> "Jet2":
+        """Jet of the coordinate function ``x_coord_index`` at ``value``, a
+        number at one point or an ``(N,)`` array over a stack."""
         if not 0 <= coord_index < d:
             raise IndexError(f"coordinate index {coord_index} out of range for d={d}")
         grad = np.zeros(d)
         grad[coord_index] = 1.0
-        return Jet2(float(value), grad, np.zeros((d, d)))
+        val = value if isinstance(value, np.ndarray) else float(value)
+        return Jet2(val, grad, np.zeros((d, d)))
 
-    def _lift(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
-            if other.dim != self.dim:
-                raise ValueError("jet dimensions differ")
-            return other
-        return Jet2.constant(float(other), self.dim)
-
-    # arithmetic -------------------------------------------------------------
+    # arithmetic; a number operand is used as it is, not lifted to a jet -----
 
     def __add__(self, other):
-        o = self._lift(other)
-        return Jet2(self.val + o.val, self.grad + o.grad, self.hess + o.hess)
+        if isinstance(other, Jet2):
+            return Jet2(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+        return Jet2(self.val + other, self.grad, self.hess)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return Jet2(self.val - o.val, self.grad - o.grad, self.hess - o.hess)
+        if isinstance(other, Jet2):
+            return Jet2(self.val - other.val, self.grad - other.grad, self.hess - other.hess)
+        return Jet2(self.val - other, self.grad, self.hess)
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        return Jet2(other - self.val, -self.grad, -self.hess)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        cross = np.outer(self.grad, o.grad)
+        if not isinstance(other, Jet2):
+            return Jet2(self.val * other, self.grad * other, self.hess * other)
+        (sg, sh), (og, oh) = _per_point(self.val), _per_point(other.val)
+        cross = self.grad[..., :, None] * other.grad[..., None, :]
         return Jet2(
-            self.val * o.val,
-            self.grad * o.val + o.grad * self.val,
-            self.hess * o.val + o.hess * self.val + cross + cross.T,
+            self.val * other.val,
+            self.grad * og + other.grad * sg,
+            self.hess * oh + other.hess * sh + cross + cross.swapaxes(-1, -2),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o.val == 0.0:
+        if not isinstance(other, Jet2):
+            other = Jet2.constant(other, self.dim)
+        if np.any(other.val == 0.0):
             raise ZeroDivisionError("jet division by zero value")
-        q = self.val / o.val
-        grad = (self.grad - q * o.grad) / o.val
-        cross = np.outer(grad, o.grad)
-        hess = (self.hess - q * o.hess - cross - cross.T) / o.val
+        q = self.val / other.val
+        (qg, qh), (og, oh) = _per_point(q), _per_point(other.val)
+        grad = (self.grad - qg * other.grad) / og
+        cross = grad[..., :, None] * other.grad[..., None, :]
+        hess = (self.hess - qh * other.hess - cross - cross.swapaxes(-1, -2)) / oh
         return Jet2(q, grad, hess)
 
     def __rtruediv__(self, other):
-        return self._lift(other) / self
+        return Jet2.constant(other, self.dim) / self
 
     def __neg__(self):
         return Jet2(-self.val, -self.grad, -self.hess)
 
     def __pow__(self, exponent):
-        if isinstance(exponent, Jet2):
-            raise TypeError("jet exponents are not supported")
         c = float(exponent)
-        if self.val < 0.0 and c != int(c):
+        if np.any(self.val < 0.0) and c != int(c):
             raise ValueError("fractional power of a negative value")
         f1 = c * self.val ** (c - 1.0) if c != 0.0 else 0.0
         f2 = c * (c - 1.0) * self.val ** (c - 2.0) if c * (c - 1.0) != 0.0 else 0.0
@@ -102,38 +123,36 @@ class Jet2:
 
     # elementary functions ----------------------------------------------------
 
-    def _compose(self, f0: float, f1: float, f2: float) -> "Jet2":
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(f0, f1 * self.grad, f1 * self.hess + f2 * outer)
+    def _compose(self, f0, f1, f2) -> "Jet2":
+        (f1g, f1h), (_, f2h) = _per_point(f1), _per_point(f2)
+        outer = self.grad[..., :, None] * self.grad[..., None, :]
+        return Jet2(f0, f1g * self.grad, f1h * self.hess + f2h * outer)
 
     def sin(self) -> "Jet2":
-        s, c = math.sin(self.val), math.cos(self.val)
+        s, c = _lib(self.val).sin(self.val), _lib(self.val).cos(self.val)
         return self._compose(s, c, -s)
 
     def cos(self) -> "Jet2":
-        s, c = math.sin(self.val), math.cos(self.val)
+        s, c = _lib(self.val).sin(self.val), _lib(self.val).cos(self.val)
         return self._compose(c, -s, -c)
 
     def tan(self) -> "Jet2":
-        t = math.tan(self.val)
+        t = _lib(self.val).tan(self.val)
         sec2 = 1.0 + t * t
         return self._compose(t, sec2, 2.0 * t * sec2)
 
     def exp(self) -> "Jet2":
-        e = math.exp(self.val)
+        e = _lib(self.val).exp(self.val)
         return self._compose(e, e, e)
 
     def log(self) -> "Jet2":
-        if self.val <= 0.0:
+        if np.any(self.val <= 0.0):
             raise ValueError("math domain error")
         inv = 1.0 / self.val
-        return self._compose(math.log(self.val), inv, -inv * inv)
+        return self._compose(_lib(self.val).log(self.val), inv, -inv * inv)
 
     def sqrt(self) -> "Jet2":
-        if self.val < 0.0:
+        if np.any(self.val < 0.0):
             raise ValueError("math domain error")
-        r = math.sqrt(self.val)
+        r = _lib(self.val).sqrt(self.val)
         return self._compose(r, 0.5 / r, -0.25 / (r * r * r))
-
-    def __repr__(self) -> str:
-        return f"Jet2({self.val!r}, grad={self.grad!r})"

@@ -3,7 +3,8 @@
 The metric is a symmetric matrix of closed-form expressions.  Evaluating it
 over second-order jets yields g, dg and d2g exactly, from which Christoffel
 symbols, their first derivatives, and the curvature tensors follow by the
-coordinate formulas.
+coordinate formulas.  :func:`field_jets` is the one loop that walks
+expressions over jets, once per expression for a whole stack of points.
 
 Every array may carry a leading point axis: the same kernels evaluate one
 point or a stack of points at once, and a stack is given as a tuple of
@@ -68,10 +69,12 @@ class Chart:
     def param_env(self) -> dict[str, float]:
         return dict(self.params)
 
-    def jet_env(self, point: Sequence[float]) -> dict[str, object]:
+    def jet_env(self, point) -> dict[str, object]:
+        """The parameters, and each coordinate seeded once: at one point, or
+        over a stack of points with a leading point axis."""
         env: dict[str, object] = self.param_env()
-        for i, name in enumerate(self.coords):
-            env[name] = Jet2.seed(i, float(point[i]), self.dim)
+        for i, (name, x) in enumerate(zip(self.coords, np.asarray(point, dtype=float).T)):
+            env[name] = Jet2.seed(i, x, self.dim)
         return env
 
     def validate_expr(self, e: el.Expr) -> None:
@@ -178,40 +181,49 @@ def pointwise_sup(x: np.ndarray) -> np.ndarray:
 
 # --- field evaluation ---------------------------------------------------------
 
-def field_jets(comps, chart: Chart, point: Sequence[float]):
-    """Evaluate an array of expressions over second-order jets.
+def field_jets(comps, chart: Chart, point):
+    """Evaluate an array of expressions over second-order jets, at one point
+    or over a stack of points.
 
     Returns ``(values, derivs, hess)`` where ``derivs[m, ...] = d_m values[...]``
-    and ``hess[m, l, ...] = d_m d_l values[...]``.  This is the one loop that
-    walks expressions over jets.  A non-finite value or derivative raises
-    :class:`~contactcurv.exprlang.ExprEvalError` naming the point and the
-    expression of the first such entry.
+    and ``hess[m, l, ...] = d_m d_l values[...]``, each with a leading point
+    axis over a stack.  This is the one loop that walks expressions over
+    jets: each coordinate is seeded once and each expression is walked once
+    over the whole stack.  A non-finite value or derivative raises
+    :class:`~contactcurv.exprlang.ExprEvalError` naming the first such point
+    and, at that point, the expression of the first such entry.
     """
     arr = np.asarray(comps, dtype=object)
     d = chart.dim
     env = chart.jet_env(point)
+    lead = np.shape(point)[:-1]  # () at one point, (N,) over a stack
     # value, gradient and Hessian share one buffer, so one finiteness test
     # covers all three
-    out = np.zeros((1 + d + d * d,) + arr.shape)
-    values, derivs = out[0, ...], out[1:1 + d]
-    hess = out[1 + d:].reshape((d, d) + arr.shape)
+    out = np.zeros(lead + (1 + d + d * d, arr.size))
+    values, derivs = out[..., 0, :], out[..., 1:1 + d, :]
+    hess = out[..., 1 + d:, :].reshape(lead + (d, d, arr.size))
     # non-finite intermediates are caught by the finiteness test below, so
     # numpy's floating-point warnings would only repeat it
+    walked: dict[int, object] = {}  # an expression in several entries is walked once
     with np.errstate(all="ignore"):
-        for idx in np.ndindex(arr.shape):
-            jet = el.evaluate(arr[idx], env)
+        for k, e in enumerate(arr.flat):
+            jet = walked.get(id(e))
+            if jet is None:
+                jet = walked[id(e)] = el.evaluate(e, env)
             if isinstance(jet, Jet2):
-                values[idx] = jet.val
-                derivs[(slice(None),) + idx] = jet.grad
-                hess[(slice(None), slice(None)) + idx] = jet.hess
+                values[..., k] = jet.val
+                derivs[..., k] = jet.grad
+                hess[..., k] = jet.hess
             else:
-                values[idx] = jet
-    finite = np.isfinite(out).reshape(len(out), -1).all(axis=0)
+                values[..., k] = jet
+    finite = np.isfinite(out).all(axis=-2).reshape(-1)
     if not finite.all():
-        entry = arr.reshape(-1)[int(np.argmin(finite))]
+        p, k = divmod(int(np.argmin(finite)), arr.size)
         raise el.ExprEvalError(
-            f"non-finite value or derivative at {tuple(point)}", entry)
-    return values, derivs, hess
+            f"non-finite value or derivative at {tuple(point[p] if lead else point)}",
+            arr.flat[k])
+    return (values.reshape(lead + arr.shape), derivs.reshape(lead + (d,) + arr.shape),
+            hess.reshape(lead + (d, d) + arr.shape))
 
 
 def eval_field(comps, chart: Chart, point: Sequence[float]):
@@ -288,13 +300,6 @@ class PointGeometry:
         return PointGeometry(self.point, g, np.linalg.inv(g), c * self.dg, c * self.d2g)
 
 
-def stacked_jets(comps, chart: Chart, points: Sequence[Point]):
-    """:func:`field_jets` at each point in turn, stacked along a leading
-    point axis; a fault raises."""
-    return tuple(np.stack(parts)
-                 for parts in zip(*(field_jets(comps, chart, pt) for pt in points)))
-
-
 @lru_cache(maxsize=None)
 def geometry_at(metric: MetricField, point) -> PointGeometry:
     """Metric, Christoffel and curvature data at one chart point, or stacked
@@ -308,33 +313,21 @@ def geometry_at(metric: MetricField, point) -> PointGeometry:
     before it, as in a point-by-point run.
     """
     stacked = is_stack(point)
-    points = point if stacked else (point,)
-    d = metric.dim
-    upper = np.triu_indices(d)
     try:
-        values, derivs, hess = stacked_jets(np.asarray(metric.comps, dtype=object)[upper],
-                                            metric.chart, points)
-        g = np.zeros((len(points), d, d))
-        dg = np.zeros((len(points), d, d, d))
-        d2g = np.zeros((len(points), d, d, d, d))
-        for i, j in (upper, upper[::-1]):  # the upper triangle, then its mirror
-            g[:, i, j] = values
-            dg[:, :, i, j] = derivs
-            d2g[:, :, :, i, j] = hess
+        # each entry below the diagonal is the expression above it, walked once
+        g, dg, d2g = field_jets(metric.comps, metric.chart, point)
         np.linalg.cholesky(g)
     except (el.ExprError, np.linalg.LinAlgError) as err:
-        for pt in points if stacked else ():
+        for pt in point if stacked else ():
             geometry_at(metric, pt)  # raises at the first faulty point
         if isinstance(err, el.ExprError):
             raise
         raise MetricError(f"metric is not positive definite at {point}") from None
-    cond = np.linalg.cond(g)
+    cond = np.linalg.cond(g).reshape(-1)
     for k in np.flatnonzero(cond > CONDITION_LIMIT):
         warnings.warn(
-            f"metric condition number {cond[k]:.3e} at {points[k]}",
+            f"metric condition number {cond[k]:.3e} at {point[k] if stacked else point}",
             IllConditionedMetricWarning, stacklevel=2)
-    if not stacked:
-        g, dg, d2g = g[0], dg[0], d2g[0]
     return PointGeometry(point, g, np.linalg.inv(g), dg, d2g)
 
 

@@ -3,13 +3,18 @@
 The benchmark's tracer patches package attributes by name, and its worker
 reads the hit ratios of the two point caches through ``cache_info()``.  A
 refactor that renames or removes one of them would crash a traced benchmark
-run; this test makes it fail here first.  It loads the benchmark's modules
-by path and changes nothing under ``bench/``.
+run, and one that breaks a workload's correctness gate would fail its
+requests; these tests make both fail here first.  They load the benchmark's
+modules by path and change nothing under ``bench/``.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
+import pytest
+
+from contactcurv import cli
 from contactcurv import contactpair as cpm
 from contactcurv import riemann as rm
 
@@ -48,3 +53,21 @@ def test_the_point_caches_report_their_hits():
     caches = _load("worker").package_caches()
     for name in ("riemann.geometry_at", "contactpair.structure_at"):
         assert caches[name].cache_info().currsize >= 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_nested_hopf_tensor_queries_pass_their_gate(capsys, tmp_path, m):
+    # the inputs of the tensor_queries workload, d = 2m + 2 = 4 to 10, and
+    # its gate on bochner-j: the round model's scalar curvature and the
+    # 1e-6 bound on a vanishing tensor
+    inputs = _load("inputs")
+    points = inputs.seeded_points(0, 100 + m, 2 * m + 2, inputs.NESTED_HOPF_BOX, 2)
+    path = inputs.write_manifold(inputs.nested_hopf(m, points), str(tmp_path / "nh.json"))
+    for point in points:
+        at = ",".join(repr(v) for v in point)
+        code = cli.main(["tensor", path, "--what", "bochner-j", "--at", at,
+                         "--format", "json"])
+        summary = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert abs(summary["tau"] - 2.0 * m * (2 * m + 1)) <= 1e-9
+        assert summary["max_abs_component"] <= 1e-6

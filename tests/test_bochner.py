@@ -263,6 +263,16 @@ class TestBochnerAssembly:
         bm.bochner(bm.context(cp, cp.chart.sample_points[0]))
         assert sorted(calls) == ["phi_op", "psi_op"]
 
+    @pytest.mark.parametrize("key", CATALOG_KEYS)
+    def test_j_context_reads_tau_star_off_the_structure(self, key):
+        cp = catalog.resolve(key)
+        pts = cp.chart.sample_points
+        st = cpm.structure_at(cp, pts)
+        assert np.array_equal(bm.context(cp, pts).tau_star, st.tau_star)
+        # bit for bit the value a context computes for itself
+        own = bm._context(pts, st.geo, st.J, cp.m, cp.n, bm.DEFAULT_READING)
+        assert np.array_equal(own.tau_star, st.tau_star)
+
     def test_scalar_consistency_on_hopf(self):
         for m, key in ((1, "hopf:1"), (2, "hopf:2")):
             cp = catalog.resolve(key)

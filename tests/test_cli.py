@@ -306,16 +306,31 @@ def test_verify_all_validates_the_structure_once(capsys, monkeypatch, key, per_p
     assert all(c["passed"] for c in checks)
 
 
-@pytest.mark.parametrize("key, bochner_per_request", [
-    ("hopf:1", 2), ("hopf:2", 2), ("hopf:3", 2), ("hopf:4", 2),
-    ("sphere_product:1,1", 1), ("heisenberg_r", 1)])
-def test_verify_all_assembles_bochner_once_per_structure(capsys, monkeypatch, key,
-                                                         bochner_per_request):
+# Bochner assemblies of a verify --suite all: B_J, and on the Weyl-flat
+# entries B_J of the rescaled geometry as well
+BOCHNER_PER_REQUEST = [("hopf:1", 2), ("hopf:2", 2), ("hopf:3", 2), ("hopf:4", 2),
+                       ("sphere_product:1,1", 1), ("heisenberg_r", 1)]
+
+
+@pytest.mark.parametrize("key, bochner_per_request, points", [
+    pytest.param(key, count, points, id=f"{key}-{count}" + (f"-export-{points}" if points else ""))
+    for points in (None, 50) for key, count in BOCHNER_PER_REQUEST])
+def test_verify_all_assembles_bochner_once_per_structure(capsys, monkeypatch, tmp_path, key,
+                                                         bochner_per_request, points):
     # B_J once over the stack of points, plus B_J of the rescaled geometry
     # on the Weyl-flat entries; no second metric is walked over jets, and
-    # the jets are still walked once per point for the metric and once for
-    # the forms and fields
+    # the jets are walked once per request for the metric and once for the
+    # forms and fields, whatever the number of points
     _clear_package_caches()
+    target = key
+    if points:  # an export of the entry with seeded points from its sampling box
+        target = str(tmp_path / f"{key}.json")  # the stem names the catalog entry
+        run(capsys, "export", key, target)
+        data = json.loads(Path(target).read_text())
+        lo, hi = (-0.8, 0.8) if key == "heisenberg_r" else (0.3, 1.2)
+        data["sample_points"] = (lo + (hi - lo) * np.random.default_rng(points).random(
+            (points, data["dim"]))).tolist()
+        Path(target).write_text(json.dumps(data))
     calls = {"bochner": 0, "field_jets": 0}
 
     def counted(name, fn):
@@ -330,10 +345,32 @@ def test_verify_all_assembles_bochner_once_per_structure(capsys, monkeypatch, ke
     monkeypatch.setattr(bochner, "bochner", counted("bochner", bochner.bochner))
     monkeypatch.setattr(riemann, "field_jets", counted("field_jets", riemann.field_jets))
     monkeypatch.setattr(riemann, "conformal_rescale", refuse)
+    code, out, err = run(capsys, "verify", target, "--suite", "all", "--format", "json")
+    assert code == 0, err
+    assert len({tuple(c["point"]) for c in json.loads(out)["checks"] if c["point"]}) \
+        == (points or 5)
+    assert calls == {"bochner": bochner_per_request, "field_jets": 2}
+
+
+@pytest.mark.parametrize("key, bochner_per_request", BOCHNER_PER_REQUEST)
+def test_verify_all_contracts_the_star_of_j_once(capsys, monkeypatch, key,
+                                                 bochner_per_request):
+    # structure_at contracts the star of J once, and the context of B_J
+    # reuses its tau*; each Bochner assembly contracts two curvature
+    # combinations, and only the rescaled context of the conformal shift
+    # takes its own tau*
+    _clear_package_caches()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return star_contraction(*args)
+
+    star_contraction = contactpair.star_contraction
+    monkeypatch.setattr(contactpair, "star_contraction", counted)
     code, _, err = run(capsys, "verify", key, "--suite", "all")
     assert code == 0, err
-    points = len(catalog.resolve(key).chart.sample_points)
-    assert calls == {"bochner": bochner_per_request, "field_jets": 2 * points}
+    assert len(calls) == 1 + 2 * bochner_per_request + (bochner_per_request - 1)
 
 
 def _hopf1_variant(capsys, tmp_path, edit):
@@ -603,6 +640,71 @@ def test_literal_power_without_a_real_value_is_an_input_error(capsys, tmp_path,
                        *argv[1:])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+
+
+def _metric_entry(entry):
+    def edit(data):
+        data["metric"]["3,3"] = entry
+    return edit
+
+
+NESTED = "expression nested deeper than 150 levels"
+HIGH = "expression tree higher than 400 levels"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("(" * 5000 + "1" + ")" * 5000, NESTED), ("-" * 3000 + "1", NESTED),
+    ("1" + "+t" * 2999, HIGH),
+    # without the bound this one loads, then fails in the run, which hashes the tree
+    ("1 + 0.000001*(" + "+".join(["eta1"] * 600) + ")", HIGH),
+], ids=["parentheses", "signs", "sum-3000", "sum-600"])
+@pytest.mark.parametrize("argv", [["check"], ["verify", "--suite", "all"]])
+def test_deeply_nested_input_is_an_input_error(capsys, tmp_path, entry, message, argv):
+    path = _hopf1_variant(capsys, tmp_path, _metric_entry(entry))
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad manifold file: {message}")
+
+
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("entry, message", [
+    # the largest flat sum: 1 + c*(eta1 + ... + eta1) with 398 terms is a tree of height 400
+    ("1 + 0.000001*(" + "+".join(["eta1"] * 398) + ")", None),
+    ("1 + 0.000001*(" + "+".join(["eta1"] * 399) + ")", HIGH),
+    # 149 parentheses around a sum whose call nests once more: 151 levels with the top
+    ("(" * 149 + "1 + 0.001*sin(eta1)" + ")" * 149, NESTED),
+    ("(" * 148 + "1 + 0.001*sin(eta1)" + ")" * 148, None),
+], ids=["height-400", "height-401", "nesting-151", "nesting-150"])
+def test_nesting_at_the_bounds(capsys, tmp_path, entry, message):
+    # at the bounds every run-path parse, walk, hash and comparison of the
+    # tree stays below the recursion limit, here under the test runner's
+    # deeper stack as well; one level more is an input error
+    assert (exprlang.MAX_NESTING, exprlang.MAX_DEPTH) == (150, 400)
+    path = _hopf1_variant(capsys, tmp_path, _metric_entry(entry))
+    # the edited metric fails some clauses of check and verify, so they exit 1
+    for argv, runs in ((["check"], 1), (["verify"], 1), (["tensor", "--what", "weyl"], 0)):
+        _clear_package_caches()
+        code, _, err = run(capsys, argv[0], path, *argv[1:])
+        if message:
+            assert (code, len(err.splitlines())) == (2, 1)
+            assert err.startswith(f"error: bad manifold file: {message}")
+        else:
+            assert (code, err) == (runs, "")
 
 
 @pytest.mark.parametrize("argv", [["check"], ["verify"], ["tensor", "--what", "ricci"]])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactcurv import exprlang as el
+from contactcurv import riemann as rm
 from contactcurv.jets import Jet2
 
 from helpers import fd_gradient, fd_hessian, random_expr
@@ -123,3 +124,75 @@ def test_addition_and_multiplication_commute(a, b):
 def test_reassociation_stays_within_tolerance(a, b, c):
     assert _close((a + b) + c, a + (b + c))
     assert _close((a * b) * c, a * (b * c))
+
+
+# --- one walk over a stack of points against one walk per point ----------------
+
+NAMES = ["x", "y", "z"]
+PARAMS = {"p": 0.7, "q": -1.3}
+CHART = rm.Chart(coords=tuple(NAMES), params=tuple(PARAMS.items()))
+
+
+def _walk(e, points):
+    """evaluate ``e`` over jets seeded at one point, or at a stack of them."""
+    return el.evaluate(e, CHART.jet_env(points))
+
+
+def _parts(jet, n):
+    """value, gradient and Hessian of a walk, broadcast to n points."""
+    if not isinstance(jet, Jet2):
+        return np.full(n, jet), np.zeros((n, 3)), np.zeros((n, 3, 3))
+    return (np.broadcast_to(jet.val, (n,)), np.broadcast_to(jet.grad, (n, 3)),
+            np.broadcast_to(jet.hess, (n, 3, 3)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7]), st.booleans())
+def test_a_stacked_walk_matches_one_walk_per_point(seed, n, constant):
+    rng = np.random.default_rng(seed)
+    # a tree over parameters alone walks to a number at every point
+    e = random_expr(rng, list(PARAMS) if constant else NAMES, 4)
+    points = rng.uniform(-3.0, 3.0, (n, 3))
+    stacked = _parts(_walk(e, points), n)
+    for p, point in enumerate(points):
+        single = _walk(e, tuple(point))
+        assert not (constant and isinstance(single, Jet2))
+        val, grad, hess = _parts(single, 1)
+        scale = max(1.0, abs(val[0]), np.abs(grad).max(), np.abs(hess).max())
+        for mine, theirs in zip(stacked, (val, grad, hess)):
+            assert np.all(np.abs(mine[p] - theirs[0]) <= 1e-12 * scale)
+
+
+FAULTS = [
+    ("sqrt(x - 1)", 0.5),   # a square root of a negative value
+    ("log(x - 1)", 1.0),    # a logarithm of zero
+    ("1/(x - 1)", 1.0),     # a division by a zero jet
+    ("(x - 1)^0.5", 0.5),   # a fractional power of a negative value
+    ("sqrt(x - 1)", 1.0),   # a square root of zero, whose derivative divides by zero
+    ("(x - 1)^-2", 1.0),    # a zero to a negative power
+    ("x^300", 20.0),        # a power that overflows
+    ("exp(200*x)", 4.0),    # an exponential that overflows
+    ("sin(1e300*x^4)", 1e3),  # a sine of an infinite angle
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 7]), st.sampled_from(FAULTS))
+def test_a_fault_at_one_point_of_a_stack_raises_as_in_a_point_by_point_run(seed, n, fault):
+    # the stacked walk may leave an overflow in the stack; after any fault
+    # geometry_at runs the points again one at a time, so the first faulty
+    # point raises its own one-point error
+    source, bad_x = fault
+    rng = np.random.default_rng(seed)
+    e = el.add(random_expr(rng, NAMES, 3), el.parse(source))
+    metric = rm.MetricField.diagonal(CHART, [el.add(el.Const(3.0), el.Fn("sin", e)), 1.0, 1.0])
+    points = rng.uniform(1.5, 3.0, (n, 3))
+    points[int(rng.integers(n)), 0] = bad_x
+    stack = tuple(map(tuple, points.tolist()))
+    with pytest.raises(el.ExprEvalError) as one:
+        for point in stack:
+            rm.geometry_at(metric, point)
+    with pytest.raises(el.ExprEvalError) as stacked:
+        rm.geometry_at(metric, stack)
+    assert str(stacked.value) == str(one.value)
+    assert stacked.value.subexpr == one.value.subexpr
