@@ -245,8 +245,7 @@ def _conformal_shift(report: Report, cp: ContactPairManifold,
     rows = (("bochner_13_conformal_shift", "change of the (1,3) Bochner tensor under "
              "g -> e^{2f} g (constant factor: asserted invariant)",
              rm.pointwise_sup(shift), 1e-7),)
-    for p, pt in enumerate(points):
-        cpm.record_rows(report, rows, p, pt)
+    report.add_rows(points, rows)
 
 
 def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
@@ -322,8 +321,7 @@ def _theorem1(report: Report, cp: ContactPairManifold, expected: Mapping,
                       plane - reeb_plane_closed_form(m, n, tau), loose),
                      ("bochner_reeb_plane_expected", f"B_J(Z1,Z2,Z2,Z1) = {target}",
                       plane - target, loose))
-    for p, pt in enumerate(points):
-        cpm.record_rows(report, rows, p, pt)
+    report.add_rows(points, rows)
 
 
 def _quadratic_defect(x: np.ndarray, s: np.ndarray, value: float,
@@ -343,8 +341,7 @@ def _theorem2(report: Report, cp: ContactPairManifold, expected: Mapping,
               loosen(1e-8, tol)),) if flat else
             (("weyl_not_flat", "sup |W| stays above the control bound", sup, 1e-2,
               sup > 1e-2),))
-    for p, pt in enumerate(points):
-        cpm.record_rows(report, rows, p, pt)
+    report.add_rows(points, rows)
     if flat:
         c = math.exp(2.0 * math.log(2.0))  # f = log 2
         _conformal_shift(report, cp, points, b_j, c, DEFAULT_READING)
@@ -357,7 +354,7 @@ def run_suites(cp: ContactPairManifold, suites: Collection[str],
     """Run the requested suites of :data:`SUITES`, always in that order.
 
     Every stage evaluates its checks over the whole stack of points at once
-    and records them point by point.  The definitions report, over
+    and records them as rows over that stack.  The definitions report, over
     ``points`` at the loosened structure tolerance, is built once and gates
     the later stages.  It is emitted when requested, else only its failed
     records are.  ``expected`` is the catalog entry's expected-results table
@@ -369,8 +366,9 @@ def run_suites(cp: ContactPairManifold, suites: Collection[str],
                                   points=pts)
     if "definitions" in suites:
         report.extend(gate)
-    else:
-        report.checks.extend(gate.failures)
+    elif not gate.passed:
+        for c in gate.failures:
+            report.add(c.name, c.detail, c.value, c.tolerance, c.point, c.passed)
     if not gate.passed:
         return report
     if "lemmas" in suites:

@@ -183,15 +183,15 @@ def _sample_points(cp: ContactPairManifold, limit: Optional[int]):
     return cp.chart.sample_points[:limit]
 
 
-def _require_finite(numbers) -> None:
+def _require_finite(*arrays) -> None:
     """Curvature or residuals that overflow, or a non-finite coordinate that
     no field reads, are input errors where results leave the program."""
-    if not all(map(math.isfinite, numbers)):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise UsageError("a result or its point is not finite")
 
 
 def _emit(report: Report, fmt: str, points) -> int:
-    _require_finite([c.value for c in report.checks] + [v for p in points for v in p])
+    _require_finite(points, *(b.values for b in report.blocks))
     print(report.to_json() if fmt == "json" else report.to_text())
     return 0 if report.passed else 1
 

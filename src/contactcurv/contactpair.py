@@ -131,7 +131,7 @@ def pfaffian(a: np.ndarray) -> np.ndarray:
 
 def pair_clauses(pair_type: tuple[int, int], a1: np.ndarray, a2: np.ndarray,
                  dalpha1: np.ndarray, dalpha2: np.ndarray):
-    """Rows for :func:`record_rows`: the volume and vanishing-power clauses of
+    """Rows for :meth:`Report.add_rows`: the volume and vanishing-power clauses of
     type (m, n) over the leading axes.  (d alpha)^p has the coefficients
     p! Pf(d alpha[I, I]); alpha1 ^ (d alpha1)^m ^ alpha2 ^ (d alpha2)^n has
     m! n! [t^n] (Pf(d alpha1 + t d alpha2 + alpha1 ^ alpha2) - Pf(d alpha1 +
@@ -361,8 +361,8 @@ def check_contact_pair(cp: ContactPairManifold, point: Sequence[float]) -> Repor
     values, derivs, _ = rm.field_jets((cp.alpha1.comps, cp.alpha2.comps), cp.chart, pt)
     dalpha1, dalpha2 = _exterior(np.moveaxis(derivs, 1, 0), cp.dalpha_factor)
     report = Report(cp.name, cp.conventions())
-    record_rows(report, pair_clauses(cp.pair_type, values[:1], values[1:],
-                                     dalpha1[None], dalpha2[None]), 0, pt)
+    report.add_rows((pt,), pair_clauses(cp.pair_type, values[:1], values[1:],
+                                        dalpha1[None], dalpha2[None]))
     return report
 
 
@@ -382,18 +382,16 @@ def phi_sectional(st: StructureData, x: np.ndarray) -> np.ndarray:
 
 # --- validation and lemma suite ---------------------------------------------------
 
-def record_rows(report: Report, rows, p: int, pt: rm.Point) -> None:
-    """Record the values of ``rows`` (name, detail, values, tolerance and
-    optionally pass flags, else the tolerance decides) at point number ``p``."""
-    for row in rows:
-        report.add(row[0], row[1], row[2][p], row[3], pt, row[4][p] if len(row) > 4 else None)
+def _at(rows, p: int) -> list[tuple]:
+    """``rows`` cut to point number ``p`` of their stack."""
+    return [(*row[:2], row[2][p:p + 1], row[3], *(f[p:p + 1] for f in row[4:])) for row in rows]
 
 
 def validate_structure(cp: ContactPairManifold,
                        tolerance: float = STRUCTURE_TOL,
                        points: Optional[Sequence[rm.Point]] = None) -> Report:
-    """Definition-level invariants at every sample point, evaluated over the
-    stack of points and recorded point by point."""
+    """Definition-level invariants at every sample point, evaluated and
+    recorded over the stack of points."""
     report = Report(cp.name, cp.conventions())
     d = cp.dim
     m, n = cp.pair_type
@@ -447,14 +445,19 @@ def validate_structure(cp: ContactPairManifold,
          sup(nijenhuis_from(T, st.dT)), LEMMA_TOL),
     )
     pair = pair_clauses(cp.pair_type, st.a1, st.a2, st.dalpha1, st.dalpha2)
-    for p, pt in enumerate(pts):
-        record_rows(report, pair, p, pt)
-        fault = _foliation_fault(cp, pt, st.foliation_dims[p])
-        if fault is not None:
-            for clause in fault.clauses:
-                report.add(clause, str(fault), fault.defect, 0.0, pt, passed=False)
-            continue
-        record_rows(report, rows, p, pt)
+    try:
+        require_foliations(st)
+    except InvalidStructureError:  # then a fault replaces the rows at its point
+        for p, pt in enumerate(pts):
+            report.add_rows((pt,), _at(pair, p))
+            fault = _foliation_fault(cp, pt, st.foliation_dims[p])
+            if fault is None:
+                report.add_rows((pt,), _at(rows, p))
+            else:
+                for clause in fault.clauses:
+                    report.add(clause, str(fault), fault.defect, 0.0, pt, passed=False)
+        return report
+    report.add_rows(pts, pair + rows)
     return report
 
 
@@ -482,7 +485,7 @@ def lemma_checks(cp: ContactPairManifold, tolerance: float,
                  points: Sequence[rm.Point]) -> Report:
     """The identities of :func:`lemma_suite` over the stack of points, for
     points at which the structure has already passed
-    :func:`validate_structure`; recorded point by point."""
+    :func:`validate_structure`."""
     report = Report(cp.name, cp.conventions())
     pts = rm.as_point(points)
     if not pts:
@@ -593,6 +596,5 @@ def lemma_checks(cp: ContactPairManifold, tolerance: float,
          np.maximum(sup(rm.lie_derivative_metric(st.z1, st.dz1, geo)),
                     sup(rm.lie_derivative_metric(st.z2, st.dz2, geo))), tolerance),
     )
-    for p, pt in enumerate(pts):
-        record_rows(report, rows, p, pt)
+    report.add_rows(pts, rows)
     return report

@@ -1,7 +1,8 @@
 """Structured pass/fail records for verification runs.
 
-A report collects one record per check per sample point, each carrying the
-measured residual (or value), the tolerance it was held to, and the outcome.
+A report holds its checks as blocks of rows over a stack of sample points,
+each row one check with its residual (or value), tolerance and outcome at
+every point; its records are the blocks in order, each point by point.
 Serialization is deterministic: fixed key order, floats written through a
 lossless round-trip format so reports are diffable.
 """
@@ -10,11 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-# how json.dumps spells the floats that JSON itself has no literal for
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+import numpy as np
 
 
 @dataclass
@@ -37,37 +36,72 @@ class CheckRecord:
         }
 
 
-@dataclass
+class Block(NamedTuple):
+    """Rows of checks over one stack of points."""
+
+    points: tuple          # the stack; a point may be None
+    heads: tuple           # (name, detail, tolerance) of each row
+    values: np.ndarray     # [point, row]
+    passed: np.ndarray     # [point, row]
+
+
+@dataclass(eq=False)
 class Report:
     manifold: str
     conventions: dict = field(default_factory=dict)
-    checks: list[CheckRecord] = field(default_factory=list)
+    blocks: list[Block] = field(default_factory=list, init=False, repr=False)
+
+    def add_rows(self, points: Sequence, rows: Iterable[tuple]) -> None:
+        """Record ``rows``, each (name, detail, values, tolerance) or (name,
+        detail, values, tolerance, passed), over the stack ``points``, with
+        values[p] and passed[p] at points[p].  Without pass flags a row
+        passes where |value| <= tolerance, and everywhere when the tolerance
+        is None."""
+        rows = tuple(rows)
+        if not len(points) or not rows:
+            return
+        values = np.array([row[2] for row in rows], dtype=float)
+        values = values.reshape(len(rows), len(points)).T
+        passed = np.empty(values.shape, dtype=bool)
+        for r, row in enumerate(rows):
+            if len(row) > 4:
+                passed[:, r] = row[4]
+            else:
+                passed[:, r] = row[3] is None or np.abs(values[:, r]) <= row[3]
+        self.blocks.append(Block(tuple(points), tuple((row[0], row[1], row[3]) for row in rows),
+                                 values, passed))
 
     def add(self, name: str, detail: str, value: float, tolerance: Optional[float],
-            point: Optional[tuple] = None, passed: Optional[bool] = None) -> CheckRecord:
-        if passed is None:
-            passed = tolerance is None or abs(value) <= tolerance
-        rec = CheckRecord(name, detail, point, float(value), tolerance, bool(passed))
-        self.checks.append(rec)
-        return rec
+            point: Optional[tuple] = None, passed: Optional[bool] = None) -> None:
+        """Record one check at one point, as a block of one row."""
+        flags = () if passed is None else ((passed,),)
+        self.add_rows((point,), ((name, detail, (value,), tolerance, *flags),))
 
     def extend(self, other: "Report") -> None:
-        self.checks.extend(other.checks)
+        self.blocks.extend(other.blocks)
         for key, val in other.conventions.items():
             self.conventions.setdefault(key, val)
 
     @property
+    def checks(self) -> tuple[CheckRecord, ...]:
+        """Every check record, built from the rows on each access."""
+        return tuple(CheckRecord(name, detail, point, value, tol, ok) for b in self.blocks
+                     for point, values, passed in zip(b.points, b.values.tolist(),
+                                                      b.passed.tolist())
+                     for (name, detail, tol), value, ok in zip(b.heads, values, passed))
+
+    @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(b.passed.all() for b in self.blocks)
 
     @property
     def failures(self) -> list[CheckRecord]:
         return [c for c in self.checks if not c.passed]
 
     def summary(self) -> dict:
-        failed = len(self.failures)
-        return {"total": len(self.checks), "passed": len(self.checks) - failed,
-                "failed": failed}
+        total = sum(b.passed.size for b in self.blocks)
+        passed = sum(int(b.passed.sum()) for b in self.blocks)
+        return {"total": total, "passed": passed, "failed": total - passed}
 
     def to_dict(self) -> dict:
         return {
@@ -80,68 +114,54 @@ class Report:
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2)``, byte for byte.  With an
         indent, :mod:`json` runs its pure-Python encoder, so the check
-        records, nearly all of the output, are written directly."""
-        head = json.dumps({"manifold": self.manifold, "conventions": self.conventions,
-                           "summary": self.summary()}, indent=2)
-        checks = f"[{_records(self.checks)}\n  ]" if self.checks else "[]"
-        return f'{head[:-2]},\n  "checks": {checks}\n}}'
+        records, nearly all of the output, are written from the rows."""
+        top = json.dumps({"manifold": self.manifold, "conventions": self.conventions,
+                          "summary": self.summary()}, indent=2)
+        out = []
+        for b, points in zip(self.blocks, _point_texts(self.blocks, _json_point)):
+            rows = [(f'\n    {{\n      "name": {json.dumps(name)},\n      "detail": '
+                     f'{json.dumps(detail)},\n      "point": ',
+                     f',\n      "tolerance": {json.dumps(tol)},\n      "passed": ')
+                    for name, detail, tol in b.heads]
+            keys = [(head, point, tail) for point in points for head, tail in rows]
+            values = json.dumps(b.values.ravel().tolist())[1:-1].split(", ")
+            out += [f'{head}{point},\n      "value": {value}{tail}{"true" if ok else "false"}'
+                    '\n    }' for (head, point, tail), value, ok
+                    in zip(keys, values, b.passed.ravel().tolist())]
+        checks = f"[{','.join(out)}\n  ]" if out else "[]"
+        return f'{top[:-2]},\n  "checks": {checks}\n}}'
 
     def to_text(self) -> str:
         lines = [f"manifold: {self.manifold}"]
         if self.conventions:
             pairs = ", ".join(f"{k}={v}" for k, v in self.conventions.items())
             lines.append(f"conventions: {pairs}")
-        width = max((len(c.name) for c in self.checks), default=0)
-        for c in self.checks:
-            mark = "ok  " if c.passed else "FAIL"
-            at = "" if c.point is None else "  at " + _fmt_point(c.point)
-            tol = "" if c.tolerance is None else f"  (tol {c.tolerance:g})"
-            lines.append(f"  {mark} {c.name:<{width}}  {c.value: .3e}{tol}{at}")
+        width = max((len(name) for b in self.blocks for name, _, _ in b.heads), default=0)
+        for b, ats in zip(self.blocks, _point_texts(self.blocks, _fmt_at)):
+            rows = [(f"  FAIL {name:<{width}}  ", f"  ok   {name:<{width}}  ",
+                     "" if tol is None else f"  (tol {tol:g})") for name, _, tol in b.heads]
+            keys = [(row, at) for at in ats for row in rows]
+            lines += [f"{row[ok]}{value: .3e}{row[2]}{at}" for (row, at), value, ok
+                      in zip(keys, b.values.ravel().tolist(), b.passed.ravel().tolist())]
         s = self.summary()
         lines.append(f"{s['passed']}/{s['total']} checks passed")
         return "\n".join(lines)
 
 
-def _fmt_point(point: Iterable[float]) -> str:
-    return "(" + ", ".join(f"{v:.3g}" for v in point) + ")"
+def _point_texts(blocks: list[Block], fmt) -> list[list[str]]:
+    """``fmt`` of the points of each block, called once per point: keyed by
+    identity, since equal tuples such as (0.0,) and (-0.0,) are written
+    differently."""
+    texts = {id(p): p for b in blocks for p in b.points}
+    texts = {key: fmt(p) for key, p in texts.items()}
+    return [[texts[id(p)] for p in b.points] for b in blocks]
 
 
-# --- check records in the layout of json.dumps(indent=2) ------------------------
-
-def _scalar(v) -> str:
-    """One JSON scalar as json.dumps writes it."""
-    if isinstance(v, float):
-        text = float.__repr__(v)
-        return _NONFINITE.get(text, text)
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+def _fmt_at(point: Optional[Iterable[float]]) -> str:
+    return "" if point is None else "  at (" + ", ".join(f"{v:.3g}" for v in point) + ")"
 
 
-def _records(checks: list[CheckRecord]) -> str:
-    """The check records as items of the report's "checks" list."""
-    # the records of one point share its tuple, so its text is built once;
-    # keyed by identity, since equal tuples such as (0.0,) and (-0.0,) are
-    # written differently
-    points: dict[int, str] = {}
-    out = []
-    for c in checks:
-        point = points.get(id(c.point))
-        if point is None:
-            point = points[id(c.point)] = json.dumps(
-                c.to_dict()["point"], indent=2).replace("\n", "\n      ")
-        out.append(f'\n    {{\n      "name": {_scalar(c.name)},'
-                   f'\n      "detail": {_scalar(c.detail)},'
-                   f'\n      "point": {point},'
-                   f'\n      "value": {_scalar(c.value)},'
-                   f'\n      "tolerance": {_scalar(c.tolerance)},'
-                   f'\n      "passed": {_scalar(c.passed)}\n    }}')
-    return ",".join(out)
+def _json_point(point) -> str:
+    """A record's point as json.dumps writes it in the report."""
+    return "null" if point is None else json.dumps(list(point), indent=2).replace(
+        "\n", "\n      ")

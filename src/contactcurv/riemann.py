@@ -162,11 +162,18 @@ def is_stack(point) -> bool:
     return np.ndim(point[0]) == 1 if len(point) else np.ndim(point) == 2
 
 
+def _exact(point) -> bool:
+    return type(point) is tuple and set(map(type, point)) <= {float}
+
+
 def as_point(point) -> Union[Point, tuple[Point, ...]]:
-    """One point as a tuple of floats, or a stack of points as a tuple of them."""
+    """One point as a tuple of floats, or a stack of points as a tuple of
+    them; one that is so already is returned as it is, so that the stages of
+    a run share the tuples of its points."""
     if is_stack(point):
-        return tuple(tuple(float(v) for v in p) for p in point)
-    return tuple(float(v) for v in point)
+        exact = type(point) is tuple and all(map(_exact, point))
+        return point if exact else tuple(map(as_point, point))
+    return point if _exact(point) else tuple(float(v) for v in point)
 
 
 def point_scalar(x):

@@ -1,6 +1,6 @@
-"""Shared test utilities: safe random expressions, finite differences and a
+"""Shared test utilities: safe random expressions, finite differences, a
 dict-based wedge algebra that serves as the reference for the Pfaffian pair
-clauses.
+clauses, and the record-by-record reference for report rows.
 
 The random expression generator only produces trees whose domain is all of
 R^n (log and sqrt arguments are bounded below by 1, divisors bounded away
@@ -132,3 +132,11 @@ def pair_clauses_reference(pair_type, a1, a2, dalpha1, dalpha2) -> tuple[float, 
            .wedge(f_d2.power(n)))
     return (vol.coeff(tuple(range(len(a1)))), f_d1.power(m + 1).sup(),
             f_d2.power(n + 1).sup())
+
+
+def record_rows(report, rows, p: int, pt) -> None:
+    """Record the values of ``rows`` (name, detail, values, tolerance and
+    optionally pass flags, else the tolerance decides) at point number ``p``,
+    one ``Report.add`` per record: the reference for ``Report.add_rows``."""
+    for row in rows:
+        report.add(row[0], row[1], row[2][p], row[3], pt, row[4][p] if len(row) > 4 else None)

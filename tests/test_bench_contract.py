@@ -47,6 +47,16 @@ def test_the_tracer_installs_and_restores_every_patch():
     assert {(owner, attr): vars(owner)[attr] for owner, attr, _ in patches} == before
 
 
+def test_a_traced_verify_run_serializes_its_report(capsys):
+    # --trace 1 runs the CLI with every patch installed, Report.add included
+    tracer = _load("tracer").Tracer()
+    with tracer.installed():
+        code = cli.main(["verify", "hopf:1", "--points", "1", "--format", "json"])
+    assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
+    assert code == 0
+    assert any(span.name == "report.serialize" for span in tracer.spans)
+
+
 def test_the_point_caches_report_their_hits():
     for cache in (rm.geometry_at, cpm.structure_at):
         assert callable(cache.cache_info) and callable(cache.cache_clear)

@@ -629,6 +629,14 @@ def test_non_finite_result_is_an_input_error(capsys, tmp_path, edit, argv, fmt):
     assert all(w.category is riemann.IllConditionedMetricWarning for w in caught)
 
 
+@pytest.mark.parametrize("edit", [_huge_alpha1, _unread_infinite_coordinate])
+def test_output_check_reads_the_value_columns_and_the_points(capsys, tmp_path, edit):
+    # an overflowing residual, or a coordinate no field reads, is caught
+    # only where the report leaves the program
+    code, out, err = run(capsys, "check", _hopf1_variant(capsys, tmp_path, edit))
+    assert (code, out, err) == (2, "", "error: a result or its point is not finite\n")
+
+
 @pytest.mark.parametrize("entry", ["1 + 10^400", "1 + 0^(-1)", "1 + (-8)^(1/3)"])
 @pytest.mark.parametrize("argv", [["verify"], ["check"],
                                   ["tensor", "--what", "star-ricci"]])

@@ -1,7 +1,12 @@
-"""Report serialization: ``to_json`` writes what ``json.dumps(indent=2)`` writes."""
+"""Report serialization: ``to_json`` writes what ``json.dumps(indent=2)`` writes,
+and a report recorded as rows over a stack of points reads as the same
+report recorded one check at a time."""
 
+import dataclasses
 import json
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +14,8 @@ from hypothesis import strategies as st
 from contactcurv import bochner as bm
 from contactcurv import catalog
 from contactcurv.report import Report
+
+from helpers import record_rows
 
 
 def reference(report: Report) -> str:
@@ -55,3 +62,120 @@ def test_equal_points_of_distinct_signs_are_written_apart():
     report.add("b", "", 0.0, None, (-0.0,))
     assert report.to_json() == reference(report)
     assert '"point": [\n        -0.0\n      ]' in report.to_json()
+
+
+def same_reading(report: Report, oracle: Report) -> None:
+    """``report`` reads as ``oracle`` everywhere; records compare by repr, so
+    NaN equals NaN and -0.0 differs from 0.0."""
+    assert report.to_json() == oracle.to_json() == reference(report)
+    assert report.to_text() == oracle.to_text()
+    assert report.summary() == oracle.summary()
+    assert report.passed == oracle.passed
+    assert list(map(repr, report.failures)) == list(map(repr, oracle.failures))
+    assert list(map(repr, report.checks)) == list(map(repr, oracle.checks))
+
+
+points = st.lists(floats, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def blocks(draw, shared):
+    """Rows over a stack of points: float or int values (as phi_rank's), None
+    or float tolerances and, for some rows, explicit pass flags."""
+    stack = shared if shared is not None else tuple(draw(st.lists(points, min_size=1,
+                                                                  max_size=4)))
+    count = len(stack)
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        values = draw(st.one_of(
+            st.lists(floats, min_size=count, max_size=count).map(np.array),
+            st.lists(st.integers(-2 ** 31, 2 ** 31), min_size=count,
+                     max_size=count).map(np.array)))
+        row = (draw(text), draw(text), values, draw(st.one_of(st.none(), floats)))
+        if draw(st.booleans()):
+            row += (np.array(draw(st.lists(st.booleans(), min_size=count,
+                                           max_size=count))),)
+        rows.append(row)
+    return stack, tuple(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), manifold=text, shared=st.one_of(st.none(), st.lists(
+    points, min_size=1, max_size=4).map(tuple)))
+def test_drawn_rows_read_as_records_added_one_at_a_time(data, manifold, shared):
+    report, oracle = Report(manifold, {"k": 1}), Report(manifold, {"k": 1})
+    items = data.draw(st.lists(st.one_of(blocks(shared).map(lambda b: ("rows", b)),
+                                         records.map(lambda r: ("add", r))), max_size=5))
+    for kind, item in items:
+        if kind == "add":
+            report.add(*item)
+            oracle.add(*item)
+            continue
+        stack, rows = item
+        report.add_rows(stack, rows)
+        for p, pt in enumerate(stack):
+            record_rows(oracle, rows, p, pt)
+    same_reading(report, oracle)
+
+
+def test_every_stage_records_the_same_point_tuples():
+    # one stack per request, so each point's text is built once
+    cp = catalog.resolve("hopf:2")
+    report = bm.run_suites(cp, bm.SUITES, dict(catalog.entry("hopf:2").expected))
+    stacks = [b.points for b in report.blocks if b.points != (None,)]
+    assert len(stacks) == 5
+    assert all(stack is cp.chart.sample_points for stack in stacks)
+
+
+def _run(cp, suites, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the foliation-fault point is ill-conditioned
+        return bm.run_suites(cp, suites, expected)
+
+
+def _with_points(key, points):
+    cp = catalog.resolve(key)
+    return dataclasses.replace(cp, chart=dataclasses.replace(cp.chart, sample_points=points))
+
+
+def _dense_hopf2():
+    rng = np.random.default_rng(50)
+    return _with_points("hopf:2", tuple(map(tuple, (0.3 + 0.9 * rng.random((50, 6))).tolist())))
+
+
+def _foliation_fault():
+    # at eta1 = pi/2 d alpha1 vanishes to rounding, so the third point has a
+    # foliation fault and the definitions are recorded point by point
+    points = list(catalog.resolve("hopf:1").chart.sample_points[:4])
+    points.insert(2, (1.5707963267948966, 0.6, 0.5, 0.7))
+    return _with_points("hopf:1", tuple(points))
+
+
+@pytest.mark.parametrize("key, make", [(e.key, None) for e in catalog.ENTRIES]
+                         + [("hopf:2", _dense_hopf2), ("hopf:1", _foliation_fault)],
+                         ids=[e.key for e in catalog.ENTRIES] + ["hopf:2-50", "foliation"])
+def test_run_suites_rows_read_as_records_added_one_at_a_time(monkeypatch, key, make):
+    cp = make() if make else catalog.resolve(key)
+    expected = None if make is _foliation_fault else dict(catalog.entry(key).expected)
+    suites = ("definitions", "lemmas") if expected is None else bm.SUITES
+    report = _run(cp, suites, expected)
+
+    add_rows, inside = Report.add_rows, []
+
+    def record_by_record(self, points, rows):
+        if inside:  # the one-row block of one Report.add
+            return add_rows(self, points, rows)
+        inside.append(True)
+        try:
+            for p, pt in enumerate(points):
+                record_rows(self, tuple(rows), p, pt)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Report, "add_rows", record_by_record)
+    oracle = _run(cp, suites, expected)
+    assert all(len(b.points) == 1 for b in oracle.blocks)
+    assert len(report.checks) == len(oracle.checks) > len(report.blocks)
+    if make is _foliation_fault:
+        assert [c.name for c in report.failures] == ["volume_form", "foliation_dimensions"]
+    same_reading(report, oracle)
