@@ -21,6 +21,18 @@ is the same in both cases, so the value slot of a jet evaluation at one
 point is bit-for-bit the plain evaluation.  Over a stack of points the jets
 use numpy's vectorized ``sin``, ``cos``, ``exp``, ``log`` and the like,
 which may differ from ``math`` in the last place.
+
+Sharing.  :func:`parse` and :func:`as_expr` take an optional table, a dict
+that the caller creates and keeps for as long as one document is read.
+Every node a parse builds is looked up in it by its kind, its own fields
+and the ``id`` of its children, which are shared already, so an identical
+subtree is one object in every expression read through the same table;
+constants are keyed on ``float.hex``, so ``0.0`` and ``-0.0`` stay apart.
+The key is never a node's structural hash, which would walk its subtree.
+:func:`evaluate_all` walks a sequence of such expressions with one memo
+keyed on ``id``, so each distinct node is evaluated once per call;
+``evaluate(e, env)`` is ``evaluate_all((e,), env)[0]``.  Neither the table
+nor the memo outlives its call or caller.
 """
 
 from __future__ import annotations
@@ -28,14 +40,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
 # the recursive parse, walks and hashes of an expression stay below the
 # interpreter's recursion limit: the parser recurses up to five frames per
-# level of nesting of the source, and evaluation, free_names and the hash and
-# comparison of a cached manifold about two frames per level of the tree
+# level of nesting of the source, and evaluation and the hash and comparison
+# of a cached manifold about two frames per level of the tree
 MAX_NESTING = 150
 MAX_DEPTH = 400
 
@@ -200,12 +212,28 @@ def _tokens(source: str) -> Iterator[tuple[str, str, int]]:
     yield "end", "", len(source)
 
 
+def _share(e: Expr, table: dict) -> Expr:
+    """The node of ``table`` that is identical to ``e``, or ``e`` itself,
+    entered in it; the children of ``e`` must be shared already."""
+    kind = type(e)
+    if kind is Bin:
+        key = (e.op, id(e.lhs), id(e.rhs))
+    elif kind is Const:
+        key = ("c", e.value.hex())
+    elif kind is Sym:
+        key = ("s", e.name)
+    else:  # Neg, or Fn by its name
+        key = (e.name if kind is Fn else "neg", id(e.arg))
+    return table.setdefault(key, e)
+
+
 class _Parser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, table: dict):
         self.source = source
         self.stream = list(_tokens(source))
         self.index = 0
         self.nesting = 0
+        self.table = table
 
     @property
     def current(self) -> tuple[str, str, int]:
@@ -237,7 +265,7 @@ class _Parser:
         while self.current[:2] in (("op", "+"), ("op", "-")):
             op = self.advance()[1]
             rhs = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
+            e = _share(add(e, rhs) if op == "+" else sub(e, rhs), self.table)
         return e
 
     def term(self) -> Expr:
@@ -245,7 +273,7 @@ class _Parser:
         while self.current[:2] in (("op", "*"), ("op", "/")):
             op = self.advance()[1]
             rhs = self.factor()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
+            e = _share(mul(e, rhs) if op == "*" else div(e, rhs), self.table)
         return e
 
     def factor(self) -> Expr:
@@ -255,7 +283,7 @@ class _Parser:
                                   self.current[2])
         if self.current[:2] == ("op", "-"):
             self.advance()
-            e = neg(self.factor())
+            e = _share(neg(self.factor()), self.table)
         else:
             e = self.power()
         self.nesting -= 1
@@ -268,14 +296,14 @@ class _Parser:
             exponent = self.factor()
             if not isinstance(exponent, Const):
                 raise ExprSyntaxError("exponent must be a constant expression", offset)
-            return pow_(base, exponent)
+            return _share(pow_(base, exponent), self.table)
         return base
 
     def atom(self) -> Expr:
         kind, text, offset = self.current
         if kind == "number":
             self.advance()
-            return Const(float(text))
+            return _share(Const(float(text)), self.table)
         if kind == "name":
             self.advance()
             if self.current[:2] == ("op", "("):
@@ -288,8 +316,8 @@ class _Parser:
                     raise ExprSyntaxError(
                         f"function '{text}' takes one argument; expected ')'", o)
                 self.advance()
-                return Fn(text, arg)
-            return Sym(text)
+                return _share(Fn(text, arg), self.table)
+            return _share(Sym(text), self.table)
         if (kind, text) == ("op", "("):
             self.advance()
             e = self.expr()
@@ -307,21 +335,23 @@ def _height(e: Expr) -> int:
     return h
 
 
-def parse(source: str) -> Expr:
+def parse(source: str, table: Optional[dict] = None) -> Expr:
     """Parse ``source`` into an expression tree, folding literal arithmetic;
     source nested deeper than :data:`MAX_NESTING` levels, or a tree higher
-    than :data:`MAX_DEPTH`, is a syntax error."""
-    return _Parser(source).parse()
+    than :data:`MAX_DEPTH`, is a syntax error.  Nodes are shared through
+    ``table`` with every other parse given the same one."""
+    return _Parser(source, {} if table is None else table).parse()
 
 
-def as_expr(value: Union[Expr, str, float, int]) -> Expr:
+def as_expr(value: Union[Expr, str, float, int], table: Optional[dict] = None) -> Expr:
     if isinstance(value, (Const, Sym, Neg, Bin, Fn)):
         return value
     if isinstance(value, str):
-        return parse(value)
+        return parse(value, table)
     if isinstance(value, bool):
         raise ExprError(f"{value!r} is not a number or an expression")
-    return Const(float(value))
+    e = Const(float(value))
+    return e if table is None else _share(e, table)
 
 
 # --- evaluation ------------------------------------------------------------
@@ -341,6 +371,18 @@ def evaluate(e: Expr, env: Mapping[str, object]):
     value, sqrt of a negative value, division by zero) and overflow are
     reported with the offending subexpression.
     """
+    return evaluate_all((e,), env)[0]
+
+
+def evaluate_all(exprs: Iterable[Expr], env: Mapping[str, object]) -> list:
+    """:func:`evaluate` of each of ``exprs``, in order, with each distinct
+    node evaluated once: a node shared by several expressions, or several
+    times by one, is evaluated at its first occurrence and reused after."""
+    memo: dict[int, object] = {}
+    return [_walk(e, env, memo) for e in exprs]
+
+
+def _walk(e: Expr, env: Mapping[str, object], memo: dict[int, object]):
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Sym):
@@ -350,37 +392,44 @@ def evaluate(e: Expr, env: Mapping[str, object]):
             if e.name in BUILTIN_PARAMS:
                 return BUILTIN_PARAMS[e.name]
             raise ExprEvalError(f"unknown name '{e.name}'", e) from None
+    done = memo.get(id(e))  # every node is alive while exprs is, so ids are unique
+    if done is not None:
+        return done
     if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
-    if isinstance(e, Bin):
-        a = evaluate(e.lhs, env)
-        b = evaluate(e.rhs, env)
+        out = -_walk(e.arg, env, memo)
+    elif isinstance(e, Bin):
+        a = _walk(e.lhs, env, memo)
+        b = _walk(e.rhs, env, memo)
         try:
             if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                return a / b
-            # constant exponent by construction
-            if isinstance(a, float) and a < 0.0 and b != int(b):
-                raise ValueError("fractional power of a negative value")
-            return a ** b
+                out = a + b
+            elif e.op == "-":
+                out = a - b
+            elif e.op == "*":
+                out = a * b
+            elif e.op == "/":
+                out = a / b
+            else:
+                # constant exponent by construction
+                if isinstance(a, float) and a < 0.0 and b != int(b):
+                    raise ValueError("fractional power of a negative value")
+                out = a ** b
         except ZeroDivisionError:
             raise ExprEvalError("division by zero", e) from None
         except OverflowError:
             raise ExprEvalError("overflow", e) from None
         except ValueError as exc:
             raise ExprEvalError(str(exc), e) from None
-    if isinstance(e, Fn):
-        x = evaluate(e.arg, env)
+    elif isinstance(e, Fn):
+        x = _walk(e.arg, env, memo)
         try:
-            return _call(e.name, x)
+            out = _call(e.name, x)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ExprEvalError(f"{e.name}: {exc}", e) from None
-    raise TypeError(f"not an expression node: {e!r}")
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = out
+    return out
 
 
 # --- symbolic differentiation ----------------------------------------------
@@ -425,18 +474,27 @@ def derive(e: Expr, name: str) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def free_names(e: Expr) -> frozenset[str]:
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Sym):
-        return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return free_names(e.arg)
-    if isinstance(e, Bin):
-        return free_names(e.lhs) | free_names(e.rhs)
-    if isinstance(e, Fn):
-        return free_names(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+def free_names(e: Expr, seen: Optional[set[int]] = None) -> frozenset[str]:
+    """The names ``e`` reads, each distinct node visited once.  A node whose
+    ``id`` is in ``seen`` is skipped with its subtree, and each node visited
+    is added, so checking several expressions with one ``seen`` visits a
+    subtree they share once."""
+    seen = set() if seen is None else seen
+    names, todo = set(), [e]
+    while todo:
+        n = todo.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        if isinstance(n, Sym):
+            names.add(n.name)
+        elif isinstance(n, Bin):
+            todo += (n.lhs, n.rhs)
+        elif isinstance(n, (Neg, Fn)):
+            todo.append(n.arg)
+        elif not isinstance(n, Const):
+            raise TypeError(f"not an expression node: {n!r}")
+    return frozenset(names)
 
 
 # --- pretty printer ---------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -77,9 +77,12 @@ class Chart:
             env[name] = Jet2.seed(i, x, self.dim)
         return env
 
-    def validate_expr(self, e: el.Expr) -> None:
+    def validate_expr(self, e: el.Expr, seen: Optional[set[int]] = None) -> None:
+        """Raise on a name ``e`` reads that the chart does not declare; with
+        a ``seen`` shared over several expressions that are all kept, a
+        subtree they share is checked once (see :func:`exprlang.free_names`)."""
         declared = set(self.coords) | {name for name, _ in self.params} | {"pi"}
-        unknown = el.free_names(e) - declared
+        unknown = el.free_names(e, seen) - declared
         if unknown:
             raise el.ExprError(
                 f"undeclared names {sorted(unknown)} in '{el.to_source(e)}'")
@@ -88,11 +91,12 @@ class Chart:
 ExprLike = Union[el.Expr, str, float, int]
 
 
-def _expr_row(chart: Chart, comps: Iterable[ExprLike]) -> tuple[el.Expr, ...]:
-    out = []
+def _expr_row(chart: Chart, comps: Iterable[ExprLike],
+              table: Optional[dict] = None) -> tuple[el.Expr, ...]:
+    out, seen = [], set()
     for c in comps:
-        e = el.as_expr(c)
-        chart.validate_expr(e)
+        e = el.as_expr(c, table)
+        chart.validate_expr(e, seen)
         out.append(e)
     return tuple(out)
 
@@ -105,15 +109,18 @@ class MetricField:
     comps: tuple[tuple[el.Expr, ...], ...]
 
     @staticmethod
-    def from_entries(chart: Chart, entries: Mapping[tuple[int, int], ExprLike]) -> "MetricField":
-        """Build from the upper triangle; missing entries are zero."""
+    def from_entries(chart: Chart, entries: Mapping[tuple[int, int], ExprLike],
+                     table: Optional[dict] = None) -> "MetricField":
+        """Build from the upper triangle; missing entries are zero.  Strings
+        are parsed through ``table`` (see :func:`exprlang.parse`)."""
         d = chart.dim
         grid = [[el.ZERO] * d for _ in range(d)]
+        seen: set[int] = set()
         for (i, j), raw in entries.items():
             if not (0 <= i < d and 0 <= j < d):
                 raise IndexError(f"metric entry {(i, j)} outside a {d}-dim chart")
-            e = el.as_expr(raw)
-            chart.validate_expr(e)
+            e = el.as_expr(raw, table)
+            chart.validate_expr(e, seen)
             grid[i][j] = e
             grid[j][i] = e
         return MetricField(chart, tuple(tuple(row) for row in grid))
@@ -134,8 +141,9 @@ class VectorField:
     comps: tuple[el.Expr, ...]
 
     @staticmethod
-    def of(chart: Chart, comps: Iterable[ExprLike]) -> "VectorField":
-        return VectorField(chart, _expr_row(chart, comps))
+    def of(chart: Chart, comps: Iterable[ExprLike],
+           table: Optional[dict] = None) -> "VectorField":
+        return VectorField(chart, _expr_row(chart, comps, table))
 
 
 @dataclass(frozen=True)
@@ -144,8 +152,9 @@ class OneForm:
     comps: tuple[el.Expr, ...]
 
     @staticmethod
-    def of(chart: Chart, comps: Iterable[ExprLike]) -> "OneForm":
-        return OneForm(chart, _expr_row(chart, comps))
+    def of(chart: Chart, comps: Iterable[ExprLike],
+           table: Optional[dict] = None) -> "OneForm":
+        return OneForm(chart, _expr_row(chart, comps, table))
 
 
 @dataclass
@@ -195,8 +204,9 @@ def field_jets(comps, chart: Chart, point):
     Returns ``(values, derivs, hess)`` where ``derivs[m, ...] = d_m values[...]``
     and ``hess[m, l, ...] = d_m d_l values[...]``, each with a leading point
     axis over a stack.  This is the one loop that walks expressions over
-    jets: each coordinate is seeded once and each expression is walked once
-    over the whole stack.  A non-finite value or derivative raises
+    jets: each coordinate is seeded once, and each distinct subexpression
+    of all the entries is walked once over the whole stack
+    (:func:`exprlang.evaluate_all`).  A non-finite value or derivative raises
     :class:`~contactcurv.exprlang.ExprEvalError` naming the first such point
     and, at that point, the expression of the first such entry.
     """
@@ -211,18 +221,15 @@ def field_jets(comps, chart: Chart, point):
     hess = out[..., 1 + d:, :].reshape(lead + (d, d, arr.size))
     # non-finite intermediates are caught by the finiteness test below, so
     # numpy's floating-point warnings would only repeat it
-    walked: dict[int, object] = {}  # an expression in several entries is walked once
     with np.errstate(all="ignore"):
-        for k, e in enumerate(arr.flat):
-            jet = walked.get(id(e))
-            if jet is None:
-                jet = walked[id(e)] = el.evaluate(e, env)
-            if isinstance(jet, Jet2):
-                values[..., k] = jet.val
-                derivs[..., k] = jet.grad
-                hess[..., k] = jet.hess
-            else:
-                values[..., k] = jet
+        jets = el.evaluate_all(arr.flat, env)
+    for k, jet in enumerate(jets):
+        if isinstance(jet, Jet2):
+            values[..., k] = jet.val
+            derivs[..., k] = jet.grad
+            hess[..., k] = jet.hess
+        else:
+            values[..., k] = jet
     finite = np.isfinite(out).all(axis=-2).reshape(-1)
     if not finite.all():
         p, k = divmod(int(np.argmin(finite)), arr.size)

@@ -17,6 +17,7 @@ import pytest
 from contactcurv import cli
 from contactcurv import contactpair as cpm
 from contactcurv import riemann as rm
+from contactcurv.jets import Jet2
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -26,6 +27,13 @@ def _load(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _clear_package_caches():
+    # as the benchmark does before each request: warm point caches left by
+    # earlier tests would skip the jet walk a traced run must go through
+    for cache in _load("worker").package_caches().values():
+        cache.cache_clear()
 
 
 def test_every_traced_attribute_resolves():
@@ -50,11 +58,48 @@ def test_the_tracer_installs_and_restores_every_patch():
 def test_a_traced_verify_run_serializes_its_report(capsys):
     # --trace 1 runs the CLI with every patch installed, Report.add included
     tracer = _load("tracer").Tracer()
+    _clear_package_caches()
     with tracer.installed():
         code = cli.main(["verify", "hopf:1", "--points", "1", "--format", "json"])
     assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
     assert code == 0
     assert any(span.name == "report.serialize" for span in tracer.spans)
+    assert tracer.counts["jets.ops"] > 0
+
+
+def test_a_traced_tensor_query_prints_what_an_untraced_one_does(capsys, tmp_path):
+    # a d = 10 tensor_queries input, read from a file, walked under every patch
+    inputs = _load("inputs")
+    points = inputs.seeded_points(0, 104, 10, inputs.NESTED_HOPF_BOX, 1)
+    path = inputs.write_manifold(inputs.nested_hopf(4, points), str(tmp_path / "nh.json"))
+    argv = ["tensor", path, "--what", "bochner-j", "--format", "json"]
+    _clear_package_caches()
+    assert cli.main(argv) == 0
+    untraced = capsys.readouterr()
+    tracer = _load("tracer").Tracer()
+    _clear_package_caches()
+    with tracer.installed():
+        code = cli.main(argv)
+    assert code == 0
+    assert capsys.readouterr() == untraced
+    assert tracer.counts["jets.ops"] > 0
+
+
+def test_the_d10_nested_hopf_metric_walk_evaluates_each_subexpression_once(monkeypatch):
+    # the radii's products of sines and cosines repeat across the metric
+    # entries; read from one file they are shared, and walked once (452
+    # jet operations when every entry was walked as its own tree)
+    inputs = _load("inputs")
+    points = inputs.seeded_points(0, 104, 10, inputs.NESTED_HOPF_BOX, 1)
+    cp = cli.manifold_from_dict(inputs.nested_hopf(4, points), "nh")
+    ops = []
+    for op in _load("tracer").JET_OPS:
+        def counted(*args, _op=getattr(Jet2, op)):
+            ops.append(_op)
+            return _op(*args)
+        monkeypatch.setattr(Jet2, op, counted)
+    rm.field_jets(cp.metric.comps, cp.chart, points[0])
+    assert 0 < len(ops) <= 100
 
 
 def test_the_point_caches_report_their_hits():

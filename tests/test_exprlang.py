@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contactcurv import exprlang as el
+from contactcurv import riemann as rm
 from contactcurv.jets import Jet2
 
 from helpers import fd_gradient, random_expr
@@ -169,6 +170,86 @@ class TestPrinter:
 
 def test_free_names():
     assert el.free_names(el.parse("x*sin(y) + pi - 3")) == {"x", "y", "pi"}
+
+
+def test_free_names_skips_what_was_seen():
+    table, seen = {}, set()
+    assert el.free_names(el.parse("sin(x)*y", table), seen) == {"x", "y"}
+    assert el.free_names(el.parse("sin(x)*y + z", table), seen) == {"z"}
+
+
+class TestSharing:
+    NAMES = ["x", "y", "z"]
+    CHART = rm.Chart(coords=tuple(NAMES))
+
+    def test_one_table_makes_an_identical_subtree_one_node(self):
+        table = {}
+        a, b = el.parse("sin(x)*cos(y) + 1", table), el.parse("2*(sin(x)*cos(y))", table)
+        assert b.rhs is a.lhs
+        assert el.parse("sin(x)*cos(y) + 1") is not a  # no table is kept between calls
+        assert el.as_expr(1.5, table) is el.parse("1.5", table)
+
+    def test_signed_zeros_stay_two_constants(self):
+        table = {}
+        pos, neg = el.parse("sin(0.0)", table), el.parse("sin(-0.0)", table)
+        assert isinstance(pos.arg, el.Const) and isinstance(neg.arg, el.Const)
+        assert pos.arg is not neg.arg and pos is not neg
+        values = el.evaluate_all((pos, neg, pos.arg, neg.arg), {})
+        assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0, 1.0, -1.0]
+        assert values == [0.0, -0.0, 0.0, -0.0]
+
+    def _sources(self, rng):
+        a, b, c = (el.to_source(random_expr(rng, self.NAMES, 3)) for _ in range(3))
+        return [a, f"({a})*({b})", f"sin({a}) + ({c})", f"({b})/(2 + cos({c}))", b, c]
+
+    @staticmethod
+    def _distinct(exprs):
+        seen, todo = {}, list(exprs)
+        while todo:
+            n = todo.pop()
+            if id(n) not in seen:
+                seen[id(n)] = n
+                todo += [getattr(n, f) for f in ("arg", "lhs", "rhs") if hasattr(n, f)]
+        return len(seen)
+
+    @pytest.mark.parametrize("count", [None, 5])
+    def test_sharing_changes_no_number(self, count):
+        rng = np.random.default_rng(23 + (count or 0))
+        for _ in range(25):
+            sources = self._sources(rng)
+            table = {}
+            shared = [el.parse(src, table) for src in sources]
+            separate = [el.parse(src) for src in sources]
+            assert self._distinct(shared) < self._distinct(separate)
+            assert shared == separate
+            point = rng.uniform(0.3, 1.0, (count, 3) if count else 3)
+            point = tuple(map(tuple, point)) if count else tuple(point)
+            together = rm.field_jets(shared, self.CHART, point)
+            for k, e in enumerate(separate):
+                alone = rm.field_jets([e], self.CHART, point)
+                for mine, theirs in zip(together, alone):
+                    assert mine[..., k].tobytes() == theirs[..., 0].tobytes()
+            env = dict(zip(self.NAMES, map(float, np.atleast_2d(point)[0])))
+            plain = [el.evaluate(e, env).hex() for e in separate]
+            assert [v.hex() for v in el.evaluate_all(shared, env)] == plain
+
+    @pytest.mark.parametrize("fault", ["log(x - 10)", "sqrt(y - 10)", "1/(z - z)"])
+    def test_sharing_changes_no_error(self, fault):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            sources = self._sources(rng)
+            sources.insert(3, f"({sources[0]}) + {fault}")
+            table = {}
+            shared = [el.parse(src, table) for src in sources]
+            separate = [el.parse(src) for src in sources]
+            point = tuple(map(float, rng.uniform(0.3, 1.0, 3)))
+            for env in (dict(zip(self.NAMES, point)), self.CHART.jet_env(point)):
+                with pytest.raises(el.ExprEvalError) as together:
+                    el.evaluate_all(shared, env)
+                with pytest.raises(el.ExprEvalError) as alone:
+                    for e in separate:
+                        el.evaluate(e, env)
+                assert str(together.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("source, x", [("exp(1000*x)", 1.0), ("1 + x^400", 30.0)])
