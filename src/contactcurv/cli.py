@@ -103,20 +103,23 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
         if any(len(p) != dim for p in points):
             raise UsageError("sample points must have one value per coordinate")
         chart = rm.Chart(coords=coords, params=params, sample_points=points)
-        table: dict = {}  # an identical subtree anywhere in the file is one node
+        # an identical subtree anywhere in the file is one node, and its
+        # names are checked once
+        table: dict = {}
+        seen: set[int] = set()
         entries = {}
         for key, src in _object(data["metric"], "metric").items():
             i, j = (int(part) for part in key.split(","))
             entries[(i, j)] = src
-        metric = rm.MetricField.from_entries(chart, entries, table)
+        metric = rm.MetricField.from_entries(chart, entries, table, seen)
         for field in ("alpha1", "alpha2", "Z1", "Z2"):
             if len(data[field]) != dim:
                 raise ValueError(f"{field} has {len(data[field])} entries, "
                                  f"chart has dim {dim}")
-        alpha1 = rm.OneForm.of(chart, data["alpha1"], table)
-        alpha2 = rm.OneForm.of(chart, data["alpha2"], table)
-        z1 = rm.VectorField.of(chart, data["Z1"], table)
-        z2 = rm.VectorField.of(chart, data["Z2"], table)
+        alpha1 = rm.OneForm.of(chart, data["alpha1"], table, seen)
+        alpha2 = rm.OneForm.of(chart, data["alpha2"], table, seen)
+        z1 = rm.VectorField.of(chart, data["Z1"], table, seen)
+        z2 = rm.VectorField.of(chart, data["Z2"], table, seen)
         m, n = (_count(v, "type entry") for v in data["type"])
         if 2 * m + 2 * n + 2 != dim:
             raise UsageError(f"type {m, n} is inconsistent with dim={dim}")

@@ -10,9 +10,11 @@ Grammar (ASCII source)::
 
 Functions are ``sin cos tan exp log sqrt``, one argument each.  ``pi`` is a
 built-in named constant.  Exponents must fold to a numeric constant; this
-keeps symbolic differentiation of powers single-branch.  A literal power
-folds only to a finite real value; any other (``10^400``, ``0^(-1)``,
-``(-8)^(1/3)``) stays unfolded and fails at evaluation.
+keeps symbolic differentiation of powers single-branch.  A number literal
+that overflows a double (``1e999``) is a syntax error, and literal
+arithmetic folds only to a finite real value; any other (``10^400``,
+``1e308*10``, ``0^(-1)``, ``(-8)^(1/3)``) stays unfolded, and evaluation or
+the finiteness check of a jet walk reports it with its source.
 
 Expressions evaluate over any scalar algebra that supports the arithmetic
 operators and, for the named functions, either a method of the same name
@@ -29,6 +31,9 @@ and the ``id`` of its children, which are shared already, so an identical
 subtree is one object in every expression read through the same table;
 constants are keyed on ``float.hex``, so ``0.0`` and ``-0.0`` stay apart.
 The key is never a node's structural hash, which would walk its subtree.
+The parser looks a key up before it builds the node: a key is in the table
+only if the same smart constructor, given the same shared children, made
+that very node before, so a repeated subtree costs a lookup, not a node.
 :func:`evaluate_all` walks a sequence of such expressions with one memo
 keyed on ``id``, so each distinct node is evaluated once per call;
 ``evaluate(e, env)`` is ``evaluate_all((e,), env)[0]``.  Neither the table
@@ -40,14 +45,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
 # the recursive parse, walks and hashes of an expression stay below the
-# interpreter's recursion limit: the parser recurses up to five frames per
-# level of nesting of the source, and evaluation and the hash and comparison
-# of a cached manifold about two frames per level of the tree
+# interpreter's recursion limit: the parser recurses up to two frames per
+# level of nesting of the source (a run of signs takes none), and evaluation
+# and the hash and comparison of a cached manifold about two frames per level
+# of the tree
 MAX_NESTING = 150
 MAX_DEPTH = 400
 
@@ -112,9 +118,15 @@ ONE = Const(1.0)
 
 # --- smart constructors (constant folding only, no CAS ambitions) ----------
 
+def _fold(value: float, op: str, a: Const, b: Const) -> Expr:
+    """``value``, the result of ``a op b``, as a constant if it is finite;
+    a non-finite one stays unfolded, so that the error it causes shows the source."""
+    return Const(value) if math.isfinite(value) else Bin(op, a, b)
+
+
 def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+        return _fold(a.value + b.value, "+", a, b)
     if isinstance(a, Const) and a.value == 0.0:
         return b
     if isinstance(b, Const) and b.value == 0.0:
@@ -124,7 +136,7 @@ def add(a: Expr, b: Expr) -> Expr:
 
 def sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+        return _fold(a.value - b.value, "-", a, b)
     if isinstance(b, Const) and b.value == 0.0:
         return a
     if isinstance(a, Const) and a.value == 0.0:
@@ -134,7 +146,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 def mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+        return _fold(a.value * b.value, "*", a, b)
     if isinstance(a, Const):
         if a.value == 0.0:
             return ZERO
@@ -150,7 +162,7 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 def div(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return Const(a.value / b.value)
+        return _fold(a.value / b.value, "/", a, b)
     if isinstance(a, Const) and a.value == 0.0:
         return ZERO
     if isinstance(b, Const) and b.value == 1.0:
@@ -188,28 +200,15 @@ def neg(a: Expr) -> Expr:
 
 # --- tokenizer and parser --------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>[-+*/^()])
-  | (?P<ws>\s+)
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokens(source: str) -> Iterator[tuple[str, str, int]]:
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {source[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            yield kind, m.group(), pos
-        pos = m.end()
-    yield "end", "", len(source)
+# a number, a name, or any other character that is not whitespace: an
+# operator, or a character no token starts with, which only a failed parse
+# looks for (see _syntax_error)
+_TOKEN_RE = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+                       r"|[A-Za-z_][A-Za-z0-9_]*|\S")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NUMBER_START = frozenset("0123456789.")
+_ONE_CHAR_TOKENS = _NAME_START | _NUMBER_START - {"."} | frozenset("+-*/^()")
+_BINARY = {"+": add, "-": sub, "*": mul, "/": div}
 
 
 def _share(e: Expr, table: dict) -> Expr:
@@ -227,103 +226,91 @@ def _share(e: Expr, table: dict) -> Expr:
     return table.setdefault(key, e)
 
 
-class _Parser:
-    def __init__(self, source: str, table: dict):
-        self.source = source
-        self.stream = list(_tokens(source))
-        self.index = 0
-        self.nesting = 0
-        self.table = table
+class _Fault(Exception):
+    """A syntax error at a token index, made an :class:`ExprSyntaxError`
+    with its offset by :func:`_syntax_error`."""
 
-    @property
-    def current(self) -> tuple[str, str, int]:
-        return self.stream[self.index]
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.stream[self.index]
-        self.index += 1
-        return tok
+def _syntax_error(source: str, message: str, index: int) -> ExprSyntaxError:
+    """The error of a failed parse: the first character of ``source`` that
+    starts no token, if there is one, else ``message`` at the offset of
+    token ``index`` (the end of the source past the last token)."""
+    offset = len(source)
+    for k, m in enumerate(_TOKEN_RE.finditer(source)):
+        text = m.group()
+        if len(text) == 1 and text not in _ONE_CHAR_TOKENS:
+            return ExprSyntaxError(f"unexpected character {text!r}", m.start())
+        if k == index:
+            offset = m.start()
+    return ExprSyntaxError(message, offset)
 
-    def expect_op(self, op: str) -> None:
-        kind, text, offset = self.current
-        if kind != "op" or text != op:
-            raise ExprSyntaxError(f"expected '{op}'", offset)
-        self.advance()
 
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, text, offset = self.current
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected token {text!r}", offset)
-        # each node takes a token, so only a long source can make a high tree
-        if len(self.stream) > MAX_DEPTH and _height(e) > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression tree higher than {MAX_DEPTH} levels", 0)
-        return e
+def _sum(tokens: list[str], i: int, table: dict, nesting: int) -> tuple[Expr, int]:
+    """``expr`` from token ``i``, with each ``term`` parsed in place: the
+    node and the index of the token after it."""
+    total = op = None
+    while True:
+        e, i = _factor(tokens, i, table, nesting)
+        t = tokens[i]
+        while t == "*" or t == "/":
+            rhs, i = _factor(tokens, i + 1, table, nesting)
+            e = table.get((t, id(e), id(rhs))) or _share(_BINARY[t](e, rhs), table)
+            t = tokens[i]
+        if total is not None:
+            e = table.get((op, id(total), id(e))) or _share(_BINARY[op](total, e), table)
+        if t != "+" and t != "-":
+            return e, i
+        total, op, i = e, t, i + 1
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.current[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            rhs = self.term()
-            e = _share(add(e, rhs) if op == "+" else sub(e, rhs), self.table)
-        return e
 
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.current[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            rhs = self.factor()
-            e = _share(mul(e, rhs) if op == "*" else div(e, rhs), self.table)
-        return e
-
-    def factor(self) -> Expr:
-        self.nesting += 1  # each parenthesis, call, sign and exponent nests a factor
-        if self.nesting > MAX_NESTING:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels",
-                                  self.current[2])
-        if self.current[:2] == ("op", "-"):
-            self.advance()
-            e = _share(neg(self.factor()), self.table)
+def _factor(tokens: list[str], i: int, table: dict, nesting: int) -> tuple[Expr, int]:
+    """``factor`` from token ``i``: the node and the index of the token
+    after it.  Each sign, parenthesis, call and exponent nests a factor."""
+    signs = 0
+    while True:
+        nesting += 1
+        if nesting > MAX_NESTING:
+            raise _Fault(f"expression nested deeper than {MAX_NESTING} levels", i)
+        t = tokens[i]
+        if t != "-":
+            break
+        signs += 1
+        i += 1
+    c = t[:1]
+    i += 1
+    if c in _NAME_START:
+        if tokens[i] != "(":
+            e = table.get(("s", t)) or table.setdefault(("s", t), Sym(t))
+        elif t not in FUNCTION_NAMES:
+            raise _Fault(f"unknown function '{t}'", i - 1)
         else:
-            e = self.power()
-        self.nesting -= 1
-        return e
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.current[:2] == ("op", "^"):
-            _, _, offset = self.advance()
-            exponent = self.factor()
-            if not isinstance(exponent, Const):
-                raise ExprSyntaxError("exponent must be a constant expression", offset)
-            return _share(pow_(base, exponent), self.table)
-        return base
-
-    def atom(self) -> Expr:
-        kind, text, offset = self.current
-        if kind == "number":
-            self.advance()
-            return _share(Const(float(text)), self.table)
-        if kind == "name":
-            self.advance()
-            if self.current[:2] == ("op", "("):
-                if text not in FUNCTION_NAMES:
-                    raise ExprSyntaxError(f"unknown function '{text}'", offset)
-                self.advance()
-                arg = self.expr()
-                k, t, o = self.current
-                if (k, t) != ("op", ")"):
-                    raise ExprSyntaxError(
-                        f"function '{text}' takes one argument; expected ')'", o)
-                self.advance()
-                return _share(Fn(text, arg), self.table)
-            return _share(Sym(text), self.table)
-        if (kind, text) == ("op", "("):
-            self.advance()
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ExprSyntaxError("expected a number, name or '('", offset)
+            arg, i = _sum(tokens, i + 1, table, nesting)
+            if tokens[i] != ")":
+                raise _Fault(f"function '{t}' takes one argument; expected ')'", i)
+            i += 1
+            e = table.get((t, id(arg))) or table.setdefault((t, id(arg)), Fn(t, arg))
+    elif t == "(":
+        e, i = _sum(tokens, i, table, nesting)
+        if tokens[i] != ")":
+            raise _Fault("expected ')'", i)
+        i += 1
+    elif c in _NUMBER_START and t != ".":
+        value = float(t)
+        if not math.isfinite(value):
+            raise _Fault(f"number {t!r} is out of range", i - 1)
+        key = ("c", value.hex())
+        e = table.get(key) or table.setdefault(key, Const(value))
+    else:
+        raise _Fault("expected a number, name or '('", i - 1)
+    if tokens[i] == "^":
+        exponent, j = _factor(tokens, i + 1, table, nesting)
+        if type(exponent) is not Const:
+            raise _Fault("exponent must be a constant expression", i)
+        e = table.get(("^", id(e), id(exponent))) or _share(pow_(e, exponent), table)
+        i = j
+    for _ in range(signs):
+        e = table.get(("neg", id(e))) or _share(neg(e), table)
+    return e, i
 
 
 def _height(e: Expr) -> int:
@@ -340,7 +327,18 @@ def parse(source: str, table: Optional[dict] = None) -> Expr:
     source nested deeper than :data:`MAX_NESTING` levels, or a tree higher
     than :data:`MAX_DEPTH`, is a syntax error.  Nodes are shared through
     ``table`` with every other parse given the same one."""
-    return _Parser(source, {} if table is None else table).parse()
+    tokens = _TOKEN_RE.findall(source)
+    tokens.append("")  # the end of the source
+    try:
+        e, i = _sum(tokens, 0, {} if table is None else table, 0)
+        if tokens[i]:
+            raise _Fault(f"unexpected token {tokens[i]!r}", i)
+    except _Fault as fault:
+        raise _syntax_error(source, *fault.args) from None
+    # each node takes a token, so only a long source can make a high tree
+    if len(tokens) > MAX_DEPTH and _height(e) > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression tree higher than {MAX_DEPTH} levels", 0)
+    return e
 
 
 def as_expr(value: Union[Expr, str, float, int], table: Optional[dict] = None) -> Expr:

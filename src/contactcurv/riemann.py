@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -77,12 +77,16 @@ class Chart:
             env[name] = Jet2.seed(i, x, self.dim)
         return env
 
+    @cached_property
+    def declared_names(self) -> frozenset[str]:
+        """The names an expression on the chart may read."""
+        return frozenset(self.coords).union((name for name, _ in self.params), ("pi",))
+
     def validate_expr(self, e: el.Expr, seen: Optional[set[int]] = None) -> None:
         """Raise on a name ``e`` reads that the chart does not declare; with
         a ``seen`` shared over several expressions that are all kept, a
         subtree they share is checked once (see :func:`exprlang.free_names`)."""
-        declared = set(self.coords) | {name for name, _ in self.params} | {"pi"}
-        unknown = el.free_names(e, seen) - declared
+        unknown = el.free_names(e, seen) - self.declared_names
         if unknown:
             raise el.ExprError(
                 f"undeclared names {sorted(unknown)} in '{el.to_source(e)}'")
@@ -91,9 +95,9 @@ class Chart:
 ExprLike = Union[el.Expr, str, float, int]
 
 
-def _expr_row(chart: Chart, comps: Iterable[ExprLike],
-              table: Optional[dict] = None) -> tuple[el.Expr, ...]:
-    out, seen = [], set()
+def _expr_row(chart: Chart, comps: Iterable[ExprLike], table: Optional[dict] = None,
+              seen: Optional[set[int]] = None) -> tuple[el.Expr, ...]:
+    out, seen = [], set() if seen is None else seen
     for c in comps:
         e = el.as_expr(c, table)
         chart.validate_expr(e, seen)
@@ -110,12 +114,14 @@ class MetricField:
 
     @staticmethod
     def from_entries(chart: Chart, entries: Mapping[tuple[int, int], ExprLike],
-                     table: Optional[dict] = None) -> "MetricField":
+                     table: Optional[dict] = None,
+                     seen: Optional[set[int]] = None) -> "MetricField":
         """Build from the upper triangle; missing entries are zero.  Strings
-        are parsed through ``table`` (see :func:`exprlang.parse`)."""
+        are parsed through ``table`` (see :func:`exprlang.parse`), and the
+        names are checked with ``seen`` (see :meth:`Chart.validate_expr`)."""
         d = chart.dim
         grid = [[el.ZERO] * d for _ in range(d)]
-        seen: set[int] = set()
+        seen = set() if seen is None else seen
         for (i, j), raw in entries.items():
             if not (0 <= i < d and 0 <= j < d):
                 raise IndexError(f"metric entry {(i, j)} outside a {d}-dim chart")
@@ -141,9 +147,9 @@ class VectorField:
     comps: tuple[el.Expr, ...]
 
     @staticmethod
-    def of(chart: Chart, comps: Iterable[ExprLike],
-           table: Optional[dict] = None) -> "VectorField":
-        return VectorField(chart, _expr_row(chart, comps, table))
+    def of(chart: Chart, comps: Iterable[ExprLike], table: Optional[dict] = None,
+           seen: Optional[set[int]] = None) -> "VectorField":
+        return VectorField(chart, _expr_row(chart, comps, table, seen))
 
 
 @dataclass(frozen=True)
@@ -152,9 +158,9 @@ class OneForm:
     comps: tuple[el.Expr, ...]
 
     @staticmethod
-    def of(chart: Chart, comps: Iterable[ExprLike],
-           table: Optional[dict] = None) -> "OneForm":
-        return OneForm(chart, _expr_row(chart, comps, table))
+    def of(chart: Chart, comps: Iterable[ExprLike], table: Optional[dict] = None,
+           seen: Optional[set[int]] = None) -> "OneForm":
+        return OneForm(chart, _expr_row(chart, comps, table, seen))
 
 
 @dataclass

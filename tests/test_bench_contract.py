@@ -16,6 +16,7 @@ import pytest
 
 from contactcurv import cli
 from contactcurv import contactpair as cpm
+from contactcurv import exprlang as el
 from contactcurv import riemann as rm
 from contactcurv.jets import Jet2
 
@@ -100,6 +101,31 @@ def test_the_d10_nested_hopf_metric_walk_evaluates_each_subexpression_once(monke
         monkeypatch.setattr(Jet2, op, counted)
     rm.field_jets(cp.metric.comps, cp.chart, points[0])
     assert 0 < len(ops) <= 100
+
+
+def test_the_d10_nested_hopf_file_loads_building_each_node_about_once(monkeypatch):
+    # the parser looks a node up before it builds it: of the 764 nodes that
+    # building first and sharing after made, 669 were dropped for a node the
+    # table held; only a literal fold to a constant the table holds may
+    # still build a node it drops
+    inputs = _load("inputs")
+    points = inputs.seeded_points(0, 104, 10, inputs.NESTED_HOPF_BOX, 1)
+    data = inputs.nested_hopf(4, points)
+    tables, built = {}, []
+    as_expr = el.as_expr
+
+    def recorded(value, table=None):
+        tables[id(table)] = table
+        return as_expr(value, table)
+    monkeypatch.setattr(el, "as_expr", recorded)
+    for node in (el.Const, el.Sym, el.Neg, el.Bin, el.Fn):
+        def counted(self, *args, _init=node.__init__, **kwargs):
+            built.append(self)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(node, "__init__", counted)
+    cli.manifold_from_dict(data, "nh")
+    (table,) = tables.values()  # one table for the whole file
+    assert 0 < len(built) <= len(table) + 5
 
 
 def test_the_point_caches_report_their_hits():

@@ -650,6 +650,65 @@ def test_literal_power_without_a_real_value_is_an_input_error(capsys, tmp_path,
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("entry, message", [
+    # an Arabic-Indic three is no digit of the grammar's ASCII source
+    ("1 + 0.001*\u0663", "unexpected character '\u0663' (offset 10)"),
+    ("1 + 0*1e999", "number '1e999' is out of range (offset 6)"),
+], ids=["non-ascii-digit", "overflowing-literal"])
+@pytest.mark.parametrize("argv", [["verify"], ["check"],
+                                  ["tensor", "--what", "star-ricci"]])
+def test_number_outside_the_grammar_is_a_syntax_error(capsys, tmp_path, entry,
+                                                      message, argv):
+    path = _hopf1_variant(capsys, tmp_path, _metric_entry(entry))
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: bad manifold file: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["check"], ["tensor", "--what", "star-ricci"]])
+def test_literal_arithmetic_that_overflows_is_reported_with_its_source(capsys, tmp_path,
+                                                                       argv):
+    # folded, 1e308*10 would be inf and the difference nan, and the error
+    # would name 'nan' instead of the source
+    path = _hopf1_variant(capsys, tmp_path, _metric_entry("1 + t*(1e308*10 - 1e308*10)"))
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: non-finite value or derivative at ")
+    assert err.endswith(" in '1.0 + t*(1e+308*10.0 - 1e+308*10.0)'\n")
+
+
+def test_undeclared_name_is_an_input_error(capsys, tmp_path):
+    # alpha1 shares the metric's cos(eta1)^2, whose names are checked once
+    def edit(data):
+        data["alpha1"][1] = "cos(eta1)^2*q"
+    path = _hopf1_variant(capsys, tmp_path, edit)
+    code, out, err = run(capsys, "check", path)
+    assert (code, out) == (2, "")
+    assert err == "error: bad manifold file: undeclared names ['q'] in 'cos(eta1)^2.0*q'\n"
+
+
+def test_a_file_checks_the_names_of_each_distinct_node_once(monkeypatch):
+    data = cli.manifold_to_dict(catalog.hopf(2))
+    seen_sets = {}
+    free_names = exprlang.free_names
+
+    def recorded(e, seen=None):
+        seen_sets[id(seen)] = seen
+        return free_names(e, seen)
+    monkeypatch.setattr(exprlang, "free_names", recorded)
+    cp = cli.manifold_from_dict(data, "hopf2")
+    exprs = [cp.metric.comps[i][j] for i, j in (map(int, k.split(",")) for k in data["metric"])]
+    exprs += [*cp.alpha1.comps, *cp.alpha2.comps, *cp.z1.comps, *cp.z2.comps]
+    distinct, todo = set(), exprs
+    while todo:
+        n = todo.pop()
+        if id(n) not in distinct:
+            distinct.add(id(n))
+            todo += [getattr(n, f) for f in ("arg", "lhs", "rhs") if hasattr(n, f)]
+    # one seen set for the file, holding each node once
+    assert [len(seen) for seen in seen_sets.values()] == [len(distinct)]
+
+
 def test_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe\x00bad")

@@ -272,3 +272,22 @@ def test_literal_power_without_a_finite_real_value_fails_at_evaluation(source, m
 def test_literal_power_with_a_finite_real_value_folds():
     assert el.parse("2^10") == el.Const(1024.0)
     assert el.parse("4^(-1/2)") == el.Const(0.5)
+
+
+@pytest.mark.parametrize("source, message", [
+    ("٣", "unexpected character '٣' (offset 0)"),
+    ("x + 1e999", "number '1e999' is out of range (offset 4)"),
+    ("0*" + "9" * 400, f"number '{'9' * 400}' is out of range (offset 2)"),
+])
+def test_number_outside_the_grammar_is_a_syntax_error(source, message):
+    with pytest.raises(el.ExprSyntaxError) as err:
+        el.parse(source)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("source", ["1e308*10", "1e308 + 1e308", "-1e308 - 1e308",
+                                    "1e308/1e-10", "x*(1e308*10 - 1e308*10)"])
+def test_literal_arithmetic_that_overflows_stays_unfolded(source):
+    e = el.parse(source)
+    assert isinstance(e, el.Bin)
+    assert el.parse(el.to_source(e)) == e
