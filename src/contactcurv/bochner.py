@@ -1,9 +1,10 @@
 """Curvature machinery for the two almost Hermitian structures of a pair.
 
-Builds the auxiliary (0,4) tensors pi_1, pi_2 and the J-conjugated
-curvature, the phi(S)/psi(S) operators on bilinear forms, the Ricci-type
+Builds the phi(S)/psi(S) operators on bilinear forms and the Ricci-type
 and star-Ricci-type contractions of curvature-like tensors, and assembles
-the Bochner tensors B_J and B_T in both dimension regimes.
+the Bochner tensors B_J and B_T in both dimension regimes.  The
+contractions of the J-conjugated curvature L3 R are read off R itself, so
+L3 R is never formed.
 
 Two readings of the nested operator notation are implemented:
 
@@ -84,57 +85,34 @@ def context(cp: ContactPairManifold, point, which: str = "J",
     return _context(pt, st.geo, J, cp.m, cp.n, reading, tau_star)
 
 
-# --- auxiliary tensors and operators -----------------------------------------
-
-def pi1(ctx: CurvatureContext) -> np.ndarray:
-    """pi_1(X,Y,Z,W) = g(X,Z) g(Y,W) - g(Y,Z) g(X,W)."""
-    g = ctx.g
-    return np.einsum("...ik,...jl->...ijkl", g, g) - np.einsum("...jk,...il->...ijkl", g, g)
-
-
-def pi2(ctx: CurvatureContext) -> np.ndarray:
-    """pi_2(X,Y,Z,W) = 2 g(JX,Y) g(JZ,W) + g(JX,Z) g(JY,W) - g(JY,Z) g(JX,W)."""
-    gJ = ctx.g @ ctx.J  # g(., J .); the sign flip to g(J., .) cancels pairwise
-    return (2.0 * np.einsum("...ij,...kl->...ijkl", gJ, gJ)
-            + np.einsum("...ik,...jl->...ijkl", gJ, gJ)
-            - np.einsum("...jk,...il->...ijkl", gJ, gJ))
-
-
-def l3(ctx: CurvatureContext, t4: np.ndarray) -> np.ndarray:
-    """J-conjugation in all four slots: (L3 T)(X,Y,Z,W) = T(JX,JY,JZ,JW)."""
-    out = t4
-    for _ in range(4):  # contract the first slot with J and move it last
-        out = rm.contract_last(np.moveaxis(out, -4, -1), ctx.J)
-    return out
-
+# --- operators on bilinear forms ---------------------------------------------
 
 def phi_op(s: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
-    """phi(S)(X,Y,Z,W) = g(X,Z)S(Y,W) + g(Y,W)S(X,Z) - g(X,W)S(Y,Z) - g(Y,Z)S(X,W)."""
-    g = ctx.g
-    out = np.einsum("...ik,...jl->...ijkl", g, s)  # summed in place, term by term
-    out += np.einsum("...jl,...ik->...ijkl", g, s)
-    out -= np.einsum("...il,...jk->...ijkl", g, s)
-    out -= np.einsum("...jk,...il->...ijkl", g, s)
-    return out
+    """phi(S)(X,Y,Z,W) = g(X,Z)S(Y,W) + g(Y,W)S(X,Z) - g(X,W)S(Y,Z) - g(Y,Z)S(X,W),
+    which is the Kulkarni-Nomizu product of g and -S."""
+    return rm.kulkarni_nomizu(ctx.g, -s)
 
 
 def psi_op(s: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
-    """psi(S): the six-term J-twisted companion of phi(S)."""
-    gJ = ctx.g @ ctx.J   # g(X, JY)
-    sJ = s @ ctx.J       # S(X, JY)
-    out = np.einsum("...ij,...kl->...ijkl", 2.0 * gJ, sJ)  # summed in place, term by term
-    out += np.einsum("...kl,...ij->...ijkl", 2.0 * gJ, sJ)
-    out += np.einsum("...ik,...jl->...ijkl", gJ, sJ)
-    out += np.einsum("...jl,...ik->...ijkl", gJ, sJ)
-    out -= np.einsum("...il,...jk->...ijkl", gJ, sJ)
-    out -= np.einsum("...jk,...il->...ijkl", gJ, sJ)
+    """psi(S): the six-term J-twisted companion of phi(S), with gJ = g(., J .)
+    and sJ = S(., J .):
+    2 gJ_ij sJ_kl + 2 gJ_kl sJ_ij + gJ_ik sJ_jl + gJ_jl sJ_ik - gJ_il sJ_jk - gJ_jk sJ_il,
+    the Kulkarni-Nomizu product of gJ and -sJ plus the (ij, kl) pair, which is
+    one rank-2 matmul per point."""
+    gJ = ctx.g @ ctx.J
+    sJ = s @ ctx.J
+    out = rm.kulkarni_nomizu(gJ, -sJ)
+    lead, d = s.shape[:-2], s.shape[-1]
+    rows = np.stack((2.0 * gJ, 2.0 * sJ), axis=-1).reshape(lead + (d * d, 2))
+    cols = np.stack((sJ, gJ), axis=-3).reshape(lead + (2, d * d))
+    out += (rows @ cols).reshape(out.shape)  # [(ij), (kl)]
     return out
 
 
 def contract_ricci(t4: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
     """Ricci-type contraction rho(T)(X,Y) = g^{pq} T(X, d_p, d_q, Y), equal to
     sum_a T(X, e_a, e_a, Y) for every g-orthonormal frame (e_a)."""
-    return np.einsum("...ipqj,...pq->...ij", t4, ctx.ginv)
+    return rm.contract_middle(t4, ctx.ginv)
 
 
 def contract_star(t4: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
@@ -193,17 +171,36 @@ def bochner(ctx: CurvatureContext, regime: Optional[str] = None) -> np.ndarray:
 def _reading_contractions(ctx: CurvatureContext):
     """rho*(R - L3 R), rho(R - L3 R), rho(R + L3 R) and rho*(R + L3 R) in
     the combination reading; the curvature reading replaces R -+ L3 R by R
-    itself."""
-    R = ctx.riem4
+    itself.
+
+    With (L3 R)_ijkl = J^a_i J^b_j J^c_k J^d_l R_abcd and rho_M(R) the
+    contraction of the middle slots of R with M, exact algebra gives
+    rho(L3 R) = J^T rho_M(R) J with M = J g^-1 J^T and
+    rho*(L3 R) = J^T rho_N(R) J J with N = M J^T, so all four are read off
+    R itself in one middle contraction, and L3 R is never formed."""
+    J, ginv = ctx.J, ctx.ginv
+    Jt = np.swapaxes(J, -1, -2)
     if ctx.reading == "combination":
-        l3r = l3(ctx, R)
-        minus, plus = R - l3r, R + l3r
+        M = J @ ginv @ Jt
+        ms = (ginv, ginv @ Jt, M, M @ Jt)
     elif ctx.reading == "curvature":
-        minus = plus = R
+        ms = (ginv, ginv @ Jt)
     else:
         raise ValueError(f"unknown notation reading {ctx.reading!r}")
-    return (contract_star(minus, ctx), contract_ricci(minus, ctx),
-            contract_ricci(plus, ctx), contract_star(plus, ctx))
+    c = rm.contract_middle(ctx.riem4, np.stack(ms, axis=-3))
+    rho, rho_star = c[..., 0, :, :], c[..., 1, :, :] @ J
+    if ctx.reading == "curvature":
+        return rho_star, rho, rho, rho_star
+    rho_l3 = Jt @ c[..., 2, :, :] @ J
+    rho_star_l3 = Jt @ c[..., 3, :, :] @ J @ J
+    return (rho_star - rho_star_l3, rho - rho_l3, rho + rho_l3,
+            rho_star + rho_star_l3)
+
+
+def _reeb_plane(b: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """B(Z_1, Z_2, Z_2, Z_1) as z1^T rho_{z2 z2^T}(B) z1."""
+    m = rm.contract_middle(b, z2[..., :, None] * z2[..., None, :])
+    return np.sum((z1[..., None, :] @ m)[..., 0, :] * z1, axis=-1)
 
 
 def bochner_pair(cp: ContactPairManifold, point: Sequence[float],
@@ -221,7 +218,7 @@ def reeb_plane_component(cp: ContactPairManifold, point: Sequence[float],
     pt = tuple(float(v) for v in point)
     st = cpm.structure_at(cp, pt)
     b = bochner(context(cp, pt, which, reading))
-    return float(np.einsum("ijkl,i,j,k,l", b, st.z1, st.z2, st.z2, st.z1))
+    return float(_reeb_plane(b, st.z1, st.z2))
 
 
 def reeb_plane_closed_form(m: int, n: int, tau: float) -> float:
@@ -295,7 +292,7 @@ def _theorem1(report: Report, cp: ContactPairManifold, expected: Mapping,
     st = cpm.structure_at(cp, points)
     tau = st.geo.tau
     sup = rm.pointwise_sup(b_j)
-    plane = np.einsum("...ijkl,...i,...j,...k,...l->...", b_j, st.z1, st.z2, st.z2, st.z1)
+    plane = _reeb_plane(b_j, st.z1, st.z2)
     if flat:
         # unit horizontal leaf-tangent candidates x[p, c], of which kept[p, c] count
         x, kept = st.horizontal_leaf_frame(2)
@@ -327,7 +324,7 @@ def _theorem1(report: Report, cp: ContactPairManifold, expected: Mapping,
 def _quadratic_defect(x: np.ndarray, s: np.ndarray, value: float,
                      kept: np.ndarray) -> np.ndarray:
     """max |S(x, x) - value| over the kept candidate rows x[c]."""
-    return cpm.kept_max(np.einsum("...ci,...ij,...cj->...c", x, s, x) - value, kept)
+    return cpm.kept_max(np.sum((x @ s) * x, axis=-1) - value, kept)
 
 
 def _theorem2(report: Report, cp: ContactPairManifold, expected: Mapping,

@@ -76,11 +76,26 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _finite(value, field: str):
+    """``value``, unless it is a JSON number that is no finite double:
+    ``NaN``, ``Infinity`` or a literal that overflows, which ``json`` reads
+    as nan or inf, or an integer too large to convert."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite, value = False, "an integer too large for a double"
+        if not finite:
+            raise ValueError(f"{field} must be a finite number, got {value}")
+    return value
+
+
 def _real(value, field: str) -> float:
-    """A number; JSON true and false are not read as 1 and 0."""
+    """A number; JSON true and false are not read as 1 and 0, and a JSON
+    number that is not finite is refused."""
     if isinstance(value, bool):
         raise ValueError(f"{field} must be a number, got {value!r}")
-    return float(value)
+    return float(_finite(value, field))
 
 
 def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
@@ -98,8 +113,8 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
                              f"and params {list(params)}")
         params = tuple(sorted((str(k), _real(v, f"params[{k!r}]"))
                               for k, v in params.items()))
-        points = tuple(tuple(_real(v, "sample point coordinate") for v in p)
-                       for p in data["sample_points"])
+        points = tuple(tuple(_real(v, f"sample_points[{k}][{i}]") for i, v in enumerate(p))
+                       for k, p in enumerate(data["sample_points"]))
         if any(len(p) != dim for p in points):
             raise UsageError("sample points must have one value per coordinate")
         chart = rm.Chart(coords=coords, params=params, sample_points=points)
@@ -110,16 +125,18 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
         entries = {}
         for key, src in _object(data["metric"], "metric").items():
             i, j = (int(part) for part in key.split(","))
-            entries[(i, j)] = src
+            entries[(i, j)] = _finite(src, f"metric[{key!r}]")
         metric = rm.MetricField.from_entries(chart, entries, table, seen)
+        rows = {}
         for field in ("alpha1", "alpha2", "Z1", "Z2"):
             if len(data[field]) != dim:
                 raise ValueError(f"{field} has {len(data[field])} entries, "
                                  f"chart has dim {dim}")
-        alpha1 = rm.OneForm.of(chart, data["alpha1"], table, seen)
-        alpha2 = rm.OneForm.of(chart, data["alpha2"], table, seen)
-        z1 = rm.VectorField.of(chart, data["Z1"], table, seen)
-        z2 = rm.VectorField.of(chart, data["Z2"], table, seen)
+            rows[field] = [_finite(v, f"{field}[{k}]") for k, v in enumerate(data[field])]
+        alpha1 = rm.OneForm.of(chart, rows["alpha1"], table, seen)
+        alpha2 = rm.OneForm.of(chart, rows["alpha2"], table, seen)
+        z1 = rm.VectorField.of(chart, rows["Z1"], table, seen)
+        z2 = rm.VectorField.of(chart, rows["Z2"], table, seen)
         m, n = (_count(v, "type entry") for v in data["type"])
         if 2 * m + 2 * n + 2 != dim:
             raise UsageError(f"type {m, n} is inconsistent with dim={dim}")

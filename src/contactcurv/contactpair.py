@@ -212,7 +212,7 @@ class StructureData:
         proj = self.P2 if which == 2 else self.P1
         g = self.geo.g
         w = np.swapaxes(self.H @ proj, -1, -2)  # w[c] = H proj e_c
-        norm2 = np.einsum("...ci,...ij,...cj->...c", w, g, w)
+        norm2 = np.sum((w @ g) * w, axis=-1)
         kept = norm2 >= 1e-12  # norm >= 1e-6
         x = w / np.sqrt(np.where(kept, norm2, 1.0))[..., None]
         near = np.abs(x @ g @ np.swapaxes(x, -1, -2)) > np.cos(1e-3)
@@ -259,7 +259,7 @@ def star_contraction(t4: np.ndarray, ginv: np.ndarray, J: np.ndarray) -> np.ndar
     """rho*(T)(X,Y) = g^{pa} J^q_a T(X, d_p, d_q, J Y): the frame sum
     sum_a T(X, e_a, J e_a, J Y), which is the same for every g-orthonormal
     frame (e_a), since sum_a e_a (x) e_a = g^{-1}."""
-    return np.einsum("...ipqr,...pq->...ir", t4, ginv @ np.swapaxes(J, -1, -2)) @ J
+    return rm.contract_middle(t4, ginv @ np.swapaxes(J, -1, -2)) @ J
 
 
 def _foliation_fault(cp: ContactPairManifold, point: rm.Point,
@@ -321,8 +321,7 @@ def structure_at(cp: ContactPairManifold, point) -> StructureData:
     A = dalpha1 + dalpha2
     dA = ddalpha1 + ddalpha2
     phi = ginv @ A
-    dphi = (np.einsum("...mka,...aj->...mkj", geo.dginv, A)
-            + np.einsum("...ka,...maj->...mkj", ginv, dA))
+    dphi = geo.dginv @ A[..., None, :, :] + ginv[..., None, :, :] @ dA
 
     J = phi - _outer(z1, a2) + _outer(z2, a1)
     T = phi + _outer(z1, a2) - _outer(z2, a1)
@@ -368,16 +367,19 @@ def check_contact_pair(cp: ContactPairManifold, point: Sequence[float]) -> Repor
 
 def nijenhuis_from(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
     """N^k_ij on coordinate fields from pointwise J and dJ."""
-    t1 = np.einsum("...ai,...akj->...kij", J, dJ)
-    t3 = np.einsum("...kb,...jbi->...kij", J, dJ)
+    d = J.shape[-1]
+    # t1[k, i, j] = J^a_i d_a J^k_j and t3[k, i, j] = J^k_b d_j J^b_i, as matmuls
+    t1 = np.swapaxes((np.swapaxes(J, -1, -2) @ dJ.reshape(dJ.shape[:-3] + (d, d * d)))
+                     .reshape(dJ.shape), -3, -2)
+    t3 = np.moveaxis(J[..., None, :, :] @ dJ, -3, -1)
     return t1 - np.swapaxes(t1, -1, -2) + t3 - np.swapaxes(t3, -1, -2)
 
 
 def phi_sectional(st: StructureData, x: np.ndarray) -> np.ndarray:
-    """R(x, phi x, phi x, x) for each row x[c]."""
+    """R(x, phi x, phi x, x) for each row x[c], as x^T rho_{px px^T}(R) x."""
     px = x @ np.swapaxes(st.phi, -1, -2)
-    return np.einsum("...ijkl,...ci,...cj,...ck,...cl->...c", st.geo.riem4, x, px, px, x,
-                     optimize=True)
+    m = rm.contract_middle(st.geo.riem4, px[..., :, None] * px[..., None, :])  # [c, i, l]
+    return np.sum((x[..., None, :] @ m)[..., 0, :] * x, axis=-1)
 
 
 # --- validation and lemma suite ---------------------------------------------------
@@ -508,7 +510,7 @@ def lemma_checks(cp: ContactPairManifold, tolerance: float,
 
     # g((grad_X phi) Y, V) written in the two exterior derivatives
     nabla_phi = rm.covd_11(st.phi, st.dphi, gamma)
-    lhs_phi = np.einsum("...xky,...kv->...xyv", nabla_phi, g)
+    lhs_phi = tr(nabla_phi) @ g[..., None, :, :]
     rhs_phi = np.zeros_like(lhs_phi)
     for i in range(2):
         Ai = np.einsum("...ay,...ax->...yx", st.phi, dalpha[i])
@@ -517,7 +519,7 @@ def lemma_checks(cp: ContactPairManifold, tolerance: float,
 
     # the J version gains four vertical correction terms
     nabla_J = rm.covd_11(st.J, st.dJ, gamma)
-    lhs_J = np.einsum("...xky,...kv->...xyv", nabla_J, g)
+    lhs_J = tr(nabla_J) @ g[..., None, :, :]
     rhs_J = (rhs_phi
              - np.einsum("...xy,...v->...xyv", st.dalpha2, st.a1)
              - np.einsum("...xv,...y->...xyv", st.dalpha1, st.a2)
@@ -537,20 +539,19 @@ def lemma_checks(cp: ContactPairManifold, tolerance: float,
     x, kept = st.horizontal_leaf_frame(2)
 
     def reeb_sectional(u, v):  # R(x, u, v, x) for each candidate x
-        return np.einsum("...ci,...il,...cl->...c", x,
-                         np.einsum("...ijkl,...j,...k->...il", R4, u, v), x)
+        return np.sum((x @ rm.contract_middle(R4, _outer(u, v))) * x, axis=-1)
 
     # star-Ricci defect identity
     phi1, phi2 = st.phi1, st.phi2
-    correction = ((2 * m - 1) * np.einsum("...ai,...ab,...bj->...ij", phi1, g, phi1)
-                  + (2 * n - 1) * np.einsum("...ai,...ab,...bj->...ij", phi2, g, phi2)
+    correction = ((2 * m - 1) * (tr(phi1) @ g @ phi1)
+                  + (2 * n - 1) * (tr(phi2) @ g @ phi2)
                   + 2 * m * _outer(st.a1, st.a1)
                   + 2 * n * _outer(st.a2, st.a2))
 
     # Ricci and star-Ricci on the Reeb fields
     reebs = np.stack((st.z1, st.z2), axis=1)
-    on_reeb = np.einsum("pai,pij,pbj->pab", reebs, rho, reebs)
-    star_on_reeb = np.einsum("pai,pij,pbj->pab", reebs, star, reebs)
+    on_reeb = reebs @ rho @ tr(reebs)
+    star_on_reeb = reebs @ star @ tr(reebs)
     JH = st.J @ st.H
 
     rows = (
@@ -577,7 +578,7 @@ def lemma_checks(cp: ContactPairManifold, tolerance: float,
          sup(rho - star - correction), tolerance),
         ("star_ricci_symmetric", "rho* is symmetric", sup(star - tr(star)), tolerance),
         ("star_ricci_j_exchange", "rho*(X,Y) = rho*(JY, JX)",
-         sup(star - np.einsum("...pj,...pq,...qi->...ij", st.J, star, st.J)), tolerance),
+         sup(star - tr(st.J) @ tr(star) @ st.J), tolerance),
         ("scalar_curvature_defect", "tau - tau* = 4(m^2 + n^2)",
          geo.tau - st.tau_star - 4.0 * (m * m + n * n), tolerance),
         ("reeb_ricci_values",

@@ -133,8 +133,7 @@ class MetricField:
 
     @staticmethod
     def diagonal(chart: Chart, diag: Iterable[ExprLike]) -> "MetricField":
-        comps = _expr_row(chart, diag)
-        return MetricField.from_entries(chart, {(i, i): e for i, e in enumerate(comps)})
+        return MetricField.from_entries(chart, {(i, i): e for i, e in enumerate(diag)})
 
     @property
     def dim(self) -> int:
@@ -255,9 +254,22 @@ def eval_field(comps, chart: Chart, point: Sequence[float]):
 # --- per-point geometry -------------------------------------------------------
 
 def contract_last(t4: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_a T[..., a] m[a, b] over the last slot of a four-slot tensor,
-    with one matrix m per point."""
-    return t4 @ m[..., None, None, :, :]
+    """sum_a T[..., a] m[..., a, b] over the last slot of a four-slot
+    tensor, with one matrix m per point: one (d^3 x d) @ (d x d) matmul
+    per point."""
+    lead, d = t4.shape[:-4], t4.shape[-1]
+    return (t4.reshape(lead + (d ** 3, d)) @ m).reshape(t4.shape)
+
+
+def contract_middle(t4: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_pq T[..., i, p, q, j] m[..., r, p, q] over the two middle slots,
+    for each matrix m[..., r, :, :] stacked after the leading axes of T
+    (none, one or more axes r): one (r x d^2) @ (d^2 x d) matmul per point
+    and index i.  Returns ``[..., r, i, j]``."""
+    lead, d = t4.shape[:-4], t4.shape[-1]
+    rows = m.shape[len(lead):-2]
+    out = m.reshape(lead + (1, -1, d * d)) @ t4.reshape(lead + (d, d * d, d))
+    return np.swapaxes(out, -3, -2).reshape(lead + rows + (d, d))
 
 
 def freeze_arrays(record) -> None:
@@ -288,23 +300,23 @@ class PointGeometry:
         # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
         T = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
              - dg)
-        self.gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, T)
+        pairs = T.shape[:-2] + (-1,)  # the pair ij merged
+        self.gamma = 0.5 * (ginv @ T.reshape(pairs)).reshape(T.shape)
         ginv_m = ginv[..., None, :, :]  # broadcast over the derivative index m
         self.dginv = dginv = -(ginv_m @ dg @ ginv_m)
         dT = (np.einsum("...mijl->...mlij", d2g) + np.einsum("...mjil->...mlij", d2g)
               - d2g)
         # with the pair ij merged: [m, k, l] @ [l, (ij)] + [k, l] @ [m, l, (ij)]
-        pairs = T.shape[:-2] + (-1,)
         self.dgamma = 0.5 * (dginv @ T.reshape(pairs)[..., None, :, :]
                              + ginv_m @ dT.reshape(dT.shape[:-2] + (-1,))).reshape(dT.shape)
         gamma, dgamma = self.gamma, self.dgamma
-        # [l, i, j, k] = Gamma^l_im Gamma^m_jk as [(li), m] @ [m, (jk)]; the
-        # second quadratic term is the same product with i and j exchanged
+        # [l, i, j, k] = Gamma^l_im Gamma^m_jk as [(li), m] @ [m, (jk)]
         quad = (gamma.reshape(gamma.shape[:-3] + (-1, self.dim))
                 @ gamma.reshape(pairs)).reshape(dgamma.shape)
-        self.riem13 = (np.einsum("...iljk->...lijk", dgamma)
-                       - np.einsum("...jlik->...lijk", dgamma)
-                       + quad - np.swapaxes(quad, -3, -2))
+        # R^l_ijk = x[l, i, j, k] - x[l, j, i, k] with
+        # x[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk
+        x = np.swapaxes(dgamma, -4, -3) + quad
+        self.riem13 = x - np.swapaxes(x, -3, -2)
         self.riem4 = contract_last(np.moveaxis(self.riem13, -4, -1), g)
         self.ricci = np.einsum("...iijk->...jk", self.riem13)
         self.tau = point_scalar(np.einsum("...jk,...jk->...", ginv, self.ricci))
@@ -380,9 +392,11 @@ def covd_vector(values: np.ndarray, derivs: np.ndarray, gamma: np.ndarray) -> np
 
 def covd_11(values: np.ndarray, derivs: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(grad_i A)^k_j for a (1,1) field; returns [i, k, j]."""
-    return (derivs
-            + np.einsum("...kia,...aj->...ikj", gamma, values)
-            - np.einsum("...aij,...ka->...ikj", gamma, values))
+    d = gamma.shape[-1]
+    # [k, i, j]: Gamma^k_ia A^a_j - A^k_a Gamma^a_ij, as two matmuls per point
+    flat = gamma.reshape(gamma.shape[:-3] + (d, d * d))  # [a, (ij)]
+    terms = gamma @ values[..., None, :, :] - (values @ flat).reshape(gamma.shape)
+    return derivs + np.swapaxes(terms, -3, -2)
 
 
 def lie_bracket_from(x_values: np.ndarray, x_derivs: np.ndarray,
@@ -437,17 +451,20 @@ def weyl(metric: MetricField, point) -> TensorValue:
     d = geo.dim
     if d < 4:
         raise MetricError(f"Weyl tensor needs dimension >= 4, got {d}")
-    tau = np.asarray(geo.tau)[..., None, None, None, None]
-    comps = (geo.riem4
-             - kulkarni_nomizu(geo.ricci, geo.g) / (d - 2)
-             + tau * kulkarni_nomizu(geo.g, geo.g) / (2.0 * (d - 1) * (d - 2)))
-    return TensorValue(comps)
+    # W = R - S o g with the Schouten-type form S = rho/(d-2) - tau g/(2(d-1)(d-2))
+    tau = np.asarray(geo.tau)[..., None, None]
+    s = geo.ricci / (d - 2) - tau * geo.g / (2.0 * (d - 1) * (d - 2))
+    return TensorValue(geo.riem4 - kulkarni_nomizu(s, geo.g))
 
 
 def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(A o B)_ijkl = A_il B_jk + A_jk B_il - A_ik B_jl - A_jl B_ik."""
-    return (np.einsum("...il,...jk->...ijkl", a, b) + np.einsum("...jk,...il->...ijkl", a, b)
-            - np.einsum("...ik,...jl->...ijkl", a, b) - np.einsum("...jl,...ik->...ijkl", a, b))
+    """(A o B)_ijkl = A_il B_jk + A_jk B_il - A_ik B_jl - A_jl B_ik, that is
+    Y - Y with k and l swapped, where Y_ijkl = A_il B_jk + B_il A_jk is one
+    matmul per point and index i: Y[i, (jk), l] = [B_jk, A_jk] @ [A_il; B_il]."""
+    d = a.shape[-1]
+    left = np.stack((b, a), axis=-1).reshape(a.shape[:-2] + (1, d * d, 2))
+    y = (left @ np.stack((a, b), axis=-2)).reshape(a.shape[:-2] + (d,) * 4)
+    return y - np.swapaxes(y, -1, -2)
 
 
 def conformal_rescale(metric: MetricField, f: ExprLike) -> MetricField:

@@ -7,6 +7,12 @@ differs from that parser in two places, where the grammar was wrong there:
 numbers are ASCII digits only, and a number literal that overflows a double
 is a syntax error.  It folds with the package's own smart constructors, so
 the two parsers agree on every graph and every error.
+
+The curvature kernels keep their einsum forms here, written term by term:
+the Kulkarni-Nomizu product, phi(S) and psi(S), the auxiliary tensors pi_1
+and pi_2, the J-conjugation L3 as four last-slot contractions, the middle
+and star contractions, the Bochner contractions through L3 R, and the
+five-operand sectional values.  Every array may carry leading point axes.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 import math
 import re
 from typing import Iterator
+
+import numpy as np
 
 from contactcurv import exprlang as el
 from contactcurv.exprlang import (FUNCTION_NAMES, MAX_DEPTH, MAX_NESTING, Const, Expr,
@@ -148,3 +156,100 @@ class RecursiveParser:
 def reference_parse(source: str, table: dict | None = None) -> Expr:
     """:func:`exprlang.parse` by the recursive reference parser."""
     return RecursiveParser(source, {} if table is None else table).parse()
+
+
+# --- curvature kernels -----------------------------------------------------------
+
+def contract_last(t4, m):
+    """sum_a T[..., a] m[..., a, b], as d^2 broadcast matmuls per point."""
+    return t4 @ m[..., None, None, :, :]
+
+
+def contract_middle(t4, m):
+    """sum_pq T[..., i, p, q, j] m[..., p, q]."""
+    return np.einsum("...ipqj,...pq->...ij", t4, m)
+
+
+def star_contraction(t4, ginv, J):
+    """rho*(T)(X,Y) = g^{pa} J^q_a T(X, d_p, d_q, J Y)."""
+    return np.einsum("...ipqr,...pq->...ir", t4, ginv @ np.swapaxes(J, -1, -2)) @ J
+
+
+def kulkarni_nomizu(a, b):
+    """(A o B)_ijkl = A_il B_jk + A_jk B_il - A_ik B_jl - A_jl B_ik."""
+    return (np.einsum("...il,...jk->...ijkl", a, b) + np.einsum("...jk,...il->...ijkl", a, b)
+            - np.einsum("...ik,...jl->...ijkl", a, b) - np.einsum("...jl,...ik->...ijkl", a, b))
+
+
+def weyl(riem4, ricci, g, tau):
+    """W = R - rho o g / (d-2) + tau g o g / (2(d-1)(d-2)), two products."""
+    d = g.shape[-1]
+    tau = np.asarray(tau)[..., None, None, None, None]
+    return (riem4 - kulkarni_nomizu(ricci, g) / (d - 2)
+            + tau * kulkarni_nomizu(g, g) / (2.0 * (d - 1) * (d - 2)))
+
+
+def pi1(ctx):
+    """pi_1(X,Y,Z,W) = g(X,Z) g(Y,W) - g(Y,Z) g(X,W)."""
+    g = ctx.g
+    return np.einsum("...ik,...jl->...ijkl", g, g) - np.einsum("...jk,...il->...ijkl", g, g)
+
+
+def pi2(ctx):
+    """pi_2(X,Y,Z,W) = 2 g(JX,Y) g(JZ,W) + g(JX,Z) g(JY,W) - g(JY,Z) g(JX,W)."""
+    gJ = ctx.g @ ctx.J  # g(., J .); the sign flip to g(J., .) cancels pairwise
+    return (2.0 * np.einsum("...ij,...kl->...ijkl", gJ, gJ)
+            + np.einsum("...ik,...jl->...ijkl", gJ, gJ)
+            - np.einsum("...jk,...il->...ijkl", gJ, gJ))
+
+
+def l3(ctx, t4):
+    """J-conjugation in all four slots: (L3 T)(X,Y,Z,W) = T(JX,JY,JZ,JW)."""
+    out = t4
+    for _ in range(4):  # contract the first slot with J and move it last
+        out = contract_last(np.moveaxis(out, -4, -1), ctx.J)
+    return out
+
+
+def phi_op(s, ctx):
+    """phi(S)(X,Y,Z,W) = g(X,Z)S(Y,W) + g(Y,W)S(X,Z) - g(X,W)S(Y,Z) - g(Y,Z)S(X,W)."""
+    g = ctx.g
+    return (np.einsum("...ik,...jl->...ijkl", g, s) + np.einsum("...jl,...ik->...ijkl", g, s)
+            - np.einsum("...il,...jk->...ijkl", g, s) - np.einsum("...jk,...il->...ijkl", g, s))
+
+
+def psi_op(s, ctx):
+    """psi(S), the six-term J-twisted companion of phi(S)."""
+    gJ = ctx.g @ ctx.J   # g(X, JY)
+    sJ = s @ ctx.J       # S(X, JY)
+    return (np.einsum("...ij,...kl->...ijkl", 2.0 * gJ, sJ)
+            + np.einsum("...kl,...ij->...ijkl", 2.0 * gJ, sJ)
+            + np.einsum("...ik,...jl->...ijkl", gJ, sJ)
+            + np.einsum("...jl,...ik->...ijkl", gJ, sJ)
+            - np.einsum("...il,...jk->...ijkl", gJ, sJ)
+            - np.einsum("...jk,...il->...ijkl", gJ, sJ))
+
+
+def reading_contractions(ctx):
+    """rho*(R - L3 R), rho(R - L3 R), rho(R + L3 R) and rho*(R + L3 R), with
+    L3 R formed; in the curvature reading R -+ L3 R is R itself."""
+    R = ctx.riem4
+    if ctx.reading == "combination":
+        l3r = l3(ctx, R)
+        minus, plus = R - l3r, R + l3r
+    else:
+        minus = plus = R
+    return (star_contraction(minus, ctx.ginv, ctx.J), contract_middle(minus, ctx.ginv),
+            contract_middle(plus, ctx.ginv), star_contraction(plus, ctx.ginv, ctx.J))
+
+
+def reeb_plane(b, z1, z2):
+    """B(Z_1, Z_2, Z_2, Z_1) as one five-operand einsum."""
+    return np.einsum("...ijkl,...i,...j,...k,...l->...", b, z1, z2, z2, z1)
+
+
+def phi_sectional(riem4, phi, x):
+    """R(x, phi x, phi x, x) for each row x[c], as one five-operand einsum."""
+    px = x @ np.swapaxes(phi, -1, -2)
+    return np.einsum("...ijkl,...ci,...cj,...ck,...cl->...c", riem4, x, px, px, x,
+                     optimize=True)

@@ -106,6 +106,20 @@ class TestHopfCharts:
             assert st.z1 @ st.geo.g @ st.z1 == pytest.approx(1.0, abs=1e-12)
             assert st.z2 @ st.geo.g @ st.z2 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", range(1, catalog.HOPF_MAX_M + 1))
+    def test_names_of_each_entry_are_checked_once(self, monkeypatch, m):
+        # one check per entry of the metric diagonal, alpha1, alpha2, Z1 and Z2
+        calls = []
+        free_names = el.free_names
+
+        def counted(*args):
+            calls.append(args[0])
+            return free_names(*args)
+
+        monkeypatch.setattr(el, "free_names", counted)
+        catalog.hopf(m)
+        assert len(calls) == 5 * (2 * m + 2)
+
 
 class TestHeisenberg:
     def test_scale_constants_satisfy_the_pin(self):

@@ -356,9 +356,9 @@ def test_verify_all_assembles_bochner_once_per_structure(capsys, monkeypatch, tm
 def test_verify_all_contracts_the_star_of_j_once(capsys, monkeypatch, key,
                                                  bochner_per_request):
     # structure_at contracts the star of J once, and the context of B_J
-    # reuses its tau*; each Bochner assembly contracts two curvature
-    # combinations, and only the rescaled context of the conformal shift
-    # takes its own tau*
+    # reuses its tau*; a Bochner assembly reads all its contractions off R
+    # in one middle contraction, without this function, and only the
+    # rescaled context of the conformal shift takes its own tau*
     _clear_package_caches()
     calls = []
 
@@ -370,7 +370,7 @@ def test_verify_all_contracts_the_star_of_j_once(capsys, monkeypatch, key,
     monkeypatch.setattr(contactpair, "star_contraction", counted)
     code, _, err = run(capsys, "verify", key, "--suite", "all")
     assert code == 0, err
-    assert len(calls) == 1 + 2 * bochner_per_request + (bochner_per_request - 1)
+    assert len(calls) == 1 + (bochner_per_request - 1)
 
 
 def _hopf1_variant(capsys, tmp_path, edit):
@@ -402,6 +402,26 @@ def test_non_finite_input_is_an_input_error(capsys, tmp_path, edit, argv):
     assert code == 2
     assert err.startswith("error:")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("edit, message", [
+    # json writes these as the non-standard JSON numbers Infinity and NaN
+    (lambda data: data["metric"].__setitem__("3,3", float("inf")),
+     "metric['3,3'] must be a finite number, got inf"),
+    (lambda data: data.__setitem__("params", {"unused": float("nan")}),  # read by nothing
+     "params['unused'] must be a finite number, got nan"),
+    (lambda data: data["alpha2"].__setitem__(3, float("-inf")),
+     "alpha2[3] must be a finite number, got -inf"),
+    (lambda data: data["sample_points"][2].__setitem__(1, float("nan")),
+     "sample_points[2][1] must be a finite number, got nan"),
+    (lambda data: data["Z1"].__setitem__(0, 10 ** 400),
+     "Z1[0] must be a finite number, got an integer too large for a double"),
+], ids=["infinite-metric-entry", "unread-nan-param", "infinite-form-entry",
+        "nan-point-coordinate", "huge-integer-field-entry"])
+def test_non_finite_json_number_is_refused_at_load(capsys, tmp_path, edit, message):
+    path = _hopf1_variant(capsys, tmp_path, edit)
+    code, out, err = run(capsys, "check", path)
+    assert (code, out, err) == (2, "", f"error: bad manifold file: {message}\n")
 
 
 # points of a hopf:1 chart (eta1, xi0, xi1, t) at which a point-by-point

@@ -1,0 +1,145 @@
+"""The d^4 curvature kernels against their einsum references in ``oracles``,
+on random stacks, and a guard that keeps many-operand einsums out of the
+package."""
+
+import ast
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import oracles
+from contactcurv import bochner as bm
+from contactcurv import catalog
+from contactcurv import contactpair as cpm
+from contactcurv import riemann as rm
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "contactcurv"
+
+# (dimension, leading axes): stacks of 1 and 7 points, and one point without
+# a point axis
+SHAPES = [(d, lead) for d in (4, 6, 8, 10) for lead in ((1,), (7,), ())]
+
+
+def _close(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    assert np.max(np.abs(new - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _random_context(d, lead, reading="combination"):
+    """Random data for a context: g positive definite, J a generic matrix (the
+    identities behind the kernels do not need J to be an isometry), R a
+    generic four-slot tensor, tau and tau* arbitrary."""
+    rng = np.random.default_rng(1000 * d + len(lead) + sum(lead))
+    a = rng.normal(size=lead + (d, d))
+    g = a @ np.swapaxes(a, -1, -2) + d * np.eye(d)
+    ginv = np.linalg.inv(g)
+    J = rng.normal(size=lead + (d, d))
+    R = rng.normal(size=lead + (d,) * 4)
+    tau, tau_star = rng.normal(size=lead), rng.normal(size=lead)
+    return bm.CurvatureContext(None, g, ginv, J, R, 1, 1, tau, tau_star, reading), rng
+
+
+@pytest.mark.parametrize("d, lead", SHAPES)
+def test_contractions_match_their_einsum_forms(d, lead):
+    ctx, rng = _random_context(d, lead)
+    m = rng.normal(size=lead + (d, d))
+    _close(rm.contract_last(ctx.riem4, m), oracles.contract_last(ctx.riem4, m))
+    _close(rm.contract_middle(ctx.riem4, m), oracles.contract_middle(ctx.riem4, m))
+    _close(bm.contract_ricci(ctx.riem4, ctx), oracles.contract_middle(ctx.riem4, ctx.ginv))
+    _close(cpm.star_contraction(ctx.riem4, ctx.ginv, ctx.J),
+           oracles.star_contraction(ctx.riem4, ctx.ginv, ctx.J))
+    # matrices stacked after the leading axes are contracted in one call
+    ms = rng.normal(size=lead + (3, d, d))
+    expected = np.stack([oracles.contract_middle(ctx.riem4, ms[..., r, :, :])
+                         for r in range(3)], axis=-3)
+    _close(rm.contract_middle(ctx.riem4, ms), expected)
+
+
+@pytest.mark.parametrize("d, lead", SHAPES)
+def test_outer_products_match_their_einsum_forms(d, lead):
+    ctx, rng = _random_context(d, lead)
+    a, s = rng.normal(size=(2,) + lead + (d, d))
+    _close(rm.kulkarni_nomizu(a, s), oracles.kulkarni_nomizu(a, s))
+    _close(bm.phi_op(s, ctx), oracles.phi_op(s, ctx))
+    _close(bm.psi_op(s, ctx), oracles.psi_op(s, ctx))
+
+
+@pytest.mark.parametrize("reading", bm.READINGS)
+@pytest.mark.parametrize("d, lead", SHAPES)
+def test_bochner_contractions_match_the_l3_form(d, lead, reading):
+    ctx, _ = _random_context(d, lead, reading)
+    for new, ref in zip(bm._reading_contractions(ctx), oracles.reading_contractions(ctx)):
+        _close(new, ref)
+
+
+@pytest.mark.parametrize("d, lead", SHAPES)
+def test_sectional_values_match_the_five_operand_einsums(d, lead):
+    ctx, rng = _random_context(d, lead)
+    z1, z2 = rng.normal(size=(2,) + lead + (d,))
+    _close(bm._reeb_plane(ctx.riem4, z1, z2), oracles.reeb_plane(ctx.riem4, z1, z2))
+    x = rng.normal(size=lead + (d + 1, d))  # candidate rows x[c]
+    st = SimpleNamespace(geo=SimpleNamespace(riem4=ctx.riem4), phi=ctx.J)
+    _close(cpm.phi_sectional(st, x), oracles.phi_sectional(ctx.riem4, ctx.J, x))
+
+
+@pytest.mark.parametrize("key", ["hopf:1", "hopf:2", "hopf:4", "sphere_product:1,1",
+                                 "heisenberg_r"])
+def test_weyl_is_one_product_of_the_two_product_form(key):
+    cp = catalog.resolve(key)
+    pts = cp.chart.sample_points
+    geo = rm.geometry_at(cp.metric, pts)
+    expected = oracles.weyl(geo.riem4, geo.ricci, geo.g, geo.tau)
+    # W vanishes on the round models, so the bound scales with R
+    bound = 1e-12 * np.max(np.abs(geo.riem4))
+    assert np.max(np.abs(rm.weyl(cp.metric, pts).comps - expected)) <= bound
+    one = rm.weyl(cp.metric, pts[0]).comps
+    assert np.max(np.abs(one - expected[0])) <= bound
+
+
+# --- no many-operand einsum in the package -----------------------------------------
+
+def einsum_faults(source: str, filename: str = "<source>") -> list[str]:
+    """Each einsum call in ``source`` with three or more operands, or with
+    an ``optimize=`` argument: numpy runs those without BLAS, or plans them
+    anew on every call."""
+    faults = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != "einsum":
+            continue
+        where = f"{filename}:{node.lineno}"
+        args = node.args
+        if any(isinstance(a, ast.Starred) for a in args):
+            faults.append(f"{where}: operands passed as *args cannot be counted")
+            continue
+        explicit = args and isinstance(args[0], ast.Constant) and isinstance(args[0].value, str)
+        # einsum(subscripts, *operands) or einsum(op0, sub0, op1, sub1, ..., [out])
+        operands = len(args) - 1 if explicit else len(args) // 2
+        if operands >= 3:
+            faults.append(f"{where}: einsum of {operands} operands")
+        if any(k.arg == "optimize" for k in node.keywords):
+            faults.append(f"{where}: einsum with optimize=")
+    return faults
+
+
+def test_the_guard_sees_many_operand_einsums():
+    assert einsum_faults("np.einsum('ij,jk->ik', a, b)") == []
+    assert einsum_faults("np.einsum('...ij,...ij->...', a, b)") == []
+    assert len(einsum_faults("np.einsum('i,ij,j', x, a, x)")) == 1
+    assert len(einsum_faults("numpy.einsum(a, [0, 1], b, [1, 2], c, [2, 3])")) == 1
+    assert len(einsum_faults("einsum('ij,jk', a, b, optimize=True)")) == 1
+    assert len(einsum_faults("np.einsum(spec, *ops)")) == 1
+
+
+def test_no_einsum_of_three_or_more_operands_in_the_package():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    faults = [f for path in files
+              for f in einsum_faults(path.read_text(encoding="utf-8"), path.name)]
+    assert faults == []
