@@ -109,12 +109,6 @@ def psi_op(s: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
     return out
 
 
-def contract_ricci(t4: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
-    """Ricci-type contraction rho(T)(X,Y) = g^{pq} T(X, d_p, d_q, Y), equal to
-    sum_a T(X, e_a, e_a, Y) for every g-orthonormal frame (e_a)."""
-    return rm.contract_middle(t4, ctx.ginv)
-
-
 def contract_star(t4: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
     """Star contraction rho*(T)(X,Y) = sum_a T(X, e_a, J e_a, J Y) over any
     g-orthonormal frame, taken against g^{-1}; see

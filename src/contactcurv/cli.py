@@ -181,7 +181,8 @@ def resolve_manifold(spec: str) -> ContactPairManifold:
 # --- shared helpers --------------------------------------------------------------
 
 def _positive_int(raw: str) -> int:
-    if not raw.isdigit() or int(raw) < 1:
+    """ASCII digits only: str.isdigit also takes '٣', '３' and '²'."""
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got '{raw}'")
     return int(raw)
 
@@ -345,6 +346,7 @@ def cmd_export(args) -> int:
 # --- argument parsing -----------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; each command runs ``cmd_<name>``."""
     parser = argparse.ArgumentParser(
         prog="contactcurv",
         description="curvature engine and verification suite for metric "
@@ -354,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("list", help="list catalog manifolds")
     p_list.add_argument("--format", choices=("text", "json"), default="text")
     p_list.add_argument("--filter", default=None, help="substring filter on keys")
-    p_list.set_defaults(func=cmd_list)
 
     def common(p):
         p.add_argument("--tolerance", type=_tolerance, default=None,
@@ -367,28 +368,31 @@ def build_parser() -> argparse.ArgumentParser:
                                            "validators on a manifold")
     p_check.add_argument("manifold", help="catalog id like hopf:1 or a file path")
     common(p_check)
-    p_check.set_defaults(func=cmd_check)
 
     p_tensor = sub.add_parser("tensor", help="print a curvature tensor at a point")
     p_tensor.add_argument("manifold")
     p_tensor.add_argument("--what", choices=_TENSOR_CHOICES, required=True)
     p_tensor.add_argument("--at", default="default",
-                          help="'default' or comma-separated coordinates")
+                          help="'default' or comma-separated coordinates; write "
+                               "a point that starts with a minus sign as "
+                               "--at=-0.5,0.1,...")
     p_tensor.add_argument("--format", choices=("text", "json"), default="text")
-    p_tensor.set_defaults(func=cmd_tensor)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("manifold")
     p_verify.add_argument("--suite", choices=bm.SUITES + ("all",), default="all")
     common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_export = sub.add_parser("export", help="write a catalog entry as a "
                                              "manifold-definition file")
     p_export.add_argument("catalog_id")
     p_export.add_argument("path")
-    p_export.set_defaults(func=cmd_export)
     return parser
+
+
+# built once per process: parsing leaves the parser as it was, and the
+# command function is looked up by name when it runs
+_PARSER = build_parser()
 
 
 def _warning_line(message, category, filename, lineno, line=None) -> str:
@@ -397,12 +401,12 @@ def _warning_line(message, category, filename, lineno, line=None) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     shown, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
+        command = globals()[f"cmd_{args.command}"]
         with np.errstate(all="ignore"):  # overflow is caught by _require_finite
-            return args.func(args)
+            return command(args)
     except (UsageError, el.ExprError, rm.MetricError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,8 @@ Every node a parse builds is looked up in it by its kind, its own fields
 and the ``id`` of its children, which are shared already, so an identical
 subtree is one object in every expression read through the same table;
 constants are keyed on ``float.hex``, so ``0.0`` and ``-0.0`` stay apart.
-The key is never a node's structural hash, which would walk its subtree.
+The key is never a node's structural hash, whose first computation walks
+the subtree.
 The parser looks a key up before it builds the node: a key is in the table
 only if the same smart constructor, given the same shared children, made
 that very node before, so a repeated subtree costs a lookup, not a node.
@@ -38,11 +39,17 @@ that very node before, so a repeated subtree costs a lookup, not a node.
 keyed on ``id``, so each distinct node is evaluated once per call;
 ``evaluate(e, env)`` is ``evaluate_all((e,), env)[0]``.  Neither the table
 nor the memo outlives its call or caller.
+
+Hashing.  Nodes compare and print as the frozen dataclasses they are, and
+hash as them too, but each node computes its hash on first use and keeps
+it, so hashing a manifold to key a cache touches each distinct node once
+per process, and a later hash of it reads only its top-level entries.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
@@ -80,11 +87,34 @@ class ExprEvalError(ExprError):
 
 # --- AST -------------------------------------------------------------------
 
+def _keeps_hash(cls):
+    """``cls``, a frozen dataclass, with the hash the dataclass gives it (that
+    of the tuple of its fields) computed on first use and kept on the node,
+    so hashing a tree again, or a tree that shares the node, reads it in
+    one step.  Hashing a tree for the first time recurses one frame per
+    level, as the dataclass hash does."""
+    names = tuple(cls.__dataclass_fields__)
+    fields = operator.attrgetter(*names)  # a tuple for two names or more
+    single = len(names) == 1
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((fields(self),) if single else fields(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_keeps_hash
 @dataclass(frozen=True)
 class Const:
     value: float
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class Sym:
     """Coordinate or parameter reference; the environment decides which."""
@@ -92,11 +122,13 @@ class Sym:
     name: str
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class Neg:
     arg: "Expr"
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class Bin:
     op: str  # one of + - * / ^
@@ -104,6 +136,7 @@ class Bin:
     rhs: "Expr"
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class Fn:
     name: str

@@ -162,6 +162,15 @@ def _fmt_at(point: Optional[Iterable[float]]) -> str:
 
 
 def _json_point(point) -> str:
-    """A record's point as json.dumps writes it in the report."""
-    return "null" if point is None else json.dumps(list(point), indent=2).replace(
-        "\n", "\n      ")
+    """A record's point as json.dumps(list(point), indent=2) writes it in the
+    report; a point of finite floats is written directly, since json's
+    indenting encoder is pure Python."""
+    if point is None:
+        return "null"
+    try:
+        text = ",\n        ".join(map(float.__repr__, point))
+        if text and "n" not in text:  # json writes nan and inf as NaN and Infinity
+            return f"[\n        {text}\n      ]"
+    except TypeError:  # a value that is no float
+        pass
+    return json.dumps(list(point), indent=2).replace("\n", "\n      ")

@@ -219,11 +219,17 @@ def field_jets(comps, chart: Chart, point):
     d = chart.dim
     env = chart.jet_env(point)
     lead = np.shape(point)[:-1]  # () at one point, (N,) over a stack
-    # value, gradient and Hessian share one buffer, so one finiteness test
-    # covers all three
-    out = np.zeros(lead + (1 + d + d * d, arr.size))
-    values, derivs = out[..., 0, :], out[..., 1:1 + d, :]
-    hess = out[..., 1 + d:, :].reshape(lead + (d, d, arr.size))
+    # value, gradient and Hessian are consecutive blocks of one buffer, each
+    # C-contiguous, so one finiteness test covers all three
+    n = arr.size * int(np.prod(lead))
+    shapes = (lead + (arr.size,), lead + (d, arr.size), lead + (d, d, arr.size))
+
+    def blocks(flat):
+        parts = np.split(flat, (n, n + n * d))
+        return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+    out = np.zeros(n * (1 + d + d * d))
+    values, derivs, hess = blocks(out)
     # non-finite intermediates are caught by the finiteness test below, so
     # numpy's floating-point warnings would only repeat it
     with np.errstate(all="ignore"):
@@ -235,9 +241,11 @@ def field_jets(comps, chart: Chart, point):
             hess[..., k] = jet.hess
         else:
             values[..., k] = jet
-    finite = np.isfinite(out).all(axis=-2).reshape(-1)
+    finite = np.isfinite(out)
     if not finite.all():
-        p, k = divmod(int(np.argmin(finite)), arr.size)
+        ok_values, ok_derivs, ok_hess = blocks(finite)
+        ok = ok_values & ok_derivs.all(axis=-2) & ok_hess.all(axis=(-3, -2))
+        p, k = divmod(int(np.argmin(ok.reshape(-1))), arr.size)
         raise el.ExprEvalError(
             f"non-finite value or derivative at {tuple(point[p] if lead else point)}",
             arr.flat[k])

@@ -11,8 +11,9 @@ the two parsers agree on every graph and every error.
 The curvature kernels keep their einsum forms here, written term by term:
 the Kulkarni-Nomizu product, phi(S) and psi(S), the auxiliary tensors pi_1
 and pi_2, the J-conjugation L3 as four last-slot contractions, the middle
-and star contractions, the Bochner contractions through L3 R, and the
-five-operand sectional values.  Every array may carry leading point axes.
+and star contractions, the Ricci contraction rho(T) against g^{-1}, the
+Bochner contractions through L3 R, and the five-operand sectional values.
+Every array may carry leading point axes.
 """
 
 from __future__ import annotations
@@ -168,6 +169,12 @@ def contract_last(t4, m):
 def contract_middle(t4, m):
     """sum_pq T[..., i, p, q, j] m[..., p, q]."""
     return np.einsum("...ipqj,...pq->...ij", t4, m)
+
+
+def contract_ricci(t4, ctx):
+    """Ricci-type contraction rho(T)(X,Y) = g^{pq} T(X, d_p, d_q, Y), equal to
+    sum_a T(X, e_a, e_a, Y) for every g-orthonormal frame (e_a)."""
+    return contract_middle(t4, ctx.ginv)
 
 
 def star_contraction(t4, ginv, J):

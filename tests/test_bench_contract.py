@@ -68,6 +68,19 @@ def test_a_traced_verify_run_serializes_its_report(capsys):
     assert tracer.counts["jets.ops"] > 0
 
 
+def test_a_traced_verify_run_records_its_command(capsys):
+    # the parser is built at import, so the command is looked up by name when
+    # it runs, and the tracer's cli.cmd patch, made later, is what runs
+    tracer = _load("tracer").Tracer()
+    _clear_package_caches()
+    with tracer.installed():
+        assert cli.main(["verify", "hopf:1", "--points", "1"]) == 0
+    capsys.readouterr()
+    (cmd,) = [span for span in tracer.spans if span.name == "cli.cmd"]
+    assert cmd.parent == -1 and cmd.end > cmd.start
+    assert all(span.start >= cmd.start for span in tracer.spans)
+
+
 def test_a_traced_tensor_query_prints_what_an_untraced_one_does(capsys, tmp_path):
     # a d = 10 tensor_queries input, read from a file, walked under every patch
     inputs = _load("inputs")

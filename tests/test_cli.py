@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -155,6 +156,19 @@ class TestTensor:
         assert code == 0
         assert list(json.loads(out)["nonzero_components"].items()) == scan
 
+    def test_negative_first_coordinate_needs_the_equals_form(self, capsys):
+        # argparse reads a value that starts with '-' and holds a comma as an
+        # option, so only --at=... reaches the heisenberg_r box (-0.8, 0.8)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tensor", "heisenberg_r", "--what", "ricci",
+                      "--at", "-0.5,0.1,0.2,0.3"])
+        assert exc.value.code == 2
+        assert "argument --at: expected one argument" in capsys.readouterr().err
+        code, out, _ = run(capsys, "tensor", "heisenberg_r", "--what", "ricci",
+                           "--at=-0.5,0.1,0.2,0.3", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["point"] == [-0.5, 0.1, 0.2, 0.3]
+
     def test_point_dimension_mismatch(self, capsys):
         code, _, err = run(capsys, "tensor", "hopf:1", "--what", "ricci",
                            "--at", "0.5,0.4")
@@ -222,12 +236,50 @@ class TestVerify:
 
 
 @pytest.mark.parametrize("command", ["check", "verify"])
-@pytest.mark.parametrize("points", ["0", "-1", "two"])
+@pytest.mark.parametrize("points", ["0", "-1", "two", "\u0663", "\u00b2", "\uff13"],
+                         ids=["0", "-1", "two", "arabic-indic-3", "superscript-2",
+                              "fullwidth-3"])
 def test_points_must_be_a_positive_integer(capsys, command, points):
+    # str.isdigit takes the last three, and int() reads two of them as 3
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "hopf:1", "--points", points])
     assert exc.value.code == 2
-    assert "positive integer" in capsys.readouterr().err
+    assert f"expected a positive integer, got '{points}'" in capsys.readouterr().err
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "list")[0] == 0
+    assert run(capsys, "tensor", "hopf:1", "--what", "ricci")[0] == 0
+    assert built == []
+
+
+def _command_sequence(capsys):
+    """A usage error, --help, verify, tensor and a JSON listing, each as
+    (exit code, stdout, stderr)."""
+    out = []
+    for argv in (["verify"], ["--help"], ["verify", "hopf:1", "--points", "2"],
+                 ["tensor", "hopf:2", "--what", "weyl", "--format", "json"],
+                 ["list", "--format", "json"]):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out.append((code, *capsys.readouterr()))
+    return out
+
+
+def test_the_parser_serves_every_call_of_a_process_alike(capsys):
+    first = _command_sequence(capsys)
+    assert [code for code, _, _ in first] == [2, 0, 0, 0, 0]
+    assert "usage: contactcurv" in first[0][2] and "usage: contactcurv" in first[1][1]
+    assert _command_sequence(capsys) == first
 
 
 @pytest.mark.parametrize("command", ["check", "verify"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contactcurv import catalog, cli
 from contactcurv import exprlang as el
 from contactcurv import riemann as rm
 from contactcurv.jets import Jet2
@@ -250,6 +251,61 @@ class TestSharing:
                     for e in separate:
                         el.evaluate(e, env)
                 assert str(together.value) == str(alone.value)
+
+
+NODE_TYPES = (el.Const, el.Sym, el.Neg, el.Bin, el.Fn)
+
+
+class TestHashing:
+    SOURCES = ["sin(x)*cos(y) + 1", "x^2/(1 + y) - sqrt(2 + cos(z))",
+               "sin(-0.0) + sin(0.0)*x", "-(x*y) + log(3 + z)*exp(-x)"]
+
+    def test_equal_trees_from_separate_tables_compare_and_hash_equal(self):
+        first, second = {}, {}
+        for src in self.SOURCES:
+            a, b = el.parse(src, first), el.parse(src, second)
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+            assert repr(a) == repr(b) and "_hash" not in repr(a)
+        assert el.Const(0.0) == el.Const(-0.0) and hash(el.Const(0.0)) == hash(el.Const(-0.0))
+        table = {}
+        pos, neg = el.parse("sin(0.0)", table), el.parse("sin(-0.0)", table)
+        assert pos is not neg and pos == neg and hash(pos) == hash(neg)
+
+    def test_a_cached_hash_is_the_dataclass_hash(self):
+        # the hash of the tuple of the fields, as a frozen dataclass has it
+        e = el.parse("sin(x)*2 - -y")
+        assert hash(e) == hash((e.op, e.lhs, e.rhs))
+        assert hash(e.lhs) == hash(("*", el.Fn("sin", el.Sym("x")), el.Const(2.0)))
+        assert hash(el.Sym("x")) == hash(("x",))
+
+    @pytest.mark.parametrize("key", [e.key for e in catalog.ENTRIES])
+    def test_a_catalog_manifold_equals_its_exported_file(self, key):
+        cp = catalog.resolve(key)
+        loaded = cli.manifold_from_dict(cli.manifold_to_dict(cp), cp.name)
+        assert loaded.metric.comps[0][0] is not cp.metric.comps[0][0]
+        assert loaded == cp and hash(loaded) == hash(cp)
+
+    def test_a_second_hash_of_a_manifold_computes_no_node_hash(self, monkeypatch):
+        # a d = 10 nested-Hopf chart, read as a file reads it
+        cp = catalog.resolve("hopf:4")
+        cp = cli.manifold_from_dict(cli.manifold_to_dict(cp), cp.name)
+        calls, computed = [], []
+        for node in NODE_TYPES:
+            def counted(self, _hash=node.__hash__):
+                calls.append(self)
+                if self._hash is None:
+                    computed.append(self)
+                return _hash(self)
+            monkeypatch.setattr(node, "__hash__", counted)
+        first = hash(cp)
+        assert computed and len({id(n) for n in computed}) == len(computed)
+        calls.clear()
+        computed.clear()
+        assert hash(cp) == first
+        assert computed == []
+        # only the entries themselves: d^2 metric entries and four rows of d
+        assert len(calls) == cp.dim ** 2 + 4 * cp.dim
 
 
 @pytest.mark.parametrize("source, x", [("exp(1000*x)", 1.0), ("1 + x^400", 30.0)])

@@ -3,7 +3,9 @@ and a report recorded as rows over a stack of points reads as the same
 report recorded one check at a time."""
 
 import dataclasses
+import importlib.util
 import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -12,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactcurv import bochner as bm
-from contactcurv import catalog
-from contactcurv.report import Report
+from contactcurv import catalog, cli
+from contactcurv.report import Report, _json_point
 
 from helpers import record_rows
 
@@ -62,6 +64,41 @@ def test_equal_points_of_distinct_signs_are_written_apart():
     report.add("b", "", 0.0, None, (-0.0,))
     assert report.to_json() == reference(report)
     assert '"point": [\n        -0.0\n      ]' in report.to_json()
+
+
+def _json_module_point(point) -> str:
+    return "null" if point is None else json.dumps(list(point), indent=2).replace(
+        "\n", "\n      ")
+
+
+@pytest.mark.parametrize("point", [None, (), (-0.0,), (-0.0, 1e-300, 1e300, 1.0),
+                                   (5e-324, -1.7976931348623157e308, 0.1, 1 / 3),
+                                   (float("nan"), float("inf"), float("-inf")),
+                                   (np.float64(0.25), 2, True)])
+def test_a_point_is_written_as_the_json_module_writes_it(point):
+    assert _json_point(point) == _json_module_point(point)
+
+
+def _load_bench(name: str):
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_seeded_dense_exports_are_written_as_the_json_module_writes_them(tmp_path, seed):
+    # the 50-point files of the benchmark's dense_points workload
+    inputs = _load_bench("inputs")
+    for salt, key in enumerate(("hopf:2", "sphere_product:1,1")):
+        path = inputs.export_catalog_entry(key, seed, salt, 50, str(tmp_path))
+        points = cli.load_manifold(path).chart.sample_points
+        assert len(points) == 50
+        for point in points:
+            assert _json_point(point) == _json_module_point(point)
+    report = bm.run_suites(cli.load_manifold(path), ("definitions",))
+    assert report.to_json() == reference(report)
 
 
 def same_reading(report: Report, oracle: Report) -> None:

@@ -427,6 +427,32 @@ class TestFieldJets:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+    def test_the_three_blocks_are_c_contiguous_over_a_stack(self):
+        cp = catalog.resolve("hopf:2")
+        points = cp.chart.sample_points
+        out = rm.field_jets(cp.metric.comps, cp.chart, points)
+        assert [a.shape for a in out] == [(5, 6, 6), (5, 6, 6, 6), (5, 6, 6, 6, 6)]
+        assert all(a.flags.c_contiguous for a in out)
+        for p, point in enumerate(points):
+            for stacked, alone in zip(out, rm.field_jets(cp.metric.comps, cp.chart, point)):
+                assert np.array_equal(stacked[p], alone)
+
+    @pytest.mark.parametrize("points, point, entry", [
+        # exp(400 x) at x = 1.76 is finite with a finite gradient, and only
+        # its Hessian overflows
+        (((1.76, 0.1),), (1.76, 0.1), "exp(400.0*x)"),
+        (((0.1, 0.1), (0.1, 2.0), (1.76, 2.0)), (0.1, 2.0), "exp(400.0*y)"),
+        (((0.1, 0.1), (1.76, 2.0), (0.1, 2.0)), (1.76, 2.0), "exp(400.0*x)"),
+    ])
+    def test_a_non_finite_stack_names_its_first_point_then_its_first_entry(
+            self, points, point, entry):
+        chart = rm.Chart(coords=("x", "y"))
+        comps = [el.parse("1"), el.parse("exp(400*x)"), el.parse("exp(400*y)")]
+        with pytest.raises(el.ExprEvalError) as exc:
+            rm.field_jets(comps, chart, points)
+        assert str(exc.value) == f"non-finite value or derivative at {point} in '{entry}'"
+
+
 @pytest.mark.parametrize("query", [
     lambda m, p: rm.riemann(m, p).comps,
     lambda m, p: rm.christoffel(m, p).comps,
