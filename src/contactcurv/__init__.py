@@ -27,7 +27,6 @@ from .riemann import (
     TensorValue,
     VectorField,
     christoffel,
-    conformal_rescale,
     orthonormal_frame,
     ricci,
     scalar,
@@ -40,7 +39,7 @@ __all__ = [
     "CurvatureContext", "Chart", "ContactPairManifold", "InvalidStructureError",
     "Jet2", "MetricError", "MetricField", "OneForm", "Report", "TensorValue",
     "VectorField", "bochner", "bochner_pair", "catalog", "check_contact_pair",
-    "christoffel", "cli", "conformal_invariance_check", "conformal_rescale",
+    "christoffel", "cli", "conformal_invariance_check",
     "contactpair", "exprlang", "exterior_derivative", "jets", "lemma_suite",
     "orthonormal_frame", "ricci", "riemann", "scalar", "validate_structure", "weyl",
 ]

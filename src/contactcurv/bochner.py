@@ -67,11 +67,11 @@ class CurvatureContext:
 
 def _context(point, geo: rm.PointGeometry, J: np.ndarray, m: int,
              n: int, reading: str, tau_star=None) -> CurvatureContext:
-    ctx = CurvatureContext(point, geo.g, geo.ginv, J, geo.riem4, m, n,
-                           geo.tau, tau_star, reading)
-    if tau_star is None:  # unless the caller holds it already
-        ctx.tau_star = trace_form(contract_star(geo.riem4, ctx), ctx)
-    return ctx
+    if tau_star is None:  # unless the caller holds it already, as structure_at forms it
+        star = cpm.star_contraction(geo.riem4, geo.ginv, J)
+        tau_star = np.einsum("...ij,...ij->...", star, geo.ginv)
+    return CurvatureContext(point, geo.g, geo.ginv, J, geo.riem4, m, n,
+                            geo.tau, tau_star, reading)
 
 
 def context(cp: ContactPairManifold, point, which: str = "J",
@@ -107,19 +107,6 @@ def psi_op(s: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
     cols = np.stack((sJ, gJ), axis=-3).reshape(lead + (2, d * d))
     out += (rows @ cols).reshape(out.shape)  # [(ij), (kl)]
     return out
-
-
-def contract_star(t4: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
-    """Star contraction rho*(T)(X,Y) = sum_a T(X, e_a, J e_a, J Y) over any
-    g-orthonormal frame, taken against g^{-1}; see
-    :func:`contactpair.star_contraction`."""
-    return cpm.star_contraction(t4, ctx.ginv, ctx.J)
-
-
-def trace_form(s: np.ndarray, ctx: CurvatureContext):
-    """g^{ij} S(d_i, d_j), equal to sum_a S(e_a, e_a) for every g-orthonormal
-    frame (e_a); a float at one point, an array over a stack."""
-    return rm.point_scalar(np.einsum("...ij,...ij->...", s, ctx.ginv))
 
 
 # --- Bochner assembly ----------------------------------------------------------
@@ -191,12 +178,6 @@ def _reading_contractions(ctx: CurvatureContext):
             rho_star + rho_star_l3)
 
 
-def _reeb_plane(b: np.ndarray, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """B(Z_1, Z_2, Z_2, Z_1) as z1^T rho_{z2 z2^T}(B) z1."""
-    m = rm.contract_middle(b, z2[..., :, None] * z2[..., None, :])
-    return np.sum((z1[..., None, :] @ m)[..., 0, :] * z1, axis=-1)
-
-
 def bochner_pair(cp: ContactPairManifold, point: Sequence[float],
                  reading: str = DEFAULT_READING):
     """(B_J, B_T) at a point; the type numbers are used as given for both."""
@@ -212,7 +193,7 @@ def reeb_plane_component(cp: ContactPairManifold, point: Sequence[float],
     pt = tuple(float(v) for v in point)
     st = cpm.structure_at(cp, pt)
     b = bochner(context(cp, pt, which, reading))
-    return float(_reeb_plane(b, st.z1, st.z2))
+    return float(rm.sectional_form(b, st.z1, st.z2))
 
 
 def reeb_plane_closed_form(m: int, n: int, tau: float) -> float:
@@ -286,7 +267,7 @@ def _theorem1(report: Report, cp: ContactPairManifold, expected: Mapping,
     st = cpm.structure_at(cp, points)
     tau = st.geo.tau
     sup = rm.pointwise_sup(b_j)
-    plane = _reeb_plane(b_j, st.z1, st.z2)
+    plane = rm.sectional_form(b_j, st.z1, st.z2)
     if flat:
         # unit horizontal leaf-tangent candidates x[p, c], of which kept[p, c] count
         x, kept = st.horizontal_leaf_frame(2)

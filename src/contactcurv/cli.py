@@ -90,10 +90,17 @@ def _finite(value, field: str):
     return value
 
 
+def _ascii(raw: str) -> bool:
+    """True for text that may hold a number: float() also reads '٣', '３'
+    and '1_0', which expressions and --points refuse."""
+    return raw.isascii() and "_" not in raw
+
+
 def _real(value, field: str) -> float:
-    """A number; JSON true and false are not read as 1 and 0, and a JSON
-    number that is not finite is refused."""
-    if isinstance(value, bool):
+    """A number; JSON true and false are not read as 1 and 0, a JSON number
+    that is not finite is refused, and so is a string that is not ASCII or
+    holds an underscore."""
+    if isinstance(value, bool) or isinstance(value, str) and not _ascii(value):
         raise ValueError(f"{field} must be a number, got {value!r}")
     return float(_finite(value, field))
 
@@ -189,7 +196,7 @@ def _positive_int(raw: str) -> int:
 
 def _tolerance(raw: str) -> float:
     try:
-        value = float(raw)
+        value = float(raw) if _ascii(raw) else math.nan
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value >= 0.0):
@@ -274,6 +281,8 @@ def _parse_point(cp: ContactPairManifold, raw: str):
     if raw == "default":
         return _sample_points(cp, 1)[0]
     try:
+        if not _ascii(raw):
+            raise ValueError("numbers are ASCII and have no underscores")
         values = tuple(float(v) for v in raw.split(","))
     except ValueError as exc:
         raise UsageError(f"bad point '{raw}': {exc}") from exc

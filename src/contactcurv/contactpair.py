@@ -340,7 +340,7 @@ def structure_at(cp: ContactPairManifold, point) -> StructureData:
     H = np.eye(cp.dim) - _outer(z1, a1) - _outer(z2, a2)
 
     star = star_contraction(geo.riem4, ginv, J)
-    tau_star = rm.point_scalar(np.einsum("...ij,...ij->...", star, ginv))
+    tau_star = np.einsum("...ij,...ij->...", star, ginv)
 
     return StructureData(cp, point, geo, a1, a2, z1, z2, dz1, dz2, dalpha1, dalpha2,
                          ddalpha1, ddalpha2, phi, dphi, J, dJ, T, dT, P1, P2, H,
@@ -376,10 +376,8 @@ def nijenhuis_from(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
 
 
 def phi_sectional(st: StructureData, x: np.ndarray) -> np.ndarray:
-    """R(x, phi x, phi x, x) for each row x[c], as x^T rho_{px px^T}(R) x."""
-    px = x @ np.swapaxes(st.phi, -1, -2)
-    m = rm.contract_middle(st.geo.riem4, px[..., :, None] * px[..., None, :])  # [c, i, l]
-    return np.sum((x[..., None, :] @ m)[..., 0, :] * x, axis=-1)
+    """R(x, phi x, phi x, x) for each row x[c]."""
+    return rm.sectional_form(st.geo.riem4, x, x @ np.swapaxes(st.phi, -1, -2))
 
 
 # --- validation and lemma suite ---------------------------------------------------
@@ -508,14 +506,17 @@ def lemma_checks(cp: ContactPairManifold, tolerance: float,
     nabla_z1 = rm.covd_vector(st.z1, st.dz1, gamma)
     nabla_z2 = rm.covd_vector(st.z2, st.dz2, gamma)
 
+    # phi^T dalpha_i: [y, x] = dalpha_i(phi Y, X), read by the phi and the
+    # curvature identities
+    phi_dalpha = [np.einsum("...ay,...ax->...yx", st.phi, da) for da in dalpha]
+
     # g((grad_X phi) Y, V) written in the two exterior derivatives
     nabla_phi = rm.covd_11(st.phi, st.dphi, gamma)
     lhs_phi = tr(nabla_phi) @ g[..., None, :, :]
     rhs_phi = np.zeros_like(lhs_phi)
-    for i in range(2):
-        Ai = np.einsum("...ay,...ax->...yx", st.phi, dalpha[i])
-        rhs_phi += (np.einsum("...yx,...v->...xyv", Ai, a[i])
-                    - np.einsum("...vx,...y->...xyv", Ai, a[i]))
+    for Ai, ai in zip(phi_dalpha, a):
+        rhs_phi += (np.einsum("...yx,...v->...xyv", Ai, ai)
+                    - np.einsum("...vx,...y->...xyv", Ai, ai))
 
     # the J version gains four vertical correction terms
     nabla_J = rm.covd_11(st.J, st.dJ, gamma)
@@ -529,10 +530,9 @@ def lemma_checks(cp: ContactPairManifold, tolerance: float,
     # curvature against the combined Reeb field Z = Z_1 + Z_2
     lhs_R = np.einsum("...xycv,...c->...xyv", R4, st.z1 + st.z2)
     rhs_R = np.zeros_like(lhs_R)
-    for i in range(2):
-        Ai = np.einsum("...av,...ax->...vx", st.phi, dalpha[i])
-        rhs_R += (np.einsum("...vx,...y->...xyv", Ai, a[i])
-                  - np.einsum("...vy,...x->...xyv", Ai, a[i]))
+    for Ai, ai in zip(phi_dalpha, a):
+        rhs_R += (np.einsum("...vx,...y->...xyv", Ai, ai)
+                  - np.einsum("...vy,...x->...xyv", Ai, ai))
 
     # sectional values against the Reeb directions, unit X in TF_2 cut
     # to the horizontal bundle

@@ -190,11 +190,6 @@ def as_point(point) -> Union[Point, tuple[Point, ...]]:
     return point if _exact(point) else tuple(float(v) for v in point)
 
 
-def point_scalar(x):
-    """A Python float at one point, the array itself over a stack."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def pointwise_sup(x: np.ndarray) -> np.ndarray:
     """max |x| over every axis but the leading point axis."""
     return np.abs(x).reshape(len(x), -1).max(axis=1)
@@ -280,6 +275,14 @@ def contract_middle(t4: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.swapaxes(out, -3, -2).reshape(lead + rows + (d, d))
 
 
+def sectional_form(t4: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """T(x, u, u, x) of a four-slot tensor as x^T rho_{u u^T}(T) x, where x
+    and u may carry axes after the leading ones of T (rows x[c], each with
+    its own u[c]), which the result keeps."""
+    m = contract_middle(t4, u[..., :, None] * u[..., None, :])
+    return np.sum((x[..., None, :] @ m)[..., 0, :] * x, axis=-1)
+
+
 def freeze_arrays(record) -> None:
     """Make every array attribute of a cached record read-only, so callers
     cannot change what later calls return."""
@@ -327,7 +330,7 @@ class PointGeometry:
         self.riem13 = x - np.swapaxes(x, -3, -2)
         self.riem4 = contract_last(np.moveaxis(self.riem13, -4, -1), g)
         self.ricci = np.einsum("...iijk->...jk", self.riem13)
-        self.tau = point_scalar(np.einsum("...jk,...jk->...", ginv, self.ricci))
+        self.tau = np.einsum("...jk,...jk->...", ginv, self.ricci)
         freeze_arrays(self)
 
     @property
@@ -390,7 +393,7 @@ def ricci(metric: MetricField, point: Sequence[float]) -> TensorValue:
 
 
 def scalar(metric: MetricField, point: Sequence[float]) -> float:
-    return geometry_at(metric, tuple(float(v) for v in point)).tau
+    return float(geometry_at(metric, tuple(float(v) for v in point)).tau)
 
 
 def covd_vector(values: np.ndarray, derivs: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -473,12 +476,3 @@ def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     left = np.stack((b, a), axis=-1).reshape(a.shape[:-2] + (1, d * d, 2))
     y = (left @ np.stack((a, b), axis=-2)).reshape(a.shape[:-2] + (d,) * 4)
     return y - np.swapaxes(y, -1, -2)
-
-
-def conformal_rescale(metric: MetricField, f: ExprLike) -> MetricField:
-    """Metric with components e^{2f} g_ij, as expressions."""
-    fe = el.as_expr(f)
-    metric.chart.validate_expr(fe)
-    factor = el.Fn("exp", el.mul(el.Const(2.0), fe))
-    comps = tuple(tuple(el.mul(factor, entry) for entry in row) for row in metric.comps)
-    return MetricField(metric.chart, comps)

@@ -14,6 +14,9 @@ and pi_2, the J-conjugation L3 as four last-slot contractions, the middle
 and star contractions, the Ricci contraction rho(T) against g^{-1}, the
 Bochner contractions through L3 R, and the five-operand sectional values.
 Every array may carry leading point axes.
+
+:func:`conformal_rescale` builds the metric e^{2f} g as expressions, a
+second metric whose geometry the tests hold against the rescaled jets.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from contactcurv import exprlang as el
+from contactcurv import riemann as rm
 from contactcurv.exprlang import (FUNCTION_NAMES, MAX_DEPTH, MAX_NESTING, Const, Expr,
                                   ExprSyntaxError, Fn, Sym, _share, add, div, mul, neg,
                                   pow_, sub)
@@ -157,6 +161,17 @@ class RecursiveParser:
 def reference_parse(source: str, table: dict | None = None) -> Expr:
     """:func:`exprlang.parse` by the recursive reference parser."""
     return RecursiveParser(source, {} if table is None else table).parse()
+
+
+# --- conformal rescaling ------------------------------------------------------------
+
+def conformal_rescale(metric: rm.MetricField, f: rm.ExprLike) -> rm.MetricField:
+    """Metric with components e^{2f} g_ij, as expressions."""
+    fe = el.as_expr(f)
+    metric.chart.validate_expr(fe)
+    factor = Fn("exp", mul(Const(2.0), fe))
+    comps = tuple(tuple(mul(factor, entry) for entry in row) for row in metric.comps)
+    return rm.MetricField(metric.chart, comps)
 
 
 # --- curvature kernels -----------------------------------------------------------

@@ -20,8 +20,8 @@ def flat_context(kappa=0.0):
     J[3, 2], J[2, 3] = 1.0, -1.0
     r4 = kappa * (np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g))
     ctx = bm.CurvatureContext((0.0,) * 4, g, g, J, r4, 1, 0, 0.0, 0.0)
-    ctx.tau = bm.trace_form(oracles.contract_ricci(r4, ctx), ctx)
-    ctx.tau_star = bm.trace_form(bm.contract_star(r4, ctx), ctx)
+    ctx.tau = np.einsum("ij,ij->", oracles.contract_ricci(r4, ctx), g)
+    ctx.tau_star = np.einsum("ij,ij->", cpm.star_contraction(r4, g, J), g)
     return ctx
 
 
@@ -35,8 +35,10 @@ def two_regime_bochner(ctx):
         minus, plus = R - l3r, R + l3r
     else:
         minus = plus = R
-    s2, s3 = bm.contract_star(minus, ctx), oracles.contract_ricci(minus, ctx)
-    rho, rho_star = oracles.contract_ricci(plus, ctx), bm.contract_star(plus, ctx)
+    s2 = cpm.star_contraction(minus, ctx.ginv, ctx.J)
+    s3 = oracles.contract_ricci(minus, ctx)
+    rho = oracles.contract_ricci(plus, ctx)
+    rho_star = cpm.star_contraction(plus, ctx.ginv, ctx.J)
     s4, s5 = rho + 3.0 * rho_star, rho - rho_star
     tau, tau_star = ctx.tau, ctx.tau_star
     p1, p2 = oracles.pi1(ctx), oracles.pi2(ctx)
@@ -143,7 +145,8 @@ class TestContractions:
         pt = cp.chart.sample_points[0]
         ctx = bm.context(cp, pt)
         expected = cpm.structure_at(cp, pt).star_ricci
-        assert np.max(np.abs(bm.contract_star(ctx.riem4, ctx) - expected)) < 1e-9
+        star = cpm.star_contraction(ctx.riem4, ctx.ginv, ctx.J)
+        assert np.max(np.abs(star - expected)) < 1e-9
 
     def test_ricci_contraction_of_pi1(self, hopf2_ctx):
         # with the pinned sign the space-form tensor is -pi1, so the
@@ -157,7 +160,7 @@ class TestContractions:
         ctx = bm.context(cp, pt)
         st = cpm.structure_at(cp, pt)
         rho = oracles.contract_ricci(ctx.riem4, ctx)
-        star = bm.contract_star(ctx.riem4, ctx)
+        star = cpm.star_contraction(ctx.riem4, ctx.ginv, ctx.J)
         assert st.z1 @ rho @ st.z1 == pytest.approx(2.0, abs=1e-10)
         assert abs(st.z1 @ star @ st.z1) < 1e-10
 
@@ -178,13 +181,16 @@ class TestContractions:
                     rho = np.einsum("ipqj,ap,aq->ij", r4, e, e)
                     star = np.einsum("ipqr,ap,aq,rj->ij", r4, e, je, ctx.J)
                     assert np.max(np.abs(oracles.contract_ricci(r4, ctx) - rho)) < 1e-10
-                    assert np.max(np.abs(bm.contract_star(r4, ctx) - star)) < 1e-10
+                    assert np.max(np.abs(cpm.star_contraction(r4, ctx.ginv, ctx.J)
+                                         - star)) < 1e-10
                     for s in (rho, star):
                         trace = np.einsum("ij,ai,aj->", s, e, e)
-                        assert abs(bm.trace_form(s, ctx) - trace) < 1e-10
+                        assert abs(np.einsum("ij,ij->", s, ctx.ginv) - trace) < 1e-10
+                    # tau* of the context: structure_at's for J, its own for T
+                    tau_star = np.einsum("ij,ai,aj->", star, e, e)
+                    assert abs(ctx.tau_star - tau_star) < 1e-10
                     if which == "J":
                         assert np.max(np.abs(st.star_ricci - star)) < 1e-10
-                        tau_star = np.einsum("ij,ai,aj->", star, e, e)
                         assert abs(st.tau_star - tau_star) < 1e-10
 
 

@@ -58,10 +58,15 @@ def test_stack_matches_pointwise(key):
 
     stacked = tensors(pts, st)
     assert isinstance(st.tau_star, np.ndarray) and st.tau_star.shape == (len(pts),)
+    assert bm.context(cp, pts, "T").tau_star.shape == (len(pts),)
     for p, pt in enumerate(pts):
         one = cpm.structure_at(cp, pt)
         single = tensors(pt, one)
+        # the scalars are numpy floats at one point, and rm.scalar a Python float
         assert isinstance(one.tau_star, float) and isinstance(one.geo.tau, float)
+        assert isinstance(bm.context(cp, pt, "T").tau_star, float)
+        assert type(rm.scalar(cp.metric, pt)) is float
+        assert rm.scalar(cp.metric, pt) == one.geo.tau
         assert single.keys() == stacked.keys()
         for name, value in single.items():
             assert np.shape(stacked[name][p]) == np.shape(value), name
