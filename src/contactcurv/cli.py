@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from typing import Optional, Sequence
@@ -131,7 +132,12 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
         seen: set[int] = set()
         entries = {}
         for key, src in _object(data["metric"], "metric").items():
-            i, j = (int(part) for part in key.split(","))
+            # int() alone also reads ' 0', '+0', '0_0', '٠' and '０'
+            if not re.fullmatch("[0-9]+,[0-9]+", key):
+                raise ValueError(f"metric key {key!r} is not 'i,j' in ASCII digits")
+            i, j = map(int, key.split(","))
+            if (i, j) in entries or (j, i) in entries:
+                raise ValueError(f"metric entry {(i, j)} is given twice")
             entries[(i, j)] = _finite(src, f"metric[{key!r}]")
         metric = rm.MetricField.from_entries(chart, entries, table, seen)
         rows = {}

@@ -1,10 +1,11 @@
 """Pointwise Riemannian geometry of a chart-defined metric.
 
 The metric is a symmetric matrix of closed-form expressions.  Evaluating it
-over second-order jets yields g, dg and d2g exactly, from which Christoffel
-symbols, their first derivatives, and the curvature tensors follow by the
-coordinate formulas.  :func:`field_jets` is the one loop that walks
-expressions over jets, once per expression for a whole stack of points.
+over second-order jets yields g, dg and d2g exactly, from which the
+Christoffel symbols of both kinds and the curvature tensors follow by the
+coordinate formulas (do Carmo, Riemannian Geometry, 1992, ch. 4).
+:func:`field_jets` is the one loop that walks expressions over jets, once
+per expression for a whole stack of points.
 
 Every array may carry a leading point axis: the same kernels evaluate one
 point or a stack of points at once, and a stack is given as a tuple of
@@ -13,10 +14,10 @@ point axis omitted):
 
 * ``dg[k, i, j]``          = d_k g_ij
 * ``d2g[k, l, i, j]``      = d_k d_l g_ij
-* ``gamma[k, i, j]``       = Gamma^k_ij
-* ``dgamma[m, k, i, j]``   = d_m Gamma^k_ij
-* ``riem13[l, i, j, k]``   : R(e_i, e_j) e_k = riem13[l, i, j, k] e_l
+* ``C[l, i, j]``           = C_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
+* ``gamma[k, i, j]``       = Gamma^k_ij = g^kl C_{l,ij}
 * ``riem4[i, j, k, l]``    = g( R(e_i, e_j) e_k, e_l )
+* ``ricci[i, j]``          = sum_pq riem4[i, p, q, j] g^pq
 
 with the curvature operator R(X,Y) = grad_X grad_Y - grad_Y grad_X -
 grad_[X,Y].  The overall sign is pinned by the model-space tests: the
@@ -298,38 +299,28 @@ class PointGeometry:
     ginv: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
-    dginv: np.ndarray = field(init=False)  # [m, k, l] = d_m g^{kl}
     gamma: np.ndarray = field(init=False)
-    dgamma: np.ndarray = field(init=False)
-    riem13: np.ndarray = field(init=False)
     riem4: np.ndarray = field(init=False)
     ricci: np.ndarray = field(init=False)
     tau: Union[float, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        g, ginv, dg, d2g = self.g, self.ginv, self.dg, self.d2g
-        # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-        T = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
-             - dg)
-        pairs = T.shape[:-2] + (-1,)  # the pair ij merged
-        self.gamma = 0.5 * (ginv @ T.reshape(pairs)).reshape(T.shape)
-        ginv_m = ginv[..., None, :, :]  # broadcast over the derivative index m
-        self.dginv = dginv = -(ginv_m @ dg @ ginv_m)
-        dT = (np.einsum("...mijl->...mlij", d2g) + np.einsum("...mjil->...mlij", d2g)
-              - d2g)
-        # with the pair ij merged: [m, k, l] @ [l, (ij)] + [k, l] @ [m, l, (ij)]
-        self.dgamma = 0.5 * (dginv @ T.reshape(pairs)[..., None, :, :]
-                             + ginv_m @ dT.reshape(dT.shape[:-2] + (-1,))).reshape(dT.shape)
-        gamma, dgamma = self.gamma, self.dgamma
-        # [l, i, j, k] = Gamma^l_im Gamma^m_jk as [(li), m] @ [m, (jk)]
-        quad = (gamma.reshape(gamma.shape[:-3] + (-1, self.dim))
-                @ gamma.reshape(pairs)).reshape(dgamma.shape)
-        # R^l_ijk = x[l, i, j, k] - x[l, j, i, k] with
-        # x[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk
-        x = np.swapaxes(dgamma, -4, -3) + quad
-        self.riem13 = x - np.swapaxes(x, -3, -2)
-        self.riem4 = contract_last(np.moveaxis(self.riem13, -4, -1), g)
-        self.ricci = np.einsum("...iijk->...jk", self.riem13)
+        ginv, dg, d2g = self.ginv, self.dg, self.d2g
+        # C[l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2 and its partials
+        # dC[m, l, i, j] = d_m C[l, i, j]
+        C = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
+        dC = 0.5 * (np.einsum("...mijl->...mlij", d2g) + np.einsum("...mjil->...mlij", d2g)
+                    - d2g)
+        pairs = C.shape[:-2] + (-1,)  # [p, (ij)]: the pair ij merged
+        self.gamma = (ginv @ C.reshape(pairs)).reshape(C.shape)
+        # R_ijkl = x[i, j, k, l] - x[j, i, k, l] with
+        # x[i, j, k, l] = d_i C[l, j, k] - C[p, i, l] Gamma^p_jk, held as
+        # y[i, l, j, k] and the sum as [(il), p] @ [p, (jk)]
+        y = dC - (np.swapaxes(C.reshape(pairs), -1, -2)
+                  @ self.gamma.reshape(pairs)).reshape(dC.shape)
+        # [i, l, j, k] -> [i, j, k, l], copied C-contiguous for the reshapes of the kernels
+        self.riem4 = np.moveaxis(y - np.swapaxes(y, -4, -2), -3, -1).copy()
+        self.ricci = contract_middle(self.riem4, ginv)
         self.tau = np.einsum("...jk,...jk->...", ginv, self.ricci)
         freeze_arrays(self)
 

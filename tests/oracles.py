@@ -15,6 +15,11 @@ and star contractions, the Ricci contraction rho(T) against g^{-1}, the
 Bochner contractions through L3 R, and the five-operand sectional values.
 Every array may carry leading point axes.
 
+:func:`reference_geometry` builds the curvature by the long route, through
+the partials of g^{-1} and of Gamma and the mixed tensor R^l_ijk, which the
+package no longer forms, and :func:`reference_dphi` differentiates phi
+through the partials of g^{-1}.
+
 :func:`conformal_rescale` builds the metric e^{2f} g as expressions, a
 second metric whose geometry the tests hold against the rescaled jets.
 """
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 import re
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
@@ -172,6 +178,42 @@ def conformal_rescale(metric: rm.MetricField, f: rm.ExprLike) -> rm.MetricField:
     factor = Fn("exp", mul(Const(2.0), fe))
     comps = tuple(tuple(mul(factor, entry) for entry in row) for row in metric.comps)
     return rm.MetricField(metric.chart, comps)
+
+
+# --- the curvature by way of R^l_ijk ------------------------------------------------
+
+def reference_geometry(g, ginv, dg, d2g):
+    """Christoffel symbols, the partials of g^-1 and of Gamma, R^l_ijk, its
+    lowering R_ijkl, the trace Ricci_jk = R^i_ijk and tau from the jets of g,
+    the construction ``riemann.PointGeometry`` used before it read R_ijkl off
+    the symbols of the first kind.  Returns a namespace with ``gamma``,
+    ``dginv[m, k, l]`` = d_m g^kl, ``dgamma[m, k, i, j]`` = d_m Gamma^k_ij,
+    ``riem13[l, i, j, k]``, ``riem4``, ``ricci`` and ``tau``."""
+    # T[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    T = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+    dT = (np.einsum("...mijl->...mlij", d2g) + np.einsum("...mjil->...mlij", d2g)
+          - d2g)
+    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, T)
+    dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
+    dgamma = 0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, T)
+                    + np.einsum("...kl,...mlij->...mkij", ginv, dT))
+    # R^l_ijk = x[l, i, j, k] - x[l, j, i, k] with
+    # x[l, i, j, k] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk
+    x = (np.einsum("...iljk->...lijk", dgamma)
+         + np.einsum("...lim,...mjk->...lijk", gamma, gamma))
+    riem13 = x - np.swapaxes(x, -3, -2)
+    riem4 = contract_last(np.moveaxis(riem13, -4, -1), g)
+    ricci = np.einsum("...iijk->...jk", riem13)
+    tau = np.einsum("...jk,...jk->...", ginv, ricci)
+    return SimpleNamespace(gamma=gamma, dginv=dginv, dgamma=dgamma, riem13=riem13,
+                           riem4=riem4, ricci=ricci, tau=tau)
+
+
+def reference_dphi(ginv, dginv, dalpha, ddalpha):
+    """d_m phi^k_j of phi = g^-1 (d alpha_1 + d alpha_2) by the product rule
+    through d_m g^-1, as ``contactpair.structure_at`` formed it before."""
+    return (np.einsum("...mka,...aj->...mkj", dginv, dalpha)
+            + np.einsum("...ka,...maj->...mkj", ginv, ddalpha))
 
 
 # --- curvature kernels -----------------------------------------------------------

@@ -528,13 +528,14 @@ def test_faulty_point_is_reported_in_point_order(capsys, tmp_path, edit, code, e
 @pytest.mark.parametrize("command, code, err", [
     ("verify", 2, "error: theorem suites need the expected-results table of a catalog "
                   "entry; 'variant' is not in the catalog\n"),
-    ("check", 1, ""),
+    ("check", 0, ""),
 ], ids=["verify", "check"])
 def test_ill_conditioned_points_pass_the_structure_gate(capsys, tmp_path, command, code,
                                                          err):
     # phi's rank is read in a g-orthonormal frame, so both points pass the
-    # gate: check fails two lemma residuals there, and verify goes on to the
-    # theorem suites, which a file outside the catalog cannot run
+    # gate: check passes every lemma there, the curvature read off the jets
+    # of g without the partials of g^-1, and verify goes on to the theorem
+    # suites, which a file outside the catalog cannot run
     path = _hopf1_variant(capsys, tmp_path, _insert((1, ILL), (3, [2e-5, 0.5, 0.5, 0.5])))
     _clear_package_caches()
     with warnings.catch_warnings(record=True) as caught:
@@ -546,10 +547,12 @@ def test_ill_conditioned_points_pass_the_structure_gate(capsys, tmp_path, comman
         ILL_WARNING, "metric condition number 2.500e+09 at (2e-05, 0.5, 0.5, 0.5)"]
     assert all(w.category is riemann.IllConditionedMetricWarning for w in caught)
     if command == "check":
-        failed = [(c["name"], c["point"][0]) for c in json.loads(result[1])["checks"]
-                  if not c["passed"]]
-        assert failed == [(name, x) for x in (1e-5, 2e-5) for name in (
-            "star_ricci_j_exchange", "ricci_j_invariance_horizontal")]
+        checks = json.loads(result[1])["checks"]
+        assert [c for c in checks if not c["passed"]] == []
+        values = {(c["name"], c["point"][0]): c["value"] for c in checks if c["point"]}
+        for x in (1e-5, 2e-5):
+            for name in ("star_ricci_j_exchange", "ricci_j_invariance_horizontal"):
+                assert abs(values[name, x]) <= 1e-12
 
 
 @pytest.mark.parametrize("command", ["check", "verify", "tensor"])
@@ -602,9 +605,10 @@ def _set(field, value):
     return edit
 
 
-def _metric_key(key):
+def _metric_key(*keys):
     def edit(data):
-        data["metric"][key] = "1"
+        for key in keys:
+            data["metric"][key] = "1"
     return edit
 
 
@@ -637,12 +641,17 @@ def _first_point_coordinate(value):
     _put("alpha1", 0, False), _put("alpha2", 3, True), _put("Z1", 1, True),
     _put("Z2", 3, True), _set("params", {"c": True}), _first_point_coordinate(False),
     _first_point_coordinate("\u0663"), _first_point_coordinate("\uff13"),
-    _first_point_coordinate("1_0"), _set("params", {"c": "\uff13"})],
+    _first_point_coordinate("1_0"), _set("params", {"c": "\uff13"}),
+    _metric_key("\u0660,\u0660"), _metric_key("\uff10,\uff10"), _metric_key("0_0,0"),
+    _metric_key(" 0 , 0"), _metric_key("+0,0"), _metric_key("0,0,0"), _metric_key("00,0"),
+    _metric_key("0,3", "3,0")],
     ids=["metric-9,9", "metric--1,0", "metric-list", "params-list",
          "alpha1-short", "Z1-long", "repeated-coordinate", "params-coordinate",
          "metric-true", "alpha1-false", "alpha2-true", "Z1-true", "Z2-true",
          "params-true", "point-false", "point-arabic-indic-3", "point-fullwidth-3",
-         "point-underscore", "params-fullwidth-3"])
+         "point-underscore", "params-fullwidth-3", "metric-arabic-indic-0",
+         "metric-fullwidth-0", "metric-underscore", "metric-spaces", "metric-plus",
+         "metric-three-indices", "metric-0,0-twice", "metric-3,0-and-0,3"])
 @pytest.mark.parametrize("argv", [["verify"], ["check"],
                                   ["tensor", "--what", "ricci"]])
 def test_malformed_manifold_file_is_an_input_error(capsys, tmp_path, edit, argv):

@@ -102,6 +102,47 @@ def test_weyl_is_one_product_of_the_two_product_form(key):
     assert np.max(np.abs(one - expected[0])) <= bound
 
 
+def _random_jets(d, lead):
+    """The 2-jet of a metric at each point: g positive definite, d_k g_ij
+    symmetric in ij, d_k d_l g_ij symmetric in kl and in ij.  Every such jet
+    is the jet of a quadratic metric, so the curvature identities hold."""
+    rng = np.random.default_rng(2000 * d + len(lead) + sum(lead))
+    a = rng.normal(size=lead + (d, d))
+    g = a @ np.swapaxes(a, -1, -2) + d * np.eye(d)
+    dg = rng.normal(size=lead + (d, d, d))
+    dg = dg + np.swapaxes(dg, -1, -2)
+    d2g = rng.normal(size=lead + (d, d, d, d))
+    d2g = d2g + np.swapaxes(d2g, -1, -2)
+    d2g = d2g + np.swapaxes(d2g, -3, -4)
+    return g, np.linalg.inv(g), dg, d2g
+
+
+@pytest.mark.parametrize("d, lead", SHAPES)
+def test_curvature_matches_the_mixed_tensor_route(d, lead):
+    g, ginv, dg, d2g = _random_jets(d, lead)
+    geo = rm.PointGeometry(None, g, ginv, dg, d2g)
+    ref = oracles.reference_geometry(g, ginv, dg, d2g)
+    for name in ("gamma", "riem4", "ricci", "tau"):
+        _close(getattr(geo, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("stack", [None, 1, 7], ids=["point", "stack-1", "stack-7"])
+@pytest.mark.parametrize("key", ["hopf:1", "hopf:2", "hopf:3", "hopf:4"])
+def test_structure_matches_the_mixed_tensor_route(key, stack):
+    # d = 4, 6, 8 and 10; a stack of 7 repeats sample points
+    cp = catalog.resolve(key)
+    pts = cp.chart.sample_points
+    point = pts[0] if stack is None else (pts * 2)[:stack]
+    st = cpm.structure_at(cp, point)
+    geo = st.geo
+    ref = oracles.reference_geometry(geo.g, geo.ginv, geo.dg, geo.d2g)
+    for name in ("gamma", "riem4", "ricci", "tau"):
+        _close(getattr(geo, name), getattr(ref, name))
+    dphi = oracles.reference_dphi(geo.ginv, ref.dginv, st.dalpha1 + st.dalpha2,
+                                  st.ddalpha1 + st.ddalpha2)
+    _close(st.dphi, dphi)
+
+
 # --- no many-operand einsum in the package -----------------------------------------
 
 def einsum_faults(source: str, filename: str = "<source>") -> list[str]:
