@@ -16,12 +16,14 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import re
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
@@ -161,10 +163,23 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
         raise UsageError(f"bad manifold file: {exc}") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice in it, which ``json``
+    would read as its later value, is a malformed file."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise UsageError(f"bad manifold file: key {key!r} is given twice")
+            seen.add(key)
+    return out
+
+
 def load_manifold(path: str) -> ContactPairManifold:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
@@ -297,6 +312,21 @@ def _parse_point(cp: ContactPairManifold, raw: str):
     return values
 
 
+def _summary_json(summary: dict) -> str:
+    """``json.dumps(summary, indent=2)`` of a tensor summary, byte for byte.
+    With an indent, :mod:`json` runs its pure-Python encoder, so the
+    ``nonzero_components`` block, most of the output, is written directly:
+    its keys are strings and its values finite floats."""
+    head = {key: value for key, value in summary.items()
+            if key not in ("nonzero_components", "conventions")}
+    rows = [f"{encode_basestring_ascii(label)}: {float.__repr__(value)}"
+            for label, value in summary["nonzero_components"].items()]
+    components = "{\n    " + ",\n    ".join(rows) + "\n  }" if rows else "{}"
+    conventions = json.dumps(summary["conventions"], indent=2).replace("\n", "\n  ")
+    return (f'{json.dumps(head, indent=2)[:-2]},\n  "nonzero_components": {components},\n'
+            f'  "conventions": {conventions}\n}}')
+
+
 def cmd_tensor(args) -> int:
     cp = resolve_manifold(args.manifold)
     point = _parse_point(cp, args.at)
@@ -320,7 +350,7 @@ def cmd_tensor(args) -> int:
         "conventions": cp.conventions() | bm.convention_ledger(),
     }
     if args.format == "json":
-        print(json.dumps(summary, indent=2))
+        print(_summary_json(summary))
     else:
         print(f"{args.what} on {cp.name} at ({', '.join(f'{v:.6g}' for v in point)})")
         print(f"  tau = {scalars['tau']:.12g}   tau* = {scalars['tau_star']:.12g}"
@@ -434,7 +464,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console command: :func:`main`, with its output written once it
+    has returned, so that a reader that closes the pipe early (``| head
+    -1``) ends the run quietly with the exit code the command computed."""
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        code = main()
+    finally:
+        text, sys.stdout = sys.stdout.getvalue(), stdout
+        try:
+            stdout.write(text)
+            stdout.flush()
+        except BrokenPipeError:
+            # the interpreter flushes stdout once more as it exits
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

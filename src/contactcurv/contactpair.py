@@ -18,6 +18,7 @@ suite.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -52,6 +53,7 @@ class InvalidStructureError(Exception):
         self.defect = defect
 
 
+@el.keeps_hash
 @dataclass(frozen=True)
 class ContactPairManifold:
     name: str
@@ -237,15 +239,18 @@ def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., :, None] * v[..., None, :]
 
 
-def _nullspace_projector(alpha_values: np.ndarray, dalpha_values: np.ndarray,
-                         g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g-orthogonal projector onto {X : alpha(X)=0, dalpha(X, .)=0} and the
-    dimension of that space, over any leading axes."""
+def _nullspace_projectors(alpha_values: np.ndarray, dalpha_values: np.ndarray,
+                          g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g-orthogonal projectors onto {X : alpha_f(X)=0, dalpha_f(X, .)=0} and
+    the dimensions of those spaces, for forms f stacked on the axis after
+    the leading axes of g (``[..., f, i]`` and ``[..., f, i, j]``), with one
+    SVD for all of them."""
     d = g.shape[-1]
     stack = np.concatenate((alpha_values[..., None, :],
                             np.swapaxes(dalpha_values, -1, -2)), axis=-2)
     _, svals, vt = np.linalg.svd(stack)
     dims = d - np.count_nonzero(svals > 1e-8 * svals[..., :1], axis=-1)
+    g = np.broadcast_to(g[..., None, :, :], stack.shape[:-2] + (d, d))
     proj = np.zeros(g.shape)
     for k in set(np.ravel(dims).tolist()) - {0}:  # one solve per nullspace dimension
         at = dims == k
@@ -296,18 +301,31 @@ def structure_at(cp: ContactPairManifold, point) -> StructureData:
     point, and :func:`require_foliations` raises them.  Evaluation faults
     raise as in :func:`riemann.geometry_at`: the first faulty point in
     point order, and at one point a metric fault before a form fault.
+
+    The forms and fields continue the walk of the metric
+    (:meth:`riemann.PointGeometry.continued_walk`), so a node they share
+    with it is walked once.  The ill-conditioning warnings of a stack
+    come out once its forms have passed too.
     """
     stacked = rm.is_stack(point)
     fields = (cp.alpha1.comps, cp.alpha2.comps, cp.z1.comps, cp.z2.comps)
-    # forms and fields are walked before the metric: a fault there leaves later points unwarned
     try:
-        values, derivs, hess = rm.field_jets(fields, cp.chart, point)
-    except el.ExprError:
-        for pt in point if stacked else (point,):
-            rm.geometry_at(cp.metric, pt)
+        if stacked:
+            with warnings.catch_warnings(record=True) as held:
+                warnings.simplefilter("always")
+                geo = rm.geometry_at(cp.metric, point)
+        else:
+            held, geo = [], rm.geometry_at(cp.metric, point)
+        values, derivs, hess = rm.field_jets(fields, cp.chart, point, geo.continued_walk())
+    except (el.ExprError, rm.MetricError):
+        # point by point and uncached, so the first faulty point raises after
+        # the warnings of the points before it, and of no later point
+        for pt in point if stacked else ():
+            rm.point_geometry(cp.metric, pt)
             rm.field_jets(fields, cp.chart, pt)
         raise
-    geo = rm.geometry_at(cp.metric, point)
+    for caught in held:
+        warnings.warn(caught.message, stacklevel=1)
     g, ginv = geo.g, geo.ginv
 
     # d alpha and its partials come from the gradients and Hessians of the alphas
@@ -333,9 +351,9 @@ def structure_at(cp: ContactPairManifold, point) -> StructureData:
           + np.einsum("...k,...mj->...mkj", z2, da1_partial))
     dT = 2.0 * dphi - dJ
 
-    P1, dim1 = _nullspace_projector(a1, dalpha1, g)
-    P2, dim2 = _nullspace_projector(a2, dalpha2, g)
-    dims = np.stack((dim1, dim2), axis=-1)
+    proj, dims = _nullspace_projectors(np.stack((a1, a2), axis=-2),
+                                       np.stack((dalpha1, dalpha2), axis=-3), g)
+    P1, P2 = proj[..., 0, :, :], proj[..., 1, :, :]
     if not stacked and (fault := _foliation_fault(cp, point, dims)):
         raise fault
     H = np.eye(cp.dim) - _outer(z1, a1) - _outer(z2, a2)

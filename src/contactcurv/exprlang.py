@@ -37,13 +37,16 @@ only if the same smart constructor, given the same shared children, made
 that very node before, so a repeated subtree costs a lookup, not a node.
 :func:`evaluate_all` walks a sequence of such expressions with one memo
 keyed on ``id``, so each distinct node is evaluated once per call;
-``evaluate(e, env)`` is ``evaluate_all((e,), env)[0]``.  Neither the table
-nor the memo outlives its call or caller.
+``evaluate(e, env)`` is ``evaluate_all((e,), env)[0]``.  The table does
+not outlive its caller; a memo outlives its call only when the caller
+hands it to a later walk, which is how the forms of a manifold continue
+the walk of its metric (:func:`contactcurv.riemann.field_jets`).
 
 Hashing.  Nodes compare and print as the frozen dataclasses they are, and
 hash as them too, but each node computes its hash on first use and keeps
-it, so hashing a manifold to key a cache touches each distinct node once
-per process, and a later hash of it reads only its top-level entries.
+it (:func:`keeps_hash`), so hashing a manifold to key a cache touches each
+distinct node once per process.  The metric and the manifold keep theirs
+the same way, so a later lookup reads one kept hash.
 """
 
 from __future__ import annotations
@@ -87,12 +90,13 @@ class ExprEvalError(ExprError):
 
 # --- AST -------------------------------------------------------------------
 
-def _keeps_hash(cls):
-    """``cls``, a frozen dataclass, with the hash the dataclass gives it (that
-    of the tuple of its fields) computed on first use and kept on the node,
-    so hashing a tree again, or a tree that shares the node, reads it in
-    one step.  Hashing a tree for the first time recurses one frame per
-    level, as the dataclass hash does."""
+def keeps_hash(cls):
+    """``cls``, a frozen dataclass whose fields all take part in its hash,
+    with the hash the dataclass gives it (that of the tuple of its fields)
+    computed on first use and kept on the instance, so hashing a tree
+    again, or a tree that shares the node, reads it in one step.  Hashing a
+    tree for the first time recurses one frame per level, as the dataclass
+    hash does."""
     names = tuple(cls.__dataclass_fields__)
     fields = operator.attrgetter(*names)  # a tuple for two names or more
     single = len(names) == 1
@@ -108,13 +112,13 @@ def _keeps_hash(cls):
     return cls
 
 
-@_keeps_hash
+@keeps_hash
 @dataclass(frozen=True)
 class Const:
     value: float
 
 
-@_keeps_hash
+@keeps_hash
 @dataclass(frozen=True)
 class Sym:
     """Coordinate or parameter reference; the environment decides which."""
@@ -122,13 +126,13 @@ class Sym:
     name: str
 
 
-@_keeps_hash
+@keeps_hash
 @dataclass(frozen=True)
 class Neg:
     arg: "Expr"
 
 
-@_keeps_hash
+@keeps_hash
 @dataclass(frozen=True)
 class Bin:
     op: str  # one of + - * / ^
@@ -136,7 +140,7 @@ class Bin:
     rhs: "Expr"
 
 
-@_keeps_hash
+@keeps_hash
 @dataclass(frozen=True)
 class Fn:
     name: str
@@ -405,11 +409,17 @@ def evaluate(e: Expr, env: Mapping[str, object]):
     return evaluate_all((e,), env)[0]
 
 
-def evaluate_all(exprs: Iterable[Expr], env: Mapping[str, object]) -> list:
+def evaluate_all(exprs: Iterable[Expr], env: Mapping[str, object],
+                 memo: Optional[dict[int, object]] = None) -> list:
     """:func:`evaluate` of each of ``exprs``, in order, with each distinct
     node evaluated once: a node shared by several expressions, or several
-    times by one, is evaluated at its first occurrence and reused after."""
-    memo: dict[int, object] = {}
+    times by one, is evaluated at its first occurrence and reused after.
+
+    A ``memo`` given continues an earlier walk over the same ``env``: a
+    node it holds is read from it, and each node evaluated is added to it.
+    It is keyed on ``id``, so the nodes it holds must stay alive as long as
+    it does."""
+    memo = {} if memo is None else memo
     return [_walk(e, env, memo) for e in exprs]
 
 

@@ -5,7 +5,9 @@ over second-order jets yields g, dg and d2g exactly, from which the
 Christoffel symbols of both kinds and the curvature tensors follow by the
 coordinate formulas (do Carmo, Riemannian Geometry, 1992, ch. 4).
 :func:`field_jets` is the one loop that walks expressions over jets, once
-per expression for a whole stack of points.
+per expression for a whole stack of points; a geometry keeps its metric
+walk, which the walk of other fields continues
+(:meth:`PointGeometry.continued_walk`).
 
 Every array may carry a leading point axis: the same kernels evaluate one
 point or a stack of points at once, and a stack is given as a tuple of
@@ -106,6 +108,7 @@ def _expr_row(chart: Chart, comps: Iterable[ExprLike], table: Optional[dict] = N
     return tuple(out)
 
 
+@el.keeps_hash
 @dataclass(frozen=True)
 class MetricField:
     """Symmetric d x d matrix of expressions (stored as the full grid)."""
@@ -198,7 +201,7 @@ def pointwise_sup(x: np.ndarray) -> np.ndarray:
 
 # --- field evaluation ---------------------------------------------------------
 
-def field_jets(comps, chart: Chart, point):
+def field_jets(comps, chart: Chart, point, walk: Optional[tuple[dict, dict]] = None):
     """Evaluate an array of expressions over second-order jets, at one point
     or over a stack of points.
 
@@ -210,10 +213,14 @@ def field_jets(comps, chart: Chart, point):
     (:func:`exprlang.evaluate_all`).  A non-finite value or derivative raises
     :class:`~contactcurv.exprlang.ExprEvalError` naming the first such point
     and, at that point, the expression of the first such entry.
+
+    ``walk``, the ``(env, memo)`` of a walk over the same chart and point,
+    is continued: its seeds are used, a node its memo holds is not walked
+    again, and each node walked is added to the memo.
     """
     arr = np.asarray(comps, dtype=object)
     d = chart.dim
-    env = chart.jet_env(point)
+    env, memo = (chart.jet_env(point), {}) if walk is None else walk
     lead = np.shape(point)[:-1]  # () at one point, (N,) over a stack
     # value, gradient and Hessian are consecutive blocks of one buffer, each
     # C-contiguous, so one finiteness test covers all three
@@ -229,7 +236,7 @@ def field_jets(comps, chart: Chart, point):
     # non-finite intermediates are caught by the finiteness test below, so
     # numpy's floating-point warnings would only repeat it
     with np.errstate(all="ignore"):
-        jets = el.evaluate_all(arr.flat, env)
+        jets = el.evaluate_all(arr.flat, env, memo)
     for k, jet in enumerate(jets):
         if isinstance(jet, Jet2):
             values[..., k] = jet.val
@@ -299,6 +306,8 @@ class PointGeometry:
     ginv: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
+    # (seeds, node memo, metric) of the metric walk, which continued_walk hands on
+    _walk: Optional[tuple] = field(default=None, repr=False, compare=False)
     gamma: np.ndarray = field(init=False)
     riem4: np.ndarray = field(init=False)
     ricci: np.ndarray = field(init=False)
@@ -328,16 +337,29 @@ class PointGeometry:
     def dim(self) -> int:
         return self.g.shape[-1]
 
+    def continued_walk(self) -> Optional[tuple[dict, dict]]:
+        """A copy of the ``(env, memo)`` of the metric walk that made this
+        geometry, for :func:`field_jets` to continue over other fields at
+        the same points, so that a node they share with the metric is not
+        walked again; None for a geometry no walk made.  The memo is keyed
+        on the ``id`` of the metric's nodes, which the geometry keeps alive
+        with the metric, and a caller changes only its copy."""
+        if self._walk is None:
+            return None
+        env, memo, _ = self._walk
+        return dict(env), dict(memo)
+
     def rescaled(self, c: float) -> "PointGeometry":
         """Geometry of c g for a constant c > 0, whose jets are c g, c dg, c d2g."""
         g = c * self.g
         return PointGeometry(self.point, g, np.linalg.inv(g), c * self.dg, c * self.d2g)
 
 
-@lru_cache(maxsize=None)
-def geometry_at(metric: MetricField, point) -> PointGeometry:
+def point_geometry(metric: MetricField, point) -> PointGeometry:
     """Metric, Christoffel and curvature data at one chart point, or stacked
-    over a tuple of points.
+    over a tuple of points.  :func:`geometry_at` is this function with a
+    point cache, and is what callers use; run uncached, it warns again for
+    a point whose geometry is cached.
 
     A non-finite metric jet raises :class:`~contactcurv.exprlang.ExprError`,
     and a metric that is not positive definite raises :class:`MetricError`;
@@ -347,9 +369,10 @@ def geometry_at(metric: MetricField, point) -> PointGeometry:
     before it, as in a point-by-point run.
     """
     stacked = is_stack(point)
+    walk = (metric.chart.jet_env(point), {}, metric)
     try:
         # each entry below the diagonal is the expression above it, walked once
-        g, dg, d2g = field_jets(metric.comps, metric.chart, point)
+        g, dg, d2g = field_jets(metric.comps, metric.chart, point, walk[:2])
         np.linalg.cholesky(g)
     except (el.ExprError, np.linalg.LinAlgError) as err:
         for pt in point if stacked else ():
@@ -362,7 +385,10 @@ def geometry_at(metric: MetricField, point) -> PointGeometry:
         warnings.warn(
             f"metric condition number {cond[k]:.3e} at {point[k] if stacked else point}",
             IllConditionedMetricWarning, stacklevel=2)
-    return PointGeometry(point, g, np.linalg.inv(g), dg, d2g)
+    return PointGeometry(point, g, np.linalg.inv(g), dg, d2g, walk)
+
+
+geometry_at = lru_cache(maxsize=None)(point_geometry)
 
 
 # --- public operations --------------------------------------------------------

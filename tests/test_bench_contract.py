@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from contactcurv import cli
+from contactcurv import catalog, cli
 from contactcurv import contactpair as cpm
 from contactcurv import exprlang as el
 from contactcurv import riemann as rm
@@ -35,6 +35,23 @@ def _clear_package_caches():
     # earlier tests would skip the jet walk a traced run must go through
     for cache in _load("worker").package_caches().values():
         cache.cache_clear()
+
+
+def _nested_hopf_file(tmp_path, m: int) -> str:
+    """A tensor_queries input of dimension 2m + 2 with one sample point."""
+    inputs = _load("inputs")
+    points = inputs.seeded_points(0, 100 + m, 2 * m + 2, inputs.NESTED_HOPF_BOX, 1)
+    return inputs.write_manifold(inputs.nested_hopf(m, points), str(tmp_path / "nh.json"))
+
+
+def _counted_jet_ops(monkeypatch) -> list:
+    ops = []
+    for op in _load("tracer").JET_OPS:
+        def counted(*args, _op=getattr(Jet2, op)):
+            ops.append(_op)
+            return _op(*args)
+        monkeypatch.setattr(Jet2, op, counted)
+    return ops
 
 
 def test_every_traced_attribute_resolves():
@@ -83,10 +100,7 @@ def test_a_traced_verify_run_records_its_command(capsys):
 
 def test_a_traced_tensor_query_prints_what_an_untraced_one_does(capsys, tmp_path):
     # a d = 10 tensor_queries input, read from a file, walked under every patch
-    inputs = _load("inputs")
-    points = inputs.seeded_points(0, 104, 10, inputs.NESTED_HOPF_BOX, 1)
-    path = inputs.write_manifold(inputs.nested_hopf(4, points), str(tmp_path / "nh.json"))
-    argv = ["tensor", path, "--what", "bochner-j", "--format", "json"]
+    argv = ["tensor", _nested_hopf_file(tmp_path, 4), "--what", "bochner-j", "--format", "json"]
     _clear_package_caches()
     assert cli.main(argv) == 0
     untraced = capsys.readouterr()
@@ -106,12 +120,7 @@ def test_the_d10_nested_hopf_metric_walk_evaluates_each_subexpression_once(monke
     inputs = _load("inputs")
     points = inputs.seeded_points(0, 104, 10, inputs.NESTED_HOPF_BOX, 1)
     cp = cli.manifold_from_dict(inputs.nested_hopf(4, points), "nh")
-    ops = []
-    for op in _load("tracer").JET_OPS:
-        def counted(*args, _op=getattr(Jet2, op)):
-            ops.append(_op)
-            return _op(*args)
-        monkeypatch.setattr(Jet2, op, counted)
+    ops = _counted_jet_ops(monkeypatch)
     rm.field_jets(cp.metric.comps, cp.chart, points[0])
     assert 0 < len(ops) <= 100
 
@@ -147,6 +156,58 @@ def test_the_point_caches_report_their_hits():
     caches = _load("worker").package_caches()
     for name in ("riemann.geometry_at", "contactpair.structure_at"):
         assert caches[name].cache_info().currsize >= 0
+
+
+@pytest.mark.parametrize("argv", [["verify", "hopf:1", "--suite", "all"]] + [
+    ["tensor", "hopf:1", "--what", what] for what in cli._TENSOR_CHOICES])
+def test_a_cold_request_calls_both_point_caches(capsys, argv):
+    # a traced run divides each cache's hits by its calls, so a run path
+    # that left one of them uncalled would end the run in a ZeroDivisionError
+    caches = _load("worker").package_caches()
+    _clear_package_caches()
+    assert cli.main([*argv, "--format", "json"]) == 0
+    capsys.readouterr()
+    for name in ("riemann.geometry_at", "contactpair.structure_at"):
+        info = caches[name].cache_info()
+        assert info.hits + info.misses >= 1, name
+
+
+@pytest.mark.parametrize("what", cli._TENSOR_CHOICES)
+def test_a_tensor_summary_is_what_json_dumps_writes(capsys, tmp_path, monkeypatch, what):
+    # every catalog entry and the d = 10 nested-Hopf input; on the round
+    # models the vanishing tensors leave no nonzero component
+    summaries = []
+    write = cli._summary_json
+
+    def recorded(summary):
+        summaries.append(summary)
+        return write(summary)
+    monkeypatch.setattr(cli, "_summary_json", recorded)
+    for spec in [entry.key for entry in catalog.ENTRIES] + [_nested_hopf_file(tmp_path, 4)]:
+        assert cli.main(["tensor", spec, "--what", what, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(summaries[-1], indent=2) + "\n"
+    assert len(summaries) == len(catalog.ENTRIES) + 1
+
+
+@pytest.mark.parametrize("case", ["d=10 nested Hopf", "hopf:2 at 50 points"])
+def test_the_forms_continue_the_metric_walk(monkeypatch, tmp_path, case):
+    # every node the forms and fields read is a node of the metric on these
+    # inputs, so the structure takes no jet operation beyond the metric's
+    if case == "hopf:2 at 50 points":
+        inputs = _load("inputs")
+        path = inputs.export_catalog_entry("hopf:2", 0, 0, 50, str(tmp_path))
+        cp = cli.load_manifold(path)
+        point = cp.chart.sample_points
+    else:
+        cp = cli.load_manifold(_nested_hopf_file(tmp_path, 4))
+        point = cp.chart.sample_points[0]
+    ops = _counted_jet_ops(monkeypatch)
+    _clear_package_caches()
+    cpm.structure_at(cp, point)
+    with_structure = len(ops)
+    ops.clear()
+    rm.field_jets(cp.metric.comps, cp.chart, point)
+    assert 0 < with_structure <= len(ops)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

@@ -303,6 +303,25 @@ def test_python_m_entry_points(module):
     assert "hopf:1" in done.stdout
 
 
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(capsys, tmp_path):
+    # `contactcurv check <file> --format json | head -1`, with a report of
+    # about 400 kB, far more than a pipe holds: the write meets the closed
+    # pipe, and the run still ends in the exit code of its checks
+    path = _hopf1_variant(capsys, tmp_path, lambda data: data.__setitem__(
+        "sample_points", data["sample_points"] * 8))
+    src = str(Path(contactcurv.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "contactcurv", "check", path,
+                             "--format", "json"], env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first == b"{\n"
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from contactcurv import *", namespace)
@@ -659,6 +678,27 @@ def test_malformed_manifold_file_is_an_input_error(capsys, tmp_path, edit, argv)
     code, _, err = run(capsys, argv[0], path, *argv[1:])
     assert code == 2
     assert err.startswith("error: bad manifold file:")
+
+
+@pytest.mark.parametrize("where, text, key", [
+    ("metric", '"metric": {"0,0": "4.0", ', "0,0"),
+    ("params", '"params": {"c": 1.0, "c": 2.0}, ', "c"),
+    ("top", '"dim": 4, ', "dim"),
+], ids=["metric", "params", "top-level"])
+@pytest.mark.parametrize("argv", [["verify"], ["check"], ["tensor", "--what", "ricci"]])
+def test_a_key_given_twice_is_an_input_error(capsys, tmp_path, where, text, key, argv):
+    # json would keep the later value; the exported hopf:1 has a metric
+    # entry '0,0' and a top-level 'dim' already, and the key is put first
+    path = Path(_hopf1_variant(capsys, tmp_path, lambda data: data.pop("params", None)))
+    source = path.read_text()
+    if where == "metric":
+        assert '"0,0"' in source
+        source = source.replace('"metric": {', text, 1)
+    else:
+        source = "{" + text + source[1:]
+    path.write_text(source)
+    assert run(capsys, argv[0], str(path), *argv[1:]) == (
+        2, "", f"error: bad manifold file: key '{key}' is given twice\n")
 
 
 @pytest.mark.parametrize("number", ["\u0663", "\uff13", "1_0"],

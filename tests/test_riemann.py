@@ -409,6 +409,25 @@ def test_jet_env_round_trip():
 
 
 class TestFieldJets:
+    @pytest.mark.parametrize("key", ["hopf:2", "heisenberg_r"])
+    def test_a_continued_walk_gives_what_a_fresh_walk_gives(self, key):
+        cp = catalog.resolve(key)
+        fields = (cp.alpha1.comps, cp.alpha2.comps, cp.z1.comps, cp.z2.comps)
+        for point in (cp.chart.sample_points, cp.chart.sample_points[0]):
+            geo = rm.point_geometry(cp.metric, point)
+            walk = geo.continued_walk()
+            kept = len(walk[1])
+            continued = rm.field_jets(fields, cp.chart, point, walk)
+            for a, b in zip(continued, rm.field_jets(fields, cp.chart, point)):
+                assert np.array_equal(a, b)
+            # the walk went on in the copy only
+            assert len(walk[1]) >= kept == len(geo.continued_walk()[1]) > 0
+            walk[0].clear()
+            walk[1].clear()
+            assert geo.continued_walk()[0].keys() >= set(cp.chart.coords)
+            assert len(geo.continued_walk()[1]) == kept
+        assert geo.rescaled(4.0).continued_walk() is None
+
     def test_hessian_of_a_product(self):
         chart = rm.Chart(coords=("x", "y"))
         values, derivs, hess = rm.field_jets([el.parse("x^2*y"), el.parse("3")],
