@@ -90,19 +90,21 @@ def context(cp: ContactPairManifold, point, which: str = "J",
 def phi_op(s: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
     """phi(S)(X,Y,Z,W) = g(X,Z)S(Y,W) + g(Y,W)S(X,Z) - g(X,W)S(Y,Z) - g(Y,Z)S(X,W),
     which is the Kulkarni-Nomizu product of g and -S."""
-    return rm.kulkarni_nomizu(ctx.g, -s)
+    return rm.kulkarni_nomizu((ctx.g, -s))
 
 
 def psi_op(s: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
     """psi(S): the six-term J-twisted companion of phi(S), with gJ = g(., J .)
     and sJ = S(., J .):
     2 gJ_ij sJ_kl + 2 gJ_kl sJ_ij + gJ_ik sJ_jl + gJ_jl sJ_ik - gJ_il sJ_jk - gJ_jk sJ_il,
-    the Kulkarni-Nomizu product of gJ and -sJ plus the (ij, kl) pair, which is
-    one rank-2 matmul per point."""
-    gJ = ctx.g @ ctx.J
-    sJ = s @ ctx.J
-    out = rm.kulkarni_nomizu(gJ, -sJ)
-    lead, d = s.shape[:-2], s.shape[-1]
+    the Kulkarni-Nomizu product of gJ and -sJ plus the (ij, kl) pair."""
+    gJ, sJ = ctx.g @ ctx.J, s @ ctx.J
+    return _add_pair_term(rm.kulkarni_nomizu((gJ, -sJ)), gJ, sJ)
+
+
+def _add_pair_term(out: np.ndarray, gJ: np.ndarray, sJ: np.ndarray) -> np.ndarray:
+    """``out`` plus the psi pair 2 gJ_ij sJ_kl + 2 sJ_ij gJ_kl, added in place."""
+    lead, d = sJ.shape[:-2], sJ.shape[-1]
     rows = np.stack((2.0 * gJ, 2.0 * sJ), axis=-1).reshape(lead + (d * d, 2))
     cols = np.stack((sJ, gJ), axis=-3).reshape(lead + (2, d * d))
     out += (rows @ cols).reshape(out.shape)  # [(ij), (kl)]
@@ -144,9 +146,11 @@ def bochner(ctx: CurvatureContext, regime: Optional[str] = None) -> np.ndarray:
         u, v = (tau + 3.0 * tau_star) / 192.0, -(tau - tau_star) / 32.0
     s_phi = c3 * s3 + c4 * s4 + 3.0 * c5 * s5 - 0.5 * (u + 3.0 * v) * ctx.g
     s_psi = c2 * s2 + c4 * s4 - c5 * s5 - 0.5 * (u - v) * ctx.g
-    out = ctx.riem4 + phi_op(s_phi, ctx)
-    out += psi_op(s_psi, ctx)
-    return out
+    # phi(S_phi) + psi(S_psi) in one summed product, R and the psi pair added in place
+    gJ, sJ = ctx.g @ ctx.J, s_psi @ ctx.J
+    out = rm.kulkarni_nomizu((ctx.g, -s_phi), (gJ, -sJ))
+    out += ctx.riem4
+    return _add_pair_term(out, gJ, sJ)
 
 
 def _reading_contractions(ctx: CurvatureContext):

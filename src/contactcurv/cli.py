@@ -466,7 +466,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def entry() -> None:
     """The console command: :func:`main`, with its output written once it
     has returned, so that a reader that closes the pipe early (``| head
-    -1``) ends the run quietly with the exit code the command computed."""
+    -1``) ends the run quietly with the exit code the command computed.
+    Output that cannot be written (a full device) is an error, exit 2."""
     stdout, sys.stdout = sys.stdout, io.StringIO()
     try:
         code = main()
@@ -475,9 +476,12 @@ def entry() -> None:
         try:
             stdout.write(text)
             stdout.flush()
-        except BrokenPipeError:
+        except OSError as exc:
             # the interpreter flushes stdout once more as it exits
             os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                print(f"error: cannot write output: {exc}", file=sys.stderr)
+                code = 2
     sys.exit(code)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -26,14 +27,8 @@ class CheckRecord:
     passed: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "detail": self.detail,
-            "point": list(self.point) if self.point is not None else None,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        # the fields in their order, with the point as a list
+        return vars(self) | {"point": None if self.point is None else list(self.point)}
 
 
 class Block(NamedTuple):
@@ -114,22 +109,32 @@ class Report:
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2)``, byte for byte.  With an
         indent, :mod:`json` runs its pure-Python encoder, so the check
-        records, nearly all of the output, are written from the rows."""
+        records, nearly all of the output, are written from the rows: each
+        distinct value formatted once, keyed on its bits so that 0.0, -0.0
+        and NaNs stay apart, and all records as one list of pieces, joined once."""
         top = json.dumps({"manifold": self.manifold, "conventions": self.conventions,
-                          "summary": self.summary()}, indent=2)
-        out = []
-        for b, points in zip(self.blocks, _point_texts(self.blocks, _json_point)):
-            rows = [(f'\n    {{\n      "name": {json.dumps(name)},\n      "detail": '
-                     f'{json.dumps(detail)},\n      "point": ',
-                     f',\n      "tolerance": {json.dumps(tol)},\n      "passed": ')
-                    for name, detail, tol in b.heads]
-            keys = [(head, point, tail) for point in points for head, tail in rows]
-            values = json.dumps(b.values.ravel().tolist())[1:-1].split(", ")
-            out += [f'{head}{point},\n      "value": {value}{tail}{"true" if ok else "false"}'
-                    '\n    }' for (head, point, tail), value, ok
-                    in zip(keys, values, b.passed.ravel().tolist())]
-        checks = f"[{','.join(out)}\n  ]" if out else "[]"
-        return f'{top[:-2]},\n  "checks": {checks}\n}}'
+                          "summary": self.summary()}, indent=2)[:-2]
+        if not self.blocks:
+            return f'{top},\n  "checks": []\n}}'
+        bits = np.concatenate([b.values.ravel() for b in self.blocks]).view(np.uint64)
+        distinct, which = np.unique(bits, return_inverse=True)
+        values = json.dumps(distinct.view(float).tolist())[1:-1].split(", ")
+        pieces = [f'{top},\n  "checks": ['] + [None] * (4 * bits.size) + ["\n  ]\n}"]
+        pieces[3:-1:4] = map(values.__getitem__, which.tolist())
+        heads, points, tails = [], [], []
+        for b, texts in zip(self.blocks, _point_texts(
+                self.blocks, lambda point: f'{_json_point(point)},\n      "value": ')):
+            heads += [f',\n    {{\n      "name": {json.dumps(name)},\n      "detail": '
+                      f'{json.dumps(detail)},\n      "point": '
+                      for name, detail, _ in b.heads] * len(texts)
+            points += chain.from_iterable(zip(*[texts] * len(b.heads)))
+            # row r ends in ends[2 r + 1] where it passes and in ends[2 r] where it fails
+            ends = [f',\n      "tolerance": {json.dumps(tol)},\n      "passed": {flag}\n    }}'
+                    for _, _, tol in b.heads for flag in ("false", "true")]
+            tails += map(ends.__getitem__, (b.passed + np.arange(0, len(ends), 2)).ravel().tolist())
+        pieces[1:-1:4], pieces[2:-1:4], pieces[4:-1:4] = heads, points, tails
+        pieces[1] = heads[0][1:]  # no comma before the first record
+        return "".join(pieces)
 
     def to_text(self) -> str:
         lines = [f"manifold: {self.manifold}"]

@@ -18,13 +18,16 @@ point axis omitted):
 * ``d2g[k, l, i, j]``      = d_k d_l g_ij
 * ``C[l, i, j]``           = C_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2
 * ``gamma[k, i, j]``       = Gamma^k_ij = g^kl C_{l,ij}
-* ``riem4[i, j, k, l]``    = g( R(e_i, e_j) e_k, e_l )
+* ``riem4[i, j, k, l]``    = g( R(e_i, e_j) e_k, e_l ), read off h = d2g as
+  (h_ikjl - h_iljk - h_jkil + h_jlik) / 2 + C_{p,ik} Gamma^p_jl - C_{p,il} Gamma^p_jk
 * ``ricci[i, j]``          = sum_pq riem4[i, p, q, j] g^pq
 
 with the curvature operator R(X,Y) = grad_X grad_Y - grad_Y grad_X -
 grad_[X,Y].  The overall sign is pinned by the model-space tests: the
 sectional curvature R(X, Y, Y, X) of the unit sphere is +1, and the Ricci
 contraction is the one that makes the unit sphere's Ricci tensor positive.
+Each d^4 kernel writes its tensor once, C-contiguous, and one summed
+Kulkarni-Nomizu kernel serves Weyl, phi, psi and the Bochner sum.
 """
 
 from __future__ import annotations
@@ -315,20 +318,21 @@ class PointGeometry:
 
     def __post_init__(self):
         ginv, dg, d2g = self.ginv, self.dg, self.d2g
-        # C[l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2 and its partials
-        # dC[m, l, i, j] = d_m C[l, i, j]
+        # C[l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2
         C = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
-        dC = 0.5 * (np.einsum("...mijl->...mlij", d2g) + np.einsum("...mjil->...mlij", d2g)
-                    - d2g)
         pairs = C.shape[:-2] + (-1,)  # [p, (ij)]: the pair ij merged
         self.gamma = (ginv @ C.reshape(pairs)).reshape(C.shape)
-        # R_ijkl = x[i, j, k, l] - x[j, i, k, l] with
-        # x[i, j, k, l] = d_i C[l, j, k] - C[p, i, l] Gamma^p_jk, held as
-        # y[i, l, j, k] and the sum as [(il), p] @ [p, (jk)]
-        y = dC - (np.swapaxes(C.reshape(pairs), -1, -2)
-                  @ self.gamma.reshape(pairs)).reshape(dC.shape)
-        # [i, l, j, k] -> [i, j, k, l], copied C-contiguous for the reshapes of the kernels
-        self.riem4 = np.moveaxis(y - np.swapaxes(y, -4, -2), -3, -1).copy()
+        # R_ijkl = t[i, k, j, l] - t[i, l, j, k] with t[(ab), (ce)] = (h + h^T) / 2
+        # + C_{p,ab} Gamma^p_ce and h[(ab), (ce)] = d_a d_b g_ce: the second
+        # derivatives give (h_ikjl - h_iljk - h_jkil + h_jlik) / 2, and the
+        # quadratic part, C^T g^-1 C, is symmetric in (ab) <-> (ce) as it stands
+        h = d2g.reshape(pairs[:-2] + (C.shape[-1] ** 2, -1))
+        t = np.add(h, np.swapaxes(h, -1, -2))
+        t *= 0.5
+        t += np.swapaxes(C.reshape(pairs), -1, -2) @ self.gamma.reshape(pairs)
+        u = np.swapaxes(t.reshape(d2g.shape), -3, -2)
+        # written C-contiguous for the reshapes of the kernels
+        self.riem4 = np.subtract(u, np.swapaxes(u, -1, -2), order="C")
         self.ricci = contract_middle(self.riem4, ginv)
         self.tau = np.einsum("...jk,...jk->...", ginv, self.ricci)
         freeze_arrays(self)
@@ -482,14 +486,16 @@ def weyl(metric: MetricField, point) -> TensorValue:
     # W = R - S o g with the Schouten-type form S = rho/(d-2) - tau g/(2(d-1)(d-2))
     tau = np.asarray(geo.tau)[..., None, None]
     s = geo.ricci / (d - 2) - tau * geo.g / (2.0 * (d - 1) * (d - 2))
-    return TensorValue(geo.riem4 - kulkarni_nomizu(s, geo.g))
+    return TensorValue(geo.riem4 - kulkarni_nomizu((s, geo.g)))
 
 
-def kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(A o B)_ijkl = A_il B_jk + A_jk B_il - A_ik B_jl - A_jl B_ik, that is
-    Y - Y with k and l swapped, where Y_ijkl = A_il B_jk + B_il A_jk is one
-    matmul per point and index i: Y[i, (jk), l] = [B_jk, A_jk] @ [A_il; B_il]."""
-    d = a.shape[-1]
-    left = np.stack((b, a), axis=-1).reshape(a.shape[:-2] + (1, d * d, 2))
-    y = (left @ np.stack((a, b), axis=-2)).reshape(a.shape[:-2] + (d,) * 4)
-    return y - np.swapaxes(y, -1, -2)
+def kulkarni_nomizu(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """sum_t A_t o B_t over the pairs (A_t, B_t), with (A o B)_ijkl = A_il B_jk +
+    A_jk B_il - A_ik B_jl - A_jl B_ik: Y - Y with k and l swapped, where
+    Y[i, (jk), l] = sum_t B_t,jk A_t,il + A_t,jk B_t,il is one matmul per point
+    and index i, written once, C-contiguous."""
+    a, b = zip(*pairs)
+    lead, d = a[0].shape[:-2], a[0].shape[-1]
+    left = np.stack(b + a, axis=-1).reshape(lead + (1, d * d, -1))
+    y = (left @ np.stack(a + b, axis=-2)).reshape(lead + (d,) * 4)
+    return np.subtract(y, np.swapaxes(y, -1, -2), order="C")

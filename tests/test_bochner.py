@@ -259,16 +259,19 @@ class TestBochnerAssembly:
                     assert np.max(np.abs(bm.bochner(ctx) - expected)) <= bound
 
     @pytest.mark.parametrize("key", ["hopf:1", "hopf:2"])
-    def test_one_phi_and_one_psi_evaluation(self, monkeypatch, key):
+    def test_one_summed_product_per_assembly(self, monkeypatch, key):
+        # phi(S_phi) + psi(S_psi) is one call of the summed Kulkarni-Nomizu
+        # kernel over its two pairs, not one product per operator
         calls = []
-        for name in ("phi_op", "psi_op"):
-            def counted(*args, _name=name, _inner=getattr(bm, name)):
-                calls.append(_name)
-                return _inner(*args)
-            monkeypatch.setattr(bm, name, counted)
+
+        def counted(*pairs, _inner=rm.kulkarni_nomizu):
+            calls.append(len(pairs))
+            return _inner(*pairs)
+
+        monkeypatch.setattr(rm, "kulkarni_nomizu", counted)
         cp = catalog.resolve(key)
         bm.bochner(bm.context(cp, cp.chart.sample_points[0]))
-        assert sorted(calls) == ["phi_op", "psi_op"]
+        assert calls == [2]
 
     @pytest.mark.parametrize("key", CATALOG_KEYS)
     def test_j_context_reads_tau_star_off_the_structure(self, key):

@@ -322,6 +322,21 @@ def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(capsys, tmp_path)
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_output_to_a_full_device_is_an_error_without_traceback():
+    # `contactcurv check hopf:1 --format json > /dev/full`: the write of the
+    # report fails, and the run says so in one line and exits 2
+    src = str(Path(contactcurv.__file__).resolve().parent.parent)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "contactcurv", "check", "hopf:1",
+                               "--format", "json"], env=dict(os.environ, PYTHONPATH=src),
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output:")
+
+
 def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from contactcurv import *", namespace)

@@ -62,9 +62,38 @@ def test_contractions_match_their_einsum_forms(d, lead):
 def test_outer_products_match_their_einsum_forms(d, lead):
     ctx, rng = _random_context(d, lead)
     a, s = rng.normal(size=(2,) + lead + (d, d))
-    _close(rm.kulkarni_nomizu(a, s), oracles.kulkarni_nomizu(a, s))
+    _close(rm.kulkarni_nomizu((a, s)), oracles.kulkarni_nomizu(a, s))
     _close(bm.phi_op(s, ctx), oracles.phi_op(s, ctx))
     _close(bm.psi_op(s, ctx), oracles.psi_op(s, ctx))
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3])
+@pytest.mark.parametrize("d, lead", SHAPES)
+def test_summed_product_matches_the_sum_of_products(d, lead, terms):
+    rng = np.random.default_rng(3000 * d + 10 * terms + len(lead))
+    pairs = [tuple(rng.normal(size=(2,) + lead + (d, d))) for _ in range(terms)]
+    expected = sum(oracles.kulkarni_nomizu(a, b) for a, b in pairs)
+    summed = rm.kulkarni_nomizu(*pairs)
+    assert summed.shape == expected.shape
+    assert np.max(np.abs(summed - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("stack", [None, 7], ids=["point", "stack-7"])
+@pytest.mark.parametrize("key", ["hopf:1", "hopf:2", "sphere_product:1,1"])
+def test_d4_kernels_write_c_contiguous_tensors(key, stack):
+    # a ufunc keeps the memory order of a transposed operand (order="K"), and
+    # a strided tensor makes every later reshape a copy
+    cp = catalog.resolve(key)
+    pts = cp.chart.sample_points
+    point = pts[0] if stack is None else (pts * 7)[:stack]
+    geo = rm.geometry_at(cp.metric, point)
+    tensors = {"gamma": (geo.gamma, 3), "riem4": (geo.riem4, 4), "ricci": (geo.ricci, 2),
+               "bochner": (bm.bochner(bm.context(cp, point)), 4),
+               "weyl": (rm.weyl(cp.metric, point).comps, 4)}
+    lead = () if stack is None else (stack,)
+    for name, (t, slots) in tensors.items():
+        assert t.shape == lead + (geo.dim,) * slots, name
+        assert t.flags.c_contiguous, name
 
 
 @pytest.mark.parametrize("reading", bm.READINGS)

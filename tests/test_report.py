@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import json
 import pathlib
+import struct
 import warnings
 
 import numpy as np
@@ -64,6 +65,39 @@ def test_equal_points_of_distinct_signs_are_written_apart():
     report.add("b", "", 0.0, None, (-0.0,))
     assert report.to_json() == reference(report)
     assert '"point": [\n        -0.0\n      ]' in report.to_json()
+
+
+def test_equal_values_of_distinct_bits_are_written_apart():
+    # values that a writer keyed on equality would merge: 0.0 and -0.0, and
+    # two NaNs of other bits (the second one negative, with a payload)
+    values = (0.0, -0.0, float("nan"),
+              struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0], 5e-324, -5e-324)
+    report = Report("signs")
+    # one block of three rows over two points, then one block per value
+    report.add_rows(((0.0,), (-0.0,)), [(f"row{r}", "", np.array(values[2 * r:2 * r + 2]), 1.0)
+                                        for r in range(3)])
+    assert len(set(report.blocks[0].values.view(np.uint64).ravel().tolist())) == 6
+    for k, value in enumerate(values):
+        report.add_rows(((float(k),),), (("single", "", (value,), None),))
+    text = report.to_json()
+    assert text == reference(report)
+    for written in ("0.0", "-0.0", "NaN", "5e-324", "-5e-324"):
+        assert f'"value": {written},' in text
+
+
+def test_an_empty_report_matches_the_json_module():
+    report = Report("empty", {"k": [1, 2]})
+    assert report.to_json() == reference(report)
+    assert '"checks": []' in report.to_json()
+
+
+def test_one_repeated_value_matches_the_json_module():
+    report = Report("same")
+    stack = tuple((float(p), 1.0) for p in range(5))
+    report.add_rows(stack, [(f"row{r}", "d", np.full(5, 0.1), 1e-7) for r in range(4)])
+    report.add("one", "", 0.1, None)
+    assert report.to_json() == reference(report)
+    assert report.to_json().count('"value": 0.1,') == 21
 
 
 def _json_module_point(point) -> str:
