@@ -1,10 +1,9 @@
 """Curvature machinery for the two almost Hermitian structures of a pair.
 
-Builds the phi(S)/psi(S) operators on bilinear forms and the Ricci-type
-and star-Ricci-type contractions of curvature-like tensors, and assembles
-the Bochner tensors B_J and B_T in both dimension regimes.  The
-contractions of the J-conjugated curvature L3 R are read off R itself, so
-L3 R is never formed.
+Assembles the Bochner tensors B_J and B_T in both dimension regimes from
+R, its Ricci contraction rho, held by the geometry, and its star-Ricci
+contraction rho*, held by the structure for J.  The contractions of the
+J-conjugated curvature L3 R are read off R itself, so L3 R is never formed.
 
 Two readings of the nested operator notation are implemented:
 
@@ -47,13 +46,15 @@ def convention_ledger() -> dict:
 class CurvatureContext:
     """Pointwise ingredients for one complex structure, at one point or over
     a stack of points (arrays with a leading point axis, ``tau`` and
-    ``tau_star`` arrays over it)."""
+    ``tau_star`` arrays over it): ``ricci`` and ``star_ricci`` are rho and
+    rho* of ``riem4``, the latter for ``J``."""
 
-    point: Union[rm.Point, tuple[rm.Point, ...]]
     g: np.ndarray
     ginv: np.ndarray
     J: np.ndarray
     riem4: np.ndarray
+    ricci: np.ndarray
+    star_ricci: np.ndarray
     m: int
     n: int
     tau: Union[float, np.ndarray]
@@ -65,12 +66,12 @@ class CurvatureContext:
         return self.g.shape[-1]
 
 
-def _context(point, geo: rm.PointGeometry, J: np.ndarray, m: int,
-             n: int, reading: str, tau_star=None) -> CurvatureContext:
-    if tau_star is None:  # unless the caller holds it already, as structure_at forms it
-        star = cpm.star_contraction(geo.riem4, geo.ginv, J)
-        tau_star = np.einsum("...ij,...ij->...", star, geo.ginv)
-    return CurvatureContext(point, geo.g, geo.ginv, J, geo.riem4, m, n,
+def _context(geo: rm.PointGeometry, J: np.ndarray, m: int, n: int, reading: str,
+             star_ricci=None, tau_star=None) -> CurvatureContext:
+    if star_ricci is None:  # unless the caller holds them, as structure_at forms them for J
+        star_ricci = cpm.star_contraction(geo.riem4, geo.ginv, J)
+        tau_star = np.einsum("...ij,...ij->...", star_ricci, geo.ginv)
+    return CurvatureContext(geo.g, geo.ginv, J, geo.riem4, geo.ricci, star_ricci, m, n,
                             geo.tau, tau_star, reading)
 
 
@@ -80,35 +81,9 @@ def context(cp: ContactPairManifold, point, which: str = "J",
     pt = rm.as_point(point)
     st = cpm.structure_at(cp, pt)
     cpm.require_foliations(st)
-    # the structure holds tau* of J already
-    J, tau_star = (st.J, st.tau_star) if which == "J" else (st.T, None)
-    return _context(pt, st.geo, J, cp.m, cp.n, reading, tau_star)
-
-
-# --- operators on bilinear forms ---------------------------------------------
-
-def phi_op(s: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
-    """phi(S)(X,Y,Z,W) = g(X,Z)S(Y,W) + g(Y,W)S(X,Z) - g(X,W)S(Y,Z) - g(Y,Z)S(X,W),
-    which is the Kulkarni-Nomizu product of g and -S."""
-    return rm.kulkarni_nomizu((ctx.g, -s))
-
-
-def psi_op(s: np.ndarray, ctx: CurvatureContext) -> np.ndarray:
-    """psi(S): the six-term J-twisted companion of phi(S), with gJ = g(., J .)
-    and sJ = S(., J .):
-    2 gJ_ij sJ_kl + 2 gJ_kl sJ_ij + gJ_ik sJ_jl + gJ_jl sJ_ik - gJ_il sJ_jk - gJ_jk sJ_il,
-    the Kulkarni-Nomizu product of gJ and -sJ plus the (ij, kl) pair."""
-    gJ, sJ = ctx.g @ ctx.J, s @ ctx.J
-    return _add_pair_term(rm.kulkarni_nomizu((gJ, -sJ)), gJ, sJ)
-
-
-def _add_pair_term(out: np.ndarray, gJ: np.ndarray, sJ: np.ndarray) -> np.ndarray:
-    """``out`` plus the psi pair 2 gJ_ij sJ_kl + 2 sJ_ij gJ_kl, added in place."""
-    lead, d = sJ.shape[:-2], sJ.shape[-1]
-    rows = np.stack((2.0 * gJ, 2.0 * sJ), axis=-1).reshape(lead + (d * d, 2))
-    cols = np.stack((sJ, gJ), axis=-3).reshape(lead + (2, d * d))
-    out += (rows @ cols).reshape(out.shape)  # [(ij), (kl)]
-    return out
+    if which == "J":
+        return _context(st.geo, st.J, cp.m, cp.n, reading, st.star_ricci, st.tau_star)
+    return _context(st.geo, st.T, cp.m, cp.n, reading)
 
 
 # --- Bochner assembly ----------------------------------------------------------
@@ -119,7 +94,11 @@ def bochner(ctx: CurvatureContext, regime: Optional[str] = None) -> np.ndarray:
     ``general`` covers complex dimension m + n + 1 > 2; ``dim4`` is the
     separate four-dimensional formula.  Both are B = R + phi(S_phi) +
     psi(S_psi), as phi(g) = 2 pi_1 and psi(g) = 2 pi_2; the regime only picks
-    the coefficients, which always use tau and tau* of R itself.
+    the coefficients, which always use tau and tau* of R itself.  Here
+    phi(S) = g(X,Z)S(Y,W) + g(Y,W)S(X,Z) - g(X,W)S(Y,Z) - g(Y,Z)S(X,W) is the
+    Kulkarni-Nomizu product of g and -S, and psi(S) that of gJ and -SJ plus
+    the pair 2 gJ_ij SJ_kl + 2 SJ_ij gJ_kl, with gJ = g(., J .) and
+    SJ = S(., J .).
     """
     mn = ctx.m + ctx.n
     if regime is None:
@@ -153,31 +132,36 @@ def bochner(ctx: CurvatureContext, regime: Optional[str] = None) -> np.ndarray:
     return _add_pair_term(out, gJ, sJ)
 
 
+def _add_pair_term(out: np.ndarray, gJ: np.ndarray, sJ: np.ndarray) -> np.ndarray:
+    """``out`` plus the psi pair 2 gJ_ij sJ_kl + 2 sJ_ij gJ_kl, added in place."""
+    lead, d = sJ.shape[:-2], sJ.shape[-1]
+    rows = np.stack((2.0 * gJ, 2.0 * sJ), axis=-1).reshape(lead + (d * d, 2))
+    cols = np.stack((sJ, gJ), axis=-3).reshape(lead + (2, d * d))
+    out += (rows @ cols).reshape(out.shape)  # [(ij), (kl)]
+    return out
+
+
 def _reading_contractions(ctx: CurvatureContext):
     """rho*(R - L3 R), rho(R - L3 R), rho(R + L3 R) and rho*(R + L3 R) in
     the combination reading; the curvature reading replaces R -+ L3 R by R
-    itself.
+    itself, whose rho and rho* the context holds.
 
     With (L3 R)_ijkl = J^a_i J^b_j J^c_k J^d_l R_abcd and rho_M(R) the
     contraction of the middle slots of R with M, exact algebra gives
     rho(L3 R) = J^T rho_M(R) J with M = J g^-1 J^T and
-    rho*(L3 R) = J^T rho_N(R) J J with N = M J^T, so all four are read off
-    R itself in one middle contraction, and L3 R is never formed."""
-    J, ginv = ctx.J, ctx.ginv
-    Jt = np.swapaxes(J, -1, -2)
-    if ctx.reading == "combination":
-        M = J @ ginv @ Jt
-        ms = (ginv, ginv @ Jt, M, M @ Jt)
-    elif ctx.reading == "curvature":
-        ms = (ginv, ginv @ Jt)
-    else:
-        raise ValueError(f"unknown notation reading {ctx.reading!r}")
-    c = rm.contract_middle(ctx.riem4, np.stack(ms, axis=-3))
-    rho, rho_star = c[..., 0, :, :], c[..., 1, :, :] @ J
+    rho*(L3 R) = J^T rho_N(R) J J with N = M J^T, so both are read off R
+    itself in one middle contraction, and L3 R is never formed."""
+    rho, rho_star = ctx.ricci, ctx.star_ricci
     if ctx.reading == "curvature":
         return rho_star, rho, rho, rho_star
-    rho_l3 = Jt @ c[..., 2, :, :] @ J
-    rho_star_l3 = Jt @ c[..., 3, :, :] @ J @ J
+    if ctx.reading != "combination":
+        raise ValueError(f"unknown notation reading {ctx.reading!r}")
+    J = ctx.J
+    Jt = np.swapaxes(J, -1, -2)
+    M = J @ ctx.ginv @ Jt
+    c = rm.contract_middle(ctx.riem4, np.stack((M, M @ Jt), axis=-3))
+    rho_l3 = Jt @ c[..., 0, :, :] @ J
+    rho_star_l3 = Jt @ c[..., 1, :, :] @ J @ J
     return (rho_star - rho_star_l3, rho - rho_l3, rho + rho_l3,
             rho_star + rho_star_l3)
 
@@ -215,7 +199,7 @@ def _conformal_shift(report: Report, cp: ContactPairManifold,
     over that stack."""
     st = cpm.structure_at(cp, points)
     # the context keeps only what the assembly reads of the rescaled geometry
-    scaled = _context(points, st.geo.rescaled(c), st.J, cp.m, cp.n, reading)
+    scaled = _context(st.geo.rescaled(c), st.J, cp.m, cp.n, reading)
     shift = rm.contract_last(bochner(scaled), scaled.ginv)
     shift -= rm.contract_last(b, st.geo.ginv)
     rows = (("bochner_13_conformal_shift", "change of the (1,3) Bochner tensor under "

@@ -23,7 +23,6 @@ import os
 import re
 import sys
 import warnings
-from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,6 +78,14 @@ def _object(value, field: str) -> dict:
     return value
 
 
+def _list(value, field: str) -> list:
+    """A JSON list; a string of the right length would be read character
+    by character."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a JSON list, got {value!r}")
+    return value
+
+
 def _finite(value, field: str):
     """``value``, unless it is a JSON number that is no finite double:
     ``NaN``, ``Infinity`` or a literal that overflows, which ``json`` reads
@@ -110,7 +117,7 @@ def _real(value, field: str) -> float:
 
 def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
     try:
-        coords = tuple(str(c) for c in data["coords"])
+        coords = tuple(str(c) for c in _list(data["coords"], "coords"))
         dim = _count(data["dim"], "dim")
         if dim > rm.MAX_DIM:
             raise UsageError(f"dim={dim} is above the {rm.MAX_DIM} coordinates "
@@ -123,8 +130,9 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
                              f"and params {list(params)}")
         params = tuple(sorted((str(k), _real(v, f"params[{k!r}]"))
                               for k, v in params.items()))
-        points = tuple(tuple(_real(v, f"sample_points[{k}][{i}]") for i, v in enumerate(p))
-                       for k, p in enumerate(data["sample_points"]))
+        points = tuple(tuple(_real(v, f"sample_points[{k}][{i}]")
+                             for i, v in enumerate(_list(p, f"sample_points[{k}]")))
+                       for k, p in enumerate(_list(data["sample_points"], "sample_points")))
         if any(len(p) != dim for p in points):
             raise UsageError("sample points must have one value per coordinate")
         chart = rm.Chart(coords=coords, params=params, sample_points=points)
@@ -144,15 +152,15 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
         metric = rm.MetricField.from_entries(chart, entries, table, seen)
         rows = {}
         for field in ("alpha1", "alpha2", "Z1", "Z2"):
-            if len(data[field]) != dim:
-                raise ValueError(f"{field} has {len(data[field])} entries, "
-                                 f"chart has dim {dim}")
-            rows[field] = [_finite(v, f"{field}[{k}]") for k, v in enumerate(data[field])]
+            row = _list(data[field], field)
+            if len(row) != dim:
+                raise ValueError(f"{field} has {len(row)} entries, chart has dim {dim}")
+            rows[field] = [_finite(v, f"{field}[{k}]") for k, v in enumerate(row)]
         alpha1 = rm.OneForm.of(chart, rows["alpha1"], table, seen)
         alpha2 = rm.OneForm.of(chart, rows["alpha2"], table, seen)
         z1 = rm.VectorField.of(chart, rows["Z1"], table, seen)
         z2 = rm.VectorField.of(chart, rows["Z2"], table, seen)
-        m, n = (_count(v, "type entry") for v in data["type"])
+        m, n = (_count(v, "type entry") for v in _list(data["type"], "type"))
         if 2 * m + 2 * n + 2 != dim:
             raise UsageError(f"type {m, n} is inconsistent with dim={dim}")
         return ContactPairManifold(name, chart, metric, alpha1, alpha2,
@@ -312,21 +320,6 @@ def _parse_point(cp: ContactPairManifold, raw: str):
     return values
 
 
-def _summary_json(summary: dict) -> str:
-    """``json.dumps(summary, indent=2)`` of a tensor summary, byte for byte.
-    With an indent, :mod:`json` runs its pure-Python encoder, so the
-    ``nonzero_components`` block, most of the output, is written directly:
-    its keys are strings and its values finite floats."""
-    head = {key: value for key, value in summary.items()
-            if key not in ("nonzero_components", "conventions")}
-    rows = [f"{encode_basestring_ascii(label)}: {float.__repr__(value)}"
-            for label, value in summary["nonzero_components"].items()]
-    components = "{\n    " + ",\n    ".join(rows) + "\n  }" if rows else "{}"
-    conventions = json.dumps(summary["conventions"], indent=2).replace("\n", "\n  ")
-    return (f'{json.dumps(head, indent=2)[:-2]},\n  "nonzero_components": {components},\n'
-            f'  "conventions": {conventions}\n}}')
-
-
 def cmd_tensor(args) -> int:
     cp = resolve_manifold(args.manifold)
     point = _parse_point(cp, args.at)
@@ -350,7 +343,7 @@ def cmd_tensor(args) -> int:
         "conventions": cp.conventions() | bm.convention_ledger(),
     }
     if args.format == "json":
-        print(_summary_json(summary))
+        print(json.dumps(summary, indent=2))
     else:
         print(f"{args.what} on {cp.name} at ({', '.join(f'{v:.6g}' for v in point)})")
         print(f"  tau = {scalars['tau']:.12g}   tau* = {scalars['tau_star']:.12g}"

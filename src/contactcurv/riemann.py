@@ -27,7 +27,7 @@ grad_[X,Y].  The overall sign is pinned by the model-space tests: the
 sectional curvature R(X, Y, Y, X) of the unit sphere is +1, and the Ricci
 contraction is the one that makes the unit sphere's Ricci tensor positive.
 Each d^4 kernel writes its tensor once, C-contiguous, and one summed
-Kulkarni-Nomizu kernel serves Weyl, phi, psi and the Bochner sum.
+Kulkarni-Nomizu kernel serves Weyl and the Bochner sum.
 """
 
 from __future__ import annotations

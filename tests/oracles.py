@@ -12,8 +12,9 @@ The curvature kernels keep their einsum forms here, written term by term:
 the Kulkarni-Nomizu product, phi(S) and psi(S), the auxiliary tensors pi_1
 and pi_2, the J-conjugation L3 as four last-slot contractions, the middle
 and star contractions, the Ricci contraction rho(T) against g^{-1}, the
-Bochner contractions through L3 R, and the five-operand sectional values.
-Every array may carry leading point axes.
+Bochner contractions through L3 R, the Bochner tensor as one formula per
+dimension regime, and the five-operand sectional values.  Every array may
+carry leading point axes.
 
 :func:`reference_geometry` builds the curvature by the long route, through
 the partials of g^{-1} and of Gamma and the mixed tensor R^l_ijk, which the
@@ -305,6 +306,35 @@ def reading_contractions(ctx):
         minus = plus = R
     return (star_contraction(minus, ctx.ginv, ctx.J), contract_middle(minus, ctx.ginv),
             contract_middle(plus, ctx.ginv), star_contraction(plus, ctx.ginv, ctx.J))
+
+
+def two_regime_bochner(ctx):
+    """The Bochner tensor written out term by term, one formula per regime,
+    with its four contractions taken through L3 R and pi_1 and pi_2 as
+    separate tensors."""
+    m, n = ctx.m, ctx.n
+    R = ctx.riem4
+    s2, s3, rho, rho_star = reading_contractions(ctx)
+    s4, s5 = rho + 3.0 * rho_star, rho - rho_star
+    # scalars broadcast against the four trailing axes of a stack
+    tau = np.asarray(ctx.tau)[..., None, None, None, None]
+    tau_star = np.asarray(ctx.tau_star)[..., None, None, None, None]
+    p1, p2 = pi1(ctx), pi2(ctx)
+    if ctx.dim != 4:
+        mn = m + n
+        return (R
+                + psi_op(s2, ctx) / (4.0 * (mn + 2))
+                + phi_op(s3, ctx) / (4.0 * mn)
+                + (phi_op(s4, ctx) + psi_op(s4, ctx)) / (16.0 * (mn + 3))
+                + (3.0 * phi_op(s5, ctx) - psi_op(s5, ctx)) / (16.0 * (mn - 1))
+                - (tau + 3.0 * tau_star) / (16.0 * (mn + 2) * (mn + 3)) * (p1 + p2)
+                - (tau - tau_star) / (16.0 * (mn - 1) * mn) * (3.0 * p1 - p2))
+    return (R
+            + psi_op(s2, ctx) / 12.0
+            + phi_op(s3, ctx) / 4.0
+            + (phi_op(s4, ctx) + psi_op(s4, ctx)) / 64.0
+            - (tau + 3.0 * tau_star) / 192.0 * (p1 + p2)
+            + (tau - tau_star) / 32.0 * (3.0 * p1 - p2))
 
 
 def reeb_plane(b, z1, z2):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,45 +20,10 @@ def flat_context(kappa=0.0):
     J[1, 0], J[0, 1] = 1.0, -1.0   # J e1 = e2, J e2 = -e1
     J[3, 2], J[2, 3] = 1.0, -1.0
     r4 = kappa * (np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g))
-    ctx = bm.CurvatureContext((0.0,) * 4, g, g, J, r4, 1, 0, 0.0, 0.0)
-    ctx.tau = np.einsum("ij,ij->", oracles.contract_ricci(r4, ctx), g)
-    ctx.tau_star = np.einsum("ij,ij->", cpm.star_contraction(r4, g, J), g)
-    return ctx
-
-
-def two_regime_bochner(ctx):
-    """The Bochner tensor written out term by term, one formula per regime,
-    with pi_1 and pi_2 as separate tensors."""
-    m, n = ctx.m, ctx.n
-    R = ctx.riem4
-    if ctx.reading == "combination":
-        l3r = oracles.l3(ctx, R)
-        minus, plus = R - l3r, R + l3r
-    else:
-        minus = plus = R
-    s2 = cpm.star_contraction(minus, ctx.ginv, ctx.J)
-    s3 = oracles.contract_ricci(minus, ctx)
-    rho = oracles.contract_ricci(plus, ctx)
-    rho_star = cpm.star_contraction(plus, ctx.ginv, ctx.J)
-    s4, s5 = rho + 3.0 * rho_star, rho - rho_star
-    tau, tau_star = ctx.tau, ctx.tau_star
-    p1, p2 = oracles.pi1(ctx), oracles.pi2(ctx)
-    phi, psi = bm.phi_op, bm.psi_op
-    if ctx.dim != 4:
-        mn = m + n
-        return (R
-                + psi(s2, ctx) / (4.0 * (mn + 2))
-                + phi(s3, ctx) / (4.0 * mn)
-                + (phi(s4, ctx) + psi(s4, ctx)) / (16.0 * (mn + 3))
-                + (3.0 * phi(s5, ctx) - psi(s5, ctx)) / (16.0 * (mn - 1))
-                - (tau + 3.0 * tau_star) / (16.0 * (mn + 2) * (mn + 3)) * (p1 + p2)
-                - (tau - tau_star) / (16.0 * (mn - 1) * mn) * (3.0 * p1 - p2))
-    return (R
-            + psi(s2, ctx) / 12.0
-            + phi(s3, ctx) / 4.0
-            + (phi(s4, ctx) + psi(s4, ctx)) / 64.0
-            - (tau + 3.0 * tau_star) / 192.0 * (p1 + p2)
-            + (tau - tau_star) / 32.0 * (3.0 * p1 - p2))
+    rho = oracles.contract_ricci(r4, SimpleNamespace(ginv=g))
+    star = cpm.star_contraction(r4, g, J)
+    return bm.CurvatureContext(g, g, J, r4, rho, star, 1, 0, np.einsum("ij,ij->", rho, g),
+                               np.einsum("ij,ij->", star, g))
 
 
 CATALOG_KEYS = ("hopf:1", "hopf:2", "hopf:3", "hopf:4", "sphere_product:1,1",
@@ -98,7 +64,9 @@ class TestPiTensors:
         point = (0.7, 0.9, 1.1, 0.5)
         geo = rm.geometry_at(metric, point)
         J = np.zeros((4, 4))  # any g-orthogonal J works for pi1
-        ctx = bm.CurvatureContext(point, geo.g, geo.ginv, J, geo.riem4, 1, 0,
+        ctx = bm.CurvatureContext(geo.g, geo.ginv, J, geo.riem4,
+                                  oracles.contract_ricci(geo.riem4, geo),
+                                  cpm.star_contraction(geo.riem4, geo.ginv, J), 1, 0,
                                   geo.tau, 0.0)
         assert np.max(np.abs(geo.riem4 + oracles.pi1(ctx))) < 1e-12
 
@@ -119,26 +87,29 @@ class TestL3:
 
 
 class TestPhiPsiOperators:
+    # phi(g) = 2 pi_1 and psi(g) = 2 pi_2 are why one sum B = R + phi(S_phi) +
+    # psi(S_psi) serves both regimes
     def test_phi_of_metric_is_twice_pi1(self, hopf2_ctx):
-        diff = bm.phi_op(hopf2_ctx.g, hopf2_ctx) - 2.0 * oracles.pi1(hopf2_ctx)
+        diff = oracles.phi_op(hopf2_ctx.g, hopf2_ctx) - 2.0 * oracles.pi1(hopf2_ctx)
         assert np.max(np.abs(diff)) < 1e-12
 
     def test_psi_of_metric_is_twice_pi2(self, hopf2_ctx):
-        diff = bm.psi_op(hopf2_ctx.g, hopf2_ctx) - 2.0 * oracles.pi2(hopf2_ctx)
+        diff = oracles.psi_op(hopf2_ctx.g, hopf2_ctx) - 2.0 * oracles.pi2(hopf2_ctx)
         assert np.max(np.abs(diff)) < 1e-12
 
     def test_zero_form_maps_to_zero(self, hopf2_ctx):
         zero = np.zeros((6, 6))
-        assert not bm.phi_op(zero, hopf2_ctx).any()
-        assert not bm.psi_op(zero, hopf2_ctx).any()
+        assert not oracles.phi_op(zero, hopf2_ctx).any()
+        assert not oracles.psi_op(zero, hopf2_ctx).any()
 
 
 class TestContractions:
     def test_ricci_contraction_reproduces_ricci(self, hopf2_ctx):
         rho = oracles.contract_ricci(hopf2_ctx.riem4, hopf2_ctx)
         cp = catalog.hopf(2)
-        expected = rm.ricci(cp.metric, hopf2_ctx.point).comps
+        expected = rm.ricci(cp.metric, cp.chart.sample_points[0]).comps
         assert np.max(np.abs(rho - expected)) < 1e-9
+        assert np.max(np.abs(hopf2_ctx.ricci - expected)) < 1e-9
 
     def test_star_contraction_reproduces_star_ricci(self):
         cp = catalog.sphere_product(1, 1)
@@ -147,6 +118,7 @@ class TestContractions:
         expected = cpm.structure_at(cp, pt).star_ricci
         star = cpm.star_contraction(ctx.riem4, ctx.ginv, ctx.J)
         assert np.max(np.abs(star - expected)) < 1e-9
+        assert np.max(np.abs(ctx.star_ricci - expected)) < 1e-9
 
     def test_ricci_contraction_of_pi1(self, hopf2_ctx):
         # with the pinned sign the space-form tensor is -pi1, so the
@@ -254,7 +226,7 @@ class TestBochnerAssembly:
             for which in ("J", "T"):
                 for reading in bm.READINGS:
                     ctx = bm.context(cp, pt, which, reading)
-                    expected = two_regime_bochner(ctx)
+                    expected = oracles.two_regime_bochner(ctx)
                     bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
                     assert np.max(np.abs(bm.bochner(ctx) - expected)) <= bound
 
@@ -278,9 +250,12 @@ class TestBochnerAssembly:
         cp = catalog.resolve(key)
         pts = cp.chart.sample_points
         st = cpm.structure_at(cp, pts)
-        assert np.array_equal(bm.context(cp, pts).tau_star, st.tau_star)
-        # bit for bit the value a context computes for itself
-        own = bm._context(pts, st.geo, st.J, cp.m, cp.n, bm.DEFAULT_READING)
+        ctx = bm.context(cp, pts)
+        assert ctx.star_ricci is st.star_ricci and ctx.ricci is st.geo.ricci
+        assert np.array_equal(ctx.tau_star, st.tau_star)
+        # bit for bit the values a context computes for itself
+        own = bm._context(st.geo, st.J, cp.m, cp.n, bm.DEFAULT_READING)
+        assert np.array_equal(own.star_ricci, st.star_ricci)
         assert np.array_equal(own.tau_star, st.tau_star)
 
     def test_scalar_consistency_on_hopf(self):

@@ -662,6 +662,15 @@ def _put(field, index, value):
     return edit
 
 
+def _heisenberg_coords(value):
+    def edit(data):
+        # the heisenberg_r coordinates are one character each
+        data.clear()
+        data.update(cli.manifold_to_dict(catalog.resolve("heisenberg_r")))
+        data["coords"] = value
+    return edit
+
+
 def _first_point_coordinate(value):
     def edit(data):
         data["sample_points"][0][0] = value
@@ -678,14 +687,18 @@ def _first_point_coordinate(value):
     _first_point_coordinate("1_0"), _set("params", {"c": "\uff13"}),
     _metric_key("\u0660,\u0660"), _metric_key("\uff10,\uff10"), _metric_key("0_0,0"),
     _metric_key(" 0 , 0"), _metric_key("+0,0"), _metric_key("0,0,0"), _metric_key("00,0"),
-    _metric_key("0,3", "3,0")],
+    _metric_key("0,3", "3,0"), _set("alpha2", "0001"), _set("Z2", "0001"),
+    _set("sample_points", ["5555"]), _set("sample_points", "5555"), _set("type", "10"),
+    _heisenberg_coords("xyzt")],
     ids=["metric-9,9", "metric--1,0", "metric-list", "params-list",
          "alpha1-short", "Z1-long", "repeated-coordinate", "params-coordinate",
          "metric-true", "alpha1-false", "alpha2-true", "Z1-true", "Z2-true",
          "params-true", "point-false", "point-arabic-indic-3", "point-fullwidth-3",
          "point-underscore", "params-fullwidth-3", "metric-arabic-indic-0",
          "metric-fullwidth-0", "metric-underscore", "metric-spaces", "metric-plus",
-         "metric-three-indices", "metric-0,0-twice", "metric-3,0-and-0,3"])
+         "metric-three-indices", "metric-0,0-twice", "metric-3,0-and-0,3",
+         "alpha2-string", "Z2-string", "point-string", "points-string", "type-string",
+         "coords-string"])
 @pytest.mark.parametrize("argv", [["verify"], ["check"],
                                   ["tensor", "--what", "ricci"]])
 def test_malformed_manifold_file_is_an_input_error(capsys, tmp_path, edit, argv):

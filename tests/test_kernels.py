@@ -28,18 +28,27 @@ def _close(new, ref):
     assert np.max(np.abs(new - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref))
 
 
-def _random_context(d, lead, reading="combination"):
-    """Random data for a context: g positive definite, J a generic matrix (the
-    identities behind the kernels do not need J to be an isometry), R a
-    generic four-slot tensor, tau and tau* arbitrary."""
+def _random_context(d, lead, reading="combination", which="J"):
+    """Random data for a context: g positive definite, J and T = phi +- (Z1 (x)
+    alpha2 - Z2 (x) alpha1) generic matrices (the identities behind the
+    kernels do not need them to be isometries), R a generic four-slot tensor
+    with its rho and rho*, tau and tau* arbitrary, and a pair type that fits d."""
     rng = np.random.default_rng(1000 * d + len(lead) + sum(lead))
     a = rng.normal(size=lead + (d, d))
     g = a @ np.swapaxes(a, -1, -2) + d * np.eye(d)
     ginv = np.linalg.inv(g)
-    J = rng.normal(size=lead + (d, d))
+    phi = rng.normal(size=lead + (d, d))
+    z1, z2, a1, a2 = rng.normal(size=(4,) + lead + (d,))
+    twist = z1[..., :, None] * a2[..., None, :] - z2[..., :, None] * a1[..., None, :]
+    J = phi - twist if which == "J" else phi + twist
     R = rng.normal(size=lead + (d,) * 4)
     tau, tau_star = rng.normal(size=lead), rng.normal(size=lead)
-    return bm.CurvatureContext(None, g, ginv, J, R, 1, 1, tau, tau_star, reading), rng
+    rho = oracles.contract_ricci(R, SimpleNamespace(ginv=ginv))
+    star = cpm.star_contraction(R, ginv, J)
+    n = (d - 2) // 4
+    ctx = bm.CurvatureContext(g, ginv, J, R, rho, star, (d - 2) // 2 - n, n, tau, tau_star,
+                              reading)
+    return ctx, rng
 
 
 @pytest.mark.parametrize("d, lead", SHAPES)
@@ -63,8 +72,10 @@ def test_outer_products_match_their_einsum_forms(d, lead):
     ctx, rng = _random_context(d, lead)
     a, s = rng.normal(size=(2,) + lead + (d, d))
     _close(rm.kulkarni_nomizu((a, s)), oracles.kulkarni_nomizu(a, s))
-    _close(bm.phi_op(s, ctx), oracles.phi_op(s, ctx))
-    _close(bm.psi_op(s, ctx), oracles.psi_op(s, ctx))
+    # phi(S) and psi(S) as the Bochner assembly writes them
+    _close(rm.kulkarni_nomizu((ctx.g, -s)), oracles.phi_op(s, ctx))
+    gJ, sJ = ctx.g @ ctx.J, s @ ctx.J
+    _close(bm._add_pair_term(rm.kulkarni_nomizu((gJ, -sJ)), gJ, sJ), oracles.psi_op(s, ctx))
 
 
 @pytest.mark.parametrize("terms", [1, 2, 3])
@@ -102,6 +113,44 @@ def test_bochner_contractions_match_the_l3_form(d, lead, reading):
     ctx, _ = _random_context(d, lead, reading)
     for new, ref in zip(bm._reading_contractions(ctx), oracles.reading_contractions(ctx)):
         _close(new, ref)
+
+
+@pytest.mark.parametrize("which", ["J", "T"])
+@pytest.mark.parametrize("reading", bm.READINGS)
+@pytest.mark.parametrize("d, lead", SHAPES)
+def test_bochner_matches_the_two_regime_formula(d, lead, reading, which):
+    ctx, _ = _random_context(d, lead, reading, which)
+    expected = oracles.two_regime_bochner(ctx)
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(bm.bochner(ctx) - expected)) <= bound
+
+
+@pytest.mark.parametrize("stack", [None, 7], ids=["point", "stack-7"])
+@pytest.mark.parametrize("key", ["hopf:1", "hopf:2", "sphere_product:1,1"])
+def test_the_assembly_contracts_r_twice_and_only_in_the_combination_reading(
+        monkeypatch, key, stack):
+    # rho and rho* are held by the geometry and the structure: the J context
+    # contracts nothing, the T context forms its rho* once, and an assembly
+    # contracts R only with M = J g^-1 J^T and M J^T
+    cp = catalog.resolve(key)
+    pts = cp.chart.sample_points
+    point = pts[0] if stack is None else (pts * 7)[:stack]
+    bm.context(cp, point)  # the structure's own contractions are formed before counting
+    calls = []
+
+    def counted(t4, m, _inner=rm.contract_middle):
+        calls.append(m.shape[t4.ndim - 4:-2])
+        return _inner(t4, m)
+
+    monkeypatch.setattr(rm, "contract_middle", counted)
+    for which, forms in (("J", []), ("T", [()])):
+        for reading, rows in (("combination", [(2,)]), ("curvature", [])):
+            ctx = bm.context(cp, point, which, reading)
+            assert calls == forms, (which, reading)
+            calls.clear()
+            bm.bochner(ctx)
+            assert calls == rows, (which, reading)
+            calls.clear()
 
 
 @pytest.mark.parametrize("d, lead", SHAPES)

@@ -46,8 +46,7 @@ def test_stack_matches_pointwise(key):
     st = cpm.structure_at(cp, pts)
 
     def tensors(point, st):
-        rescaled = bm._context(point, st.geo.rescaled(4.0), st.J, cp.m, cp.n,
-                               bm.DEFAULT_READING)
+        rescaled = bm._context(st.geo.rescaled(4.0), st.J, cp.m, cp.n, bm.DEFAULT_READING)
         x, kept = st.horizontal_leaf_frame(2)
         return {**_fields(st.geo, "geo."), **_fields(st),
                 "B_J": bm.bochner(bm.context(cp, point, "J")),
