@@ -23,6 +23,7 @@ import os
 import re
 import sys
 import warnings
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -115,6 +116,26 @@ def _real(value, field: str) -> float:
     return float(_finite(value, field))
 
 
+def _points(value) -> tuple:
+    """The sample points as tuples of floats.  Lists of finite JSON numbers,
+    as an export writes them, are read with one type pass and one
+    conversion per point; anything else goes value by value through
+    :func:`_real`, which refuses the first bad value by its place or reads
+    it as before (a string such as "nan" places a NaN point)."""
+    rows = _list(value, "sample_points")
+    if (all(type(p) is list for p in rows)
+            and set(map(type, chain.from_iterable(rows))) <= {float, int}):
+        try:
+            points = tuple(tuple(map(float, p)) for p in rows)
+        except OverflowError:  # an integer too large for a double
+            points = None
+        if points is not None and all(map(math.isfinite, chain.from_iterable(points))):
+            return points
+    return tuple(tuple(_real(v, f"sample_points[{k}][{i}]")
+                       for i, v in enumerate(_list(p, f"sample_points[{k}]")))
+                 for k, p in enumerate(rows))
+
+
 def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
     try:
         coords = tuple(str(c) for c in _list(data["coords"], "coords"))
@@ -128,17 +149,20 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
         if len(set(coords) | set(params)) != dim + len(params):
             raise ValueError(f"names repeat among coordinates {list(coords)} "
                              f"and params {list(params)}")
-        params = tuple(sorted((str(k), _real(v, f"params[{k!r}]"))
-                              for k, v in params.items()))
-        points = tuple(tuple(_real(v, f"sample_points[{k}][{i}]")
-                             for i, v in enumerate(_list(p, f"sample_points[{k}]")))
-                       for k, p in enumerate(_list(data["sample_points"], "sample_points")))
+        reals = {}
+        for k, v in params.items():
+            # a string that reads as nan or inf is refused as the JSON number is
+            field = f"params[{k!r}]"
+            reals[str(k)] = _finite(_real(v, field), field)
+        params = tuple(sorted(reals.items()))
+        points = _points(data["sample_points"])
         if any(len(p) != dim for p in points):
             raise UsageError("sample points must have one value per coordinate")
         chart = rm.Chart(coords=coords, params=params, sample_points=points)
-        # an identical subtree anywhere in the file is one node, and its
-        # names are checked once
+        # an identical subtree anywhere in the file is one node, a source
+        # string repeated verbatim is parsed once, and names are checked once
         table: dict = {}
+        parsed: dict = {}
         seen: set[int] = set()
         entries = {}
         for key, src in _object(data["metric"], "metric").items():
@@ -149,17 +173,17 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
             if (i, j) in entries or (j, i) in entries:
                 raise ValueError(f"metric entry {(i, j)} is given twice")
             entries[(i, j)] = _finite(src, f"metric[{key!r}]")
-        metric = rm.MetricField.from_entries(chart, entries, table, seen)
+        metric = rm.MetricField.from_entries(chart, entries, table, seen, parsed)
         rows = {}
         for field in ("alpha1", "alpha2", "Z1", "Z2"):
             row = _list(data[field], field)
             if len(row) != dim:
                 raise ValueError(f"{field} has {len(row)} entries, chart has dim {dim}")
             rows[field] = [_finite(v, f"{field}[{k}]") for k, v in enumerate(row)]
-        alpha1 = rm.OneForm.of(chart, rows["alpha1"], table, seen)
-        alpha2 = rm.OneForm.of(chart, rows["alpha2"], table, seen)
-        z1 = rm.VectorField.of(chart, rows["Z1"], table, seen)
-        z2 = rm.VectorField.of(chart, rows["Z2"], table, seen)
+        alpha1 = rm.OneForm.of(chart, rows["alpha1"], table, seen, parsed)
+        alpha2 = rm.OneForm.of(chart, rows["alpha2"], table, seen, parsed)
+        z1 = rm.VectorField.of(chart, rows["Z1"], table, seen, parsed)
+        z2 = rm.VectorField.of(chart, rows["Z2"], table, seen, parsed)
         m, n = (_count(v, "type entry") for v in _list(data["type"], "type"))
         if 2 * m + 2 * n + 2 != dim:
             raise UsageError(f"type {m, n} is inconsistent with dim={dim}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence, Union
@@ -194,6 +194,8 @@ class StructureData:
     star_ricci: np.ndarray
     tau_star: Union[float, np.ndarray]
     foliation_dims: np.ndarray  # [2]: dimensions of the two characteristic foliations
+    # the leaf frames formed so far, by foliation
+    _leaf_frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rm.freeze_arrays(self)
@@ -210,7 +212,16 @@ class StructureData:
         """Candidate unit vectors in the leaf tangent (T F_which) cut to the
         horizontal bundle, one per coordinate vector, as rows ``x[c]``, and
         the mask ``kept[c]`` of those that count: tiny projections and
-        vectors within 1e-3 rad of an earlier kept one are dropped."""
+        vectors within 1e-3 rad of an earlier kept one are dropped.  Formed
+        once per structure and foliation; both arrays are read-only."""
+        frame = self._leaf_frames.get(which)
+        if frame is None:
+            frame = self._leaf_frames[which] = self._leaf_frame(which)
+            for a in frame:
+                a.setflags(write=False)
+        return frame
+
+    def _leaf_frame(self, which: int) -> tuple[np.ndarray, np.ndarray]:
         proj = self.P2 if which == 2 else self.P1
         g = self.geo.g
         w = np.swapaxes(self.H @ proj, -1, -2)  # w[c] = H proj e_c
@@ -331,8 +342,8 @@ def structure_at(cp: ContactPairManifold, point) -> StructureData:
     # d alpha and its partials come from the gradients and Hessians of the alphas
     a1, a2, z1, z2 = (values[..., f, :] for f in range(4))
     da1_partial, da2_partial, dz1, dz2 = (derivs[..., f, :] for f in range(4))  # [m, i]
-    dalpha1, dalpha2 = (_exterior(partial, cp.dalpha_factor)
-                        for partial in (da1_partial, da2_partial))
+    dalphas = _exterior(np.swapaxes(derivs[..., :2, :], -3, -2), cp.dalpha_factor)  # [f, i, j]
+    dalpha1, dalpha2 = dalphas[..., 0, :, :], dalphas[..., 1, :, :]
     ddalpha1, ddalpha2 = (_exterior(hess[..., f, :], cp.dalpha_factor) for f in range(2))
 
     # phi from the associated-metric identity, with exact first derivatives:
@@ -351,8 +362,7 @@ def structure_at(cp: ContactPairManifold, point) -> StructureData:
           + np.einsum("...k,...mj->...mkj", z2, da1_partial))
     dT = 2.0 * dphi - dJ
 
-    proj, dims = _nullspace_projectors(np.stack((a1, a2), axis=-2),
-                                       np.stack((dalpha1, dalpha2), axis=-3), g)
+    proj, dims = _nullspace_projectors(values[..., :2, :], dalphas, g)
     P1, P2 = proj[..., 0, :, :], proj[..., 1, :, :]
     if not stacked and (fault := _foliation_fault(cp, point, dims)):
         raise fault
@@ -430,21 +440,21 @@ def validate_structure(cp: ContactPairManifold,
     L = np.linalg.cholesky(g)
     svals = np.linalg.svd(np.linalg.solve(L, np.swapaxes(phi, 1, 2) @ L), compute_uv=False)
     rank = np.sum(svals > 1e-8 * svals[:, :1], axis=1)
+    # the Reeb contractions as matmuls, with the Reeb fields as rows [p, z, :]
     rows = (
         ("reeb_duality", "alpha_i(Z_j) = delta_ij",
-         sup(np.einsum("pai,pbi->pab", alphas, reebs) - np.eye(2)), tolerance),
+         sup(alphas @ np.swapaxes(reebs, 1, 2) - np.eye(2)), tolerance),
         ("reeb_in_dalpha_kernel", "i_{Z_i} dalpha_j = 0",
-         sup(np.einsum("pzi,pfij->pzfj", reebs,
-                       np.stack((st.dalpha1, st.dalpha2), axis=1))), tolerance),
+         sup(reebs[:, None] @ np.stack((st.dalpha1, st.dalpha2), axis=1)), tolerance),
         ("reeb_fields_commute", "[Z_1, Z_2] = 0",
          sup(rm.lie_bracket_from(st.z1, st.dz1, st.z2, st.dz2)), tolerance),
         ("metric_reeb_duality", "g(X, Z_i) = alpha_i(X)",
-         sup(np.einsum("pij,pzj->pzi", g, reebs) - alphas), tolerance),
+         sup(reebs @ g - alphas), tolerance),  # g is symmetric
         ("phi_squared_identity",
          "phi^2 = -Id + alpha_1 (x) Z_1 + alpha_2 (x) Z_2",
          _phi_square_residual(st), tolerance),
         ("phi_kills_reeb", "phi Z_1 = phi Z_2 = 0",
-         sup(np.einsum("pij,pzj->pzi", phi, reebs)), tolerance),
+         sup(reebs @ np.swapaxes(phi, 1, 2)), tolerance),
         ("alpha_circ_phi", "alpha_i o phi = 0", sup(alphas @ phi), tolerance),
         ("phi_rank", "rank phi = dim - 2", rank - (d - 2), 0.0),
         ("foliation_projectors", "P1 P2 = 0 and P1 + P2 = Id",
@@ -527,7 +537,7 @@ def lemma_checks(cp: ContactPairManifold, tolerance: float,
 
     # phi^T dalpha_i: [y, x] = dalpha_i(phi Y, X), read by the phi and the
     # curvature identities
-    phi_dalpha = [np.einsum("...ay,...ax->...yx", st.phi, da) for da in dalpha]
+    phi_dalpha = [tr(st.phi) @ da for da in dalpha]
 
     # g((grad_X phi) Y, V) written in the two exterior derivatives
     nabla_phi = rm.covd_11(st.phi, st.dphi, gamma)
@@ -547,7 +557,7 @@ def lemma_checks(cp: ContactPairManifold, tolerance: float,
              + np.einsum("...xv,...y->...xyv", st.dalpha2, st.a1))
 
     # curvature against the combined Reeb field Z = Z_1 + Z_2
-    lhs_R = np.einsum("...xycv,...c->...xyv", R4, st.z1 + st.z2)
+    lhs_R = rm.contract_third(R4, st.z1 + st.z2)
     rhs_R = np.zeros_like(lhs_R)
     for Ai, ai in zip(phi_dalpha, a):
         rhs_R += (np.einsum("...vx,...y->...xyv", Ai, ai)

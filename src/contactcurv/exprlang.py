@@ -35,6 +35,9 @@ the subtree.
 The parser looks a key up before it builds the node: a key is in the table
 only if the same smart constructor, given the same shared children, made
 that very node before, so a repeated subtree costs a lookup, not a node.
+A reader may keep, beside the table and never in it, a dict of the source
+strings it has parsed (:func:`as_expr`), so a source repeated verbatim in a
+document costs one lookup, not a parse.
 :func:`evaluate_all` walks a sequence of such expressions with one memo
 keyed on ``id``, so each distinct node is evaluated once per call;
 ``evaluate(e, env)`` is ``evaluate_all((e,), env)[0]``.  The table does
@@ -378,11 +381,20 @@ def parse(source: str, table: Optional[dict] = None) -> Expr:
     return e
 
 
-def as_expr(value: Union[Expr, str, float, int], table: Optional[dict] = None) -> Expr:
+def as_expr(value: Union[Expr, str, float, int], table: Optional[dict] = None,
+            parsed: Optional[dict[str, Expr]] = None) -> Expr:
+    """``value`` as an expression, a string parsed through ``table``.  With
+    ``parsed``, a dict of the sources read through the same table so far,
+    a source is parsed once and each later occurrence is its first tree."""
     if isinstance(value, (Const, Sym, Neg, Bin, Fn)):
         return value
     if isinstance(value, str):
-        return parse(value, table)
+        if parsed is None:
+            return parse(value, table)
+        e = parsed.get(value)
+        if e is None:
+            e = parsed[value] = parse(value, table)
+        return e
     if isinstance(value, bool):
         raise ExprError(f"{value!r} is not a number or an expression")
     e = Const(float(value))

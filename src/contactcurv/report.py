@@ -10,8 +10,10 @@ lossless round-trip format so reports are diffable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -57,12 +59,13 @@ class Report:
             return
         values = np.array([row[2] for row in rows], dtype=float)
         values = values.reshape(len(rows), len(points)).T
-        passed = np.empty(values.shape, dtype=bool)
+        tolerances = np.array([np.inf if row[3] is None else row[3] for row in rows], dtype=float)
+        passed = np.abs(values) <= tolerances
         for r, row in enumerate(rows):
             if len(row) > 4:
                 passed[:, r] = row[4]
-            else:
-                passed[:, r] = row[3] is None or np.abs(values[:, r]) <= row[3]
+            elif row[3] is None:  # a NaN passes too
+                passed[:, r] = True
         self.blocks.append(Block(tuple(points), tuple((row[0], row[1], row[3]) for row in rows),
                                  values, passed))
 
@@ -111,7 +114,9 @@ class Report:
         indent, :mod:`json` runs its pure-Python encoder, so the check
         records, nearly all of the output, are written from the rows: each
         distinct value formatted once, keyed on its bits so that 0.0, -0.0
-        and NaNs stay apart, and all records as one list of pieces, joined once."""
+        and NaNs stay apart, each row's name, detail and tolerance written
+        once per block by :func:`_scalar`, and all records as one list of
+        pieces, joined once."""
         top = json.dumps({"manifold": self.manifold, "conventions": self.conventions,
                           "summary": self.summary()}, indent=2)[:-2]
         if not self.blocks:
@@ -124,12 +129,12 @@ class Report:
         heads, points, tails = [], [], []
         for b, texts in zip(self.blocks, _point_texts(
                 self.blocks, lambda point: f'{_json_point(point)},\n      "value": ')):
-            heads += [f',\n    {{\n      "name": {json.dumps(name)},\n      "detail": '
-                      f'{json.dumps(detail)},\n      "point": '
+            heads += [f',\n    {{\n      "name": {_scalar(name)},\n      "detail": '
+                      f'{_scalar(detail)},\n      "point": '
                       for name, detail, _ in b.heads] * len(texts)
             points += chain.from_iterable(zip(*[texts] * len(b.heads)))
             # row r ends in ends[2 r + 1] where it passes and in ends[2 r] where it fails
-            ends = [f',\n      "tolerance": {json.dumps(tol)},\n      "passed": {flag}\n    }}'
+            ends = [f',\n      "tolerance": {_scalar(tol)},\n      "passed": {flag}\n    }}'
                     for _, _, tol in b.heads for flag in ("false", "true")]
             tails += map(ends.__getitem__, (b.passed + np.arange(0, len(ends), 2)).ravel().tolist())
         pieces[1:-1:4], pieces[2:-1:4], pieces[4:-1:4] = heads, points, tails
@@ -164,6 +169,18 @@ def _point_texts(blocks: list[Block], fmt) -> list[list[str]]:
 
 def _fmt_at(point: Optional[Iterable[float]]) -> str:
     return "" if point is None else "  at (" + ", ".join(f"{v:.3g}" for v in point) + ")"
+
+
+def _scalar(value) -> str:
+    """``json.dumps(value)`` for a row's name, detail or tolerance: a string
+    through the escaping function ``json.dumps`` ends in, a finite float
+    through its repr and None as null, without the encoder ``json.dumps``
+    builds on every call."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return "null" if value is None else json.dumps(value)
 
 
 def _json_point(point) -> str:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -91,7 +92,10 @@ class Chart:
     def validate_expr(self, e: el.Expr, seen: Optional[set[int]] = None) -> None:
         """Raise on a name ``e`` reads that the chart does not declare; with
         a ``seen`` shared over several expressions that are all kept, a
-        subtree they share is checked once (see :func:`exprlang.free_names`)."""
+        subtree they share is checked once (see :func:`exprlang.free_names`),
+        and an expression in ``seen`` already is not walked at all."""
+        if seen is not None and id(e) in seen:
+            return
         unknown = el.free_names(e, seen) - self.declared_names
         if unknown:
             raise el.ExprError(
@@ -102,10 +106,11 @@ ExprLike = Union[el.Expr, str, float, int]
 
 
 def _expr_row(chart: Chart, comps: Iterable[ExprLike], table: Optional[dict] = None,
-              seen: Optional[set[int]] = None) -> tuple[el.Expr, ...]:
+              seen: Optional[set[int]] = None,
+              parsed: Optional[dict] = None) -> tuple[el.Expr, ...]:
     out, seen = [], set() if seen is None else seen
     for c in comps:
-        e = el.as_expr(c, table)
+        e = el.as_expr(c, table, parsed)
         chart.validate_expr(e, seen)
         out.append(e)
     return tuple(out)
@@ -121,18 +126,19 @@ class MetricField:
 
     @staticmethod
     def from_entries(chart: Chart, entries: Mapping[tuple[int, int], ExprLike],
-                     table: Optional[dict] = None,
-                     seen: Optional[set[int]] = None) -> "MetricField":
+                     table: Optional[dict] = None, seen: Optional[set[int]] = None,
+                     parsed: Optional[dict] = None) -> "MetricField":
         """Build from the upper triangle; missing entries are zero.  Strings
-        are parsed through ``table`` (see :func:`exprlang.parse`), and the
-        names are checked with ``seen`` (see :meth:`Chart.validate_expr`)."""
+        are parsed through ``table`` and ``parsed`` (see
+        :func:`exprlang.as_expr`), and the names are checked with ``seen``
+        (see :meth:`Chart.validate_expr`)."""
         d = chart.dim
         grid = [[el.ZERO] * d for _ in range(d)]
         seen = set() if seen is None else seen
         for (i, j), raw in entries.items():
             if not (0 <= i < d and 0 <= j < d):
                 raise IndexError(f"metric entry {(i, j)} outside a {d}-dim chart")
-            e = el.as_expr(raw, table)
+            e = el.as_expr(raw, table, parsed)
             chart.validate_expr(e, seen)
             grid[i][j] = e
             grid[j][i] = e
@@ -154,8 +160,8 @@ class VectorField:
 
     @staticmethod
     def of(chart: Chart, comps: Iterable[ExprLike], table: Optional[dict] = None,
-           seen: Optional[set[int]] = None) -> "VectorField":
-        return VectorField(chart, _expr_row(chart, comps, table, seen))
+           seen: Optional[set[int]] = None, parsed: Optional[dict] = None) -> "VectorField":
+        return VectorField(chart, _expr_row(chart, comps, table, seen, parsed))
 
 
 @dataclass(frozen=True)
@@ -165,8 +171,8 @@ class OneForm:
 
     @staticmethod
     def of(chart: Chart, comps: Iterable[ExprLike], table: Optional[dict] = None,
-           seen: Optional[set[int]] = None) -> "OneForm":
-        return OneForm(chart, _expr_row(chart, comps, table, seen))
+           seen: Optional[set[int]] = None, parsed: Optional[dict] = None) -> "OneForm":
+        return OneForm(chart, _expr_row(chart, comps, table, seen, parsed))
 
 
 @dataclass
@@ -190,9 +196,11 @@ def _exact(point) -> bool:
 def as_point(point) -> Union[Point, tuple[Point, ...]]:
     """One point as a tuple of floats, or a stack of points as a tuple of
     them; one that is so already is returned as it is, so that the stages of
-    a run share the tuples of its points."""
+    a run share the tuples of its points.  A stack is recognised as such in
+    one pass over all its values."""
     if is_stack(point):
-        exact = type(point) is tuple and all(map(_exact, point))
+        exact = (type(point) is tuple and all(type(p) is tuple for p in point)
+                 and set(map(type, chain.from_iterable(point))) <= {float})
         return point if exact else tuple(map(as_point, point))
     return point if _exact(point) else tuple(float(v) for v in point)
 
@@ -273,6 +281,14 @@ def contract_last(t4: np.ndarray, m: np.ndarray) -> np.ndarray:
     per point."""
     lead, d = t4.shape[:-4], t4.shape[-1]
     return (t4.reshape(lead + (d ** 3, d)) @ m).reshape(t4.shape)
+
+
+def contract_third(t4: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_c T[..., i, j, c, k] v[..., c] for a four-slot tensor that is
+    antisymmetric in its last pair, as -sum_c T[..., i, j, k, c] v[..., c]:
+    one (d^3 x d) @ (d x 1) matmul per point.  Returns ``[..., i, j, k]``."""
+    lead, d = t4.shape[:-4], t4.shape[-1]
+    return -(t4.reshape(lead + (d ** 3, d)) @ v[..., None]).reshape(t4.shape[:-1])
 
 
 def contract_middle(t4: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -419,7 +435,10 @@ def scalar(metric: MetricField, point: Sequence[float]) -> float:
 
 def covd_vector(values: np.ndarray, derivs: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(grad_i V)^k from pointwise values and partials; returns [i, k]."""
-    return derivs + np.einsum("...kia,...a->...ik", gamma, values)
+    d = gamma.shape[-1]
+    # Gamma^k_ia V^a as one (d^2 x d) @ (d x 1) matmul per point, [(ki)]
+    terms = gamma.reshape(gamma.shape[:-3] + (d * d, d)) @ values[..., None]
+    return derivs + np.swapaxes(terms.reshape(gamma.shape[:-1]), -1, -2)
 
 
 def covd_11(values: np.ndarray, derivs: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -434,16 +453,17 @@ def covd_11(values: np.ndarray, derivs: np.ndarray, gamma: np.ndarray) -> np.nda
 def lie_bracket_from(x_values: np.ndarray, x_derivs: np.ndarray,
                      y_values: np.ndarray, y_derivs: np.ndarray) -> np.ndarray:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i from pointwise values and partials."""
-    return (np.einsum("...j,...ji->...i", x_values, y_derivs)
-            - np.einsum("...j,...ji->...i", y_values, x_derivs))
+    return (x_values[..., None, :] @ y_derivs - y_values[..., None, :] @ x_derivs)[..., 0, :]
 
 
 def lie_derivative_metric(z_values: np.ndarray, z_derivs: np.ndarray,
                           geo: PointGeometry) -> np.ndarray:
     """(L_Z g)_ij from pointwise Z and dZ."""
-    term = np.einsum("...a,...aij->...ij", z_values, geo.dg)
-    mixed = np.einsum("...aj,...ia->...ij", geo.g, z_derivs)
-    return term + mixed + np.swapaxes(mixed, -1, -2)
+    d = geo.dim
+    # Z^a d_a g_ij as one (1 x d) @ (d x d^2) matmul per point
+    term = z_values[..., None, :] @ geo.dg.reshape(geo.dg.shape[:-3] + (d, d * d))
+    mixed = z_derivs @ geo.g  # [i, j] = d_i Z^a g_aj
+    return term.reshape(mixed.shape) + mixed + np.swapaxes(mixed, -1, -2)
 
 
 def orthonormal_frame(metric: MetricField, point: Sequence[float],
@@ -486,7 +506,8 @@ def weyl(metric: MetricField, point) -> TensorValue:
     # W = R - S o g with the Schouten-type form S = rho/(d-2) - tau g/(2(d-1)(d-2))
     tau = np.asarray(geo.tau)[..., None, None]
     s = geo.ricci / (d - 2) - tau * geo.g / (2.0 * (d - 1) * (d - 2))
-    return TensorValue(geo.riem4 - kulkarni_nomizu((s, geo.g)))
+    out = kulkarni_nomizu((s, geo.g))
+    return TensorValue(np.subtract(geo.riem4, out, out=out))
 
 
 def kulkarni_nomizu(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

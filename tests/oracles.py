@@ -16,6 +16,11 @@ Bochner contractions through L3 R, the Bochner tensor as one formula per
 dimension regime, and the five-operand sectional values.  Every array may
 carry leading point axes.
 
+The contractions the package writes as matmuls keep their einsum spellings
+as well: R(X, Y, Z, V) against a vector, grad Z, the Lie bracket, L_Z g,
+and the rows of ``validate_structure`` and ``lemma_checks`` that read them,
+phi^T dalpha_i or the Reeb fields.
+
 :func:`reference_geometry` builds the curvature by the long route, through
 the partials of g^{-1} and of Gamma and the mixed tensor R^l_ijk, which the
 package no longer forms, and :func:`reference_dphi` differentiates phi
@@ -347,3 +352,72 @@ def phi_sectional(riem4, phi, x):
     px = x @ np.swapaxes(phi, -1, -2)
     return np.einsum("...ijkl,...ci,...cj,...ck,...cl->...c", riem4, x, px, px, x,
                      optimize=True)
+
+
+# --- contractions the package writes as matmuls -------------------------------------
+
+def contract_third(t4, v):
+    """sum_c T[..., i, j, c, k] v[..., c]: R(X, Y, Z, V) of the lemma suite."""
+    return np.einsum("...xycv,...c->...xyv", t4, v)
+
+
+def covd_vector(values, derivs, gamma):
+    """(grad_i V)^k = d_i V^k + Gamma^k_ia V^a, [i, k]."""
+    return derivs + np.einsum("...kia,...a->...ik", gamma, values)
+
+
+def lie_bracket_from(x_values, x_derivs, y_values, y_derivs):
+    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i."""
+    return (np.einsum("...j,...ji->...i", x_values, y_derivs)
+            - np.einsum("...j,...ji->...i", y_values, x_derivs))
+
+
+def lie_derivative_metric(z_values, z_derivs, g, dg):
+    """(L_Z g)_ij = Z^a d_a g_ij + g_aj d_i Z^a + g_ia d_j Z^a."""
+    term = np.einsum("...a,...aij->...ij", z_values, dg)
+    mixed = np.einsum("...aj,...ia->...ij", g, z_derivs)
+    return term + mixed + np.swapaxes(mixed, -1, -2)
+
+
+def reeb_rows(st):
+    """The Reeb-field rows of ``validate_structure`` over a stack, [p], as
+    einsums."""
+    sup = rm.pointwise_sup
+    alphas = np.stack((st.a1, st.a2), axis=1)
+    reebs = np.stack((st.z1, st.z2), axis=1)
+    dalphas = np.stack((st.dalpha1, st.dalpha2), axis=1)
+    return {
+        "reeb_duality": sup(np.einsum("pai,pbi->pab", alphas, reebs) - np.eye(2)),
+        "reeb_in_dalpha_kernel": sup(np.einsum("pzi,pfij->pzfj", reebs, dalphas)),
+        "reeb_fields_commute": sup(lie_bracket_from(st.z1, st.dz1, st.z2, st.dz2)),
+        "metric_reeb_duality": sup(np.einsum("pij,pzj->pzi", st.geo.g, reebs) - alphas),
+        "phi_kills_reeb": sup(np.einsum("pij,pzj->pzi", st.phi, reebs)),
+    }
+
+
+def lemma_rows(st):
+    """The rows of ``lemma_checks`` that read phi^T dalpha_i, R(., ., Z, .),
+    grad Z_i or L_{Z_i} g, over a stack, [p], as einsums."""
+    sup = rm.pointwise_sup
+    geo, a = st.geo, (st.a1, st.a2)
+    phi_dalpha = [np.einsum("...ay,...ax->...yx", st.phi, da) for da in (st.dalpha1, st.dalpha2)]
+    nabla_phi = rm.covd_11(st.phi, st.dphi, geo.gamma)
+    lhs_phi = np.einsum("...xky,...kv->...xyv", nabla_phi, geo.g)
+    lhs_R = contract_third(geo.riem4, st.z1 + st.z2)
+    rhs_phi, rhs_R = np.zeros_like(lhs_phi), np.zeros_like(lhs_R)
+    for Ai, ai in zip(phi_dalpha, a):
+        rhs_phi += (np.einsum("...yx,...v->...xyv", Ai, ai)
+                    - np.einsum("...vx,...y->...xyv", Ai, ai))
+        rhs_R += (np.einsum("...vx,...y->...xyv", Ai, ai)
+                  - np.einsum("...vy,...x->...xyv", Ai, ai))
+    nabla_z = [covd_vector(z, dz, geo.gamma) for z, dz in ((st.z1, st.dz1), (st.z2, st.dz2))]
+    lie = [lie_derivative_metric(z, dz, geo.g, geo.dg)
+           for z, dz in ((st.z1, st.dz1), (st.z2, st.dz2))]
+    return {
+        "reeb_covariant_derivative": np.maximum(
+            sup(np.swapaxes(nabla_z[0], -1, -2) + st.phi1),
+            sup(np.swapaxes(nabla_z[1], -1, -2) + st.phi2)),
+        "phi_covariant_derivative": sup(lhs_phi - rhs_phi),
+        "reeb_curvature_identity": sup(lhs_R - rhs_R),
+        "reeb_fields_killing": np.maximum(sup(lie[0]), sup(lie[1])),
+    }

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from contactcurv import bochner as bm
 from contactcurv import catalog, cli
 from contactcurv import contactpair as cpm
 from contactcurv import exprlang as el
@@ -136,9 +137,9 @@ def test_the_d10_nested_hopf_file_loads_building_each_node_about_once(monkeypatc
     tables, built = {}, []
     as_expr = el.as_expr
 
-    def recorded(value, table=None):
+    def recorded(value, table=None, *rest):
         tables[id(table)] = table
-        return as_expr(value, table)
+        return as_expr(value, table, *rest)
     monkeypatch.setattr(el, "as_expr", recorded)
     for node in (el.Const, el.Sym, el.Neg, el.Bin, el.Fn):
         def counted(self, *args, _init=node.__init__, **kwargs):
@@ -220,3 +221,66 @@ def test_nested_hopf_tensor_queries_pass_their_gate(capsys, tmp_path, m):
         assert code == 0
         assert abs(summary["tau"] - 2.0 * m * (2 * m + 1)) <= 1e-9
         assert summary["max_abs_component"] <= 1e-6
+
+
+def _per_value_points(raw) -> tuple:
+    """The sample points read value by value, as the reader did before it
+    read them in bulk."""
+    return tuple(tuple(cli._real(v, "sample_points") for v in p) for p in raw)
+
+
+def test_the_bulk_point_reader_reads_each_input_as_the_per_value_path(tmp_path):
+    inputs = _load("inputs")
+    files = []
+    for key in inputs.CATALOG_BOXES:
+        for seed, count in ((1, 5), (2, 50)):  # as catalog_verify and dense_points
+            folder = tmp_path / f"{key}-{seed}"
+            folder.mkdir()
+            files.append(inputs.export_catalog_entry(key, seed, 0, count, str(folder)))
+    for m in (1, 2, 3, 4):  # as tensor_queries
+        points = inputs.seeded_points(1, 100 + m, 2 * m + 2, inputs.NESTED_HOPF_BOX, 10)
+        files.append(inputs.write_manifold(inputs.nested_hopf(m, points),
+                                           str(tmp_path / f"nh{m}.json")))
+    exports = [cli.manifold_to_dict(catalog.resolve(e.key)) for e in catalog.ENTRIES]
+    for data in exports + [json.loads(Path(f).read_text()) for f in files]:
+        raw = json.loads(json.dumps(data["sample_points"]))  # as a file holds them
+        bulk = cli._points(raw)
+        assert type(bulk) is tuple and all(type(p) is tuple for p in bulk)
+        assert [[v.hex() for v in p] for p in bulk] == \
+            [[v.hex() for v in p] for p in _per_value_points(raw)]
+    # a value that is no plain finite JSON number goes value by value
+    assert cli._points([[1, -0.0], ["0.5", 2]]) == ((1.0, -0.0), (0.5, 2.0))
+    with pytest.raises(ValueError, match=r"sample_points\[1\]\[0\] must be a number"):
+        cli._points([[1.0, 2.0], [True, 2.0]])
+    with pytest.raises(ValueError, match=r"sample_points\[0\]\[1\] must be a finite number"):
+        cli._points([[1.0, 10 ** 400]])
+
+
+def test_the_writer_and_the_reader_pay_no_cost_per_row_or_per_repeated_source(
+        tmp_path, monkeypatch):
+    # the writer dumps the head of a report and its distinct values, once
+    # each whatever the rows and points; the reader parses a source string
+    # that repeats verbatim (a squared radius is a metric entry and an alpha1
+    # component) once
+    inputs = _load("inputs")
+    dumps, dumped = json.dumps, []
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: dumped.append(a) or dumps(*a, **k))
+    expected = dict(catalog.entry_for("hopf:2").expected)
+    counts = {}
+    for count in (5, 50):
+        (tmp_path / str(count)).mkdir()
+        cp = cli.load_manifold(inputs.export_catalog_entry("hopf:2", 1, 0, count,
+                                                           str(tmp_path / str(count))))
+        report = bm.run_suites(cp, bm.SUITES, expected, None, cp.chart.sample_points)
+        dumped.clear()
+        assert report.to_json() == dumps(report.to_dict(), indent=2)
+        counts[count] = len(dumped)
+    assert counts[5] == counts[50] == 2
+
+    data = json.loads(Path(_nested_hopf_file(tmp_path, 4)).read_text())  # d = 10
+    parse, parsed = el.parse, []
+    monkeypatch.setattr(el, "parse", lambda src, *a: parsed.append(src) or parse(src, *a))
+    cli.manifold_from_dict(data, "nh")
+    sources = [*data["metric"].values(), *data["alpha1"], *data["alpha2"], *data["Z1"],
+               *data["Z2"]]
+    assert sorted(parsed) == sorted(set(sources)) and len(set(sources)) < len(sources)

@@ -499,8 +499,16 @@ def test_non_finite_input_is_an_input_error(capsys, tmp_path, edit, argv):
      "sample_points[2][1] must be a finite number, got nan"),
     (lambda data: data["Z1"].__setitem__(0, 10 ** 400),
      "Z1[0] must be a finite number, got an integer too large for a double"),
+    # a parameter string is read as a number, and refused as the number is
+    (lambda data: data.__setitem__("params", {"unused": "nan"}),
+     "params['unused'] must be a finite number, got nan"),
+    (lambda data: data.__setitem__("params", {"unused": "inf"}),
+     "params['unused'] must be a finite number, got inf"),
+    (lambda data: data.__setitem__("params", {"unused": "1e999"}),
+     "params['unused'] must be a finite number, got inf"),
 ], ids=["infinite-metric-entry", "unread-nan-param", "infinite-form-entry",
-        "nan-point-coordinate", "huge-integer-field-entry"])
+        "nan-point-coordinate", "huge-integer-field-entry", "nan-string-param",
+        "inf-string-param", "overflowing-string-param"])
 def test_non_finite_json_number_is_refused_at_load(capsys, tmp_path, edit, message):
     path = _hopf1_variant(capsys, tmp_path, edit)
     code, out, err = run(capsys, "check", path)

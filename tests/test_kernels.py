@@ -3,6 +3,7 @@ on random stacks, and a guard that keeps many-operand einsums out of the
 package."""
 
 import ast
+import dataclasses
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ import oracles
 from contactcurv import bochner as bm
 from contactcurv import catalog
 from contactcurv import contactpair as cpm
+from contactcurv import exprlang as el
 from contactcurv import riemann as rm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "contactcurv"
@@ -219,6 +221,57 @@ def test_structure_matches_the_mixed_tensor_route(key, stack):
     dphi = oracles.reference_dphi(geo.ginv, ref.dginv, st.dalpha1 + st.dalpha2,
                                   st.ddalpha1 + st.ddalpha2)
     _close(st.dphi, dphi)
+
+
+# --- contractions written as matmuls ---------------------------------------------
+
+def _close_13(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    assert np.max(np.abs(new - ref), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("d, lead", [(d, lead) for d in range(4, 11)
+                                     for lead in ((1,), (7,), ())])
+def test_matmul_contractions_match_their_einsum_forms(d, lead):
+    rng = np.random.default_rng(4000 * d + len(lead) + sum(lead))
+    g, _, dg, _ = _random_jets(d, lead)
+    t4 = rng.normal(size=lead + (d,) * 4)
+    t4 = t4 - np.swapaxes(t4, -1, -2)  # antisymmetric in its last pair, as R is
+    gamma = rng.normal(size=lead + (d, d, d))
+    x, y = rng.normal(size=(2,) + lead + (d,))
+    dx, dy = rng.normal(size=(2,) + lead + (d, d))
+    _close_13(rm.contract_third(t4, x), oracles.contract_third(t4, x))
+    _close_13(rm.covd_vector(x, dx, gamma), oracles.covd_vector(x, dx, gamma))
+    _close_13(rm.lie_bracket_from(x, dx, y, dy), oracles.lie_bracket_from(x, dx, y, dy))
+    geo = SimpleNamespace(g=g, dg=dg, dim=d)
+    _close_13(rm.lie_derivative_metric(x, dx, geo),
+              oracles.lie_derivative_metric(x, dx, g, dg))
+
+
+def _skewed(cp):
+    """``cp`` with d alpha doubled and Z_1 tilted by a tenth of the sum
+    of the coordinates, so that the Reeb and lemma rows read well away from 0."""
+    tilt = el.parse(f"0.1*({' + '.join(cp.chart.coords)})")
+    z1 = rm.VectorField(cp.chart, tuple(el.add(c, tilt) for c in cp.z1.comps))
+    return dataclasses.replace(cp, z1=z1, dalpha_factor=1.0)
+
+
+@pytest.mark.parametrize("count", [1, 7])
+@pytest.mark.parametrize("key", ["hopf:1", "hopf:2", "hopf:3", "hopf:4",
+                                 "sphere_product:1,1", "heisenberg_r"])
+def test_rows_match_their_einsum_forms(key, count):
+    # d = 4 to 10; a stack of 7 repeats sample points
+    cp = _skewed(catalog.resolve(key))
+    pts = (cp.chart.sample_points * 7)[:count]
+    report = cpm.validate_structure(cp, points=pts)
+    report.extend(cpm.lemma_checks(cp, cpm.LEMMA_TOL, pts))
+    rows = {name: b.values[:, r] for b in report.blocks for r, (name, _, _) in enumerate(b.heads)}
+    st = cpm.structure_at(cp, pts)
+    expected = oracles.reeb_rows(st) | oracles.lemma_rows(st)
+    for name, ref in expected.items():
+        assert np.min(ref) > 1e-3, name
+        _close_13(rows[name], ref)
 
 
 # --- no many-operand einsum in the package -----------------------------------------

@@ -100,6 +100,19 @@ def test_one_repeated_value_matches_the_json_module():
     assert report.to_json().count('"value": 0.1,') == 21
 
 
+def test_a_row_passes_within_its_tolerance_everywhere_without_one_and_by_its_flags():
+    nan = float("nan")
+    report = Report("flags")
+    stack = tuple((float(p),) for p in range(3))
+    report.add_rows(stack, [("tol", "", np.array([0.5, -2.0, nan]), 1.0),
+                            ("none", "", np.array([0.5, -2.0, nan]), None),
+                            ("int", "", np.array([1.0, -1.5, 0.0]), 1),
+                            ("flags", "", np.array([0.5, -2.0, nan]), 1.0, [False, True, True])])
+    assert report.blocks[0].passed.T.tolist() == [[True, False, False], [True, True, True],
+                                                  [True, False, True], [False, True, True]]
+    assert report.to_json() == reference(report)
+
+
 def _json_module_point(point) -> str:
     return "null" if point is None else json.dumps(list(point), indent=2).replace(
         "\n", "\n      ")

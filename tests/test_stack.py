@@ -103,6 +103,73 @@ def test_kernel_calls_do_not_grow_with_points(tmp_path, monkeypatch):
     assert counts[5] == counts[50] <= 10 * 50
 
 
+# the contractions that sum over an index that is not trailing, which the
+# package writes as matmuls (see oracles)
+REPLACED_EINSUMS = {"...xycv,...c->...xyv", "...ay,...ax->...yx", "...kia,...a->...ik",
+                    "...j,...ji->...i", "...a,...aij->...ij", "...aj,...ia->...ij",
+                    "pai,pbi->pab", "pzi,pfij->pzfj", "pij,pzj->pzi"}
+
+
+def test_a_cold_verify_makes_the_pinned_einsum_calls(tmp_path, monkeypatch):
+    # 24 calls: 16 outer products (dJ and the right-hand sides of the lemma
+    # suite), the index shuffle of C in two geometries and four traces
+    # (tau and tau* of g and of the rescaled 4g)
+    einsum, calls = np.einsum, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    path = _export(tmp_path, "hopf:2", 5)
+    rm.geometry_at.cache_clear()
+    cpm.structure_at.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", path, "--suite", "all", "--format", "json"]) == 0
+    assert len(calls) == 24
+    assert not REPLACED_EINSUMS & set(calls)
+
+
+def test_the_leaf_frame_is_built_once_per_verify(monkeypatch):
+    built = []
+    builder = cpm.StructureData._leaf_frame
+
+    def counted(self, which):
+        built.append(which)
+        return builder(self, which)
+
+    monkeypatch.setattr(cpm.StructureData, "_leaf_frame", counted)
+    rm.geometry_at.cache_clear()
+    cpm.structure_at.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "hopf:2", "--suite", "all", "--format", "json"]) == 0
+    assert built == [2]  # read by the lemma suite and by theorem 1
+    cp = catalog.resolve("hopf:2")
+    st = cpm.structure_at(cp, cp.chart.sample_points)
+    x, kept = st.horizontal_leaf_frame(2)
+    assert st.horizontal_leaf_frame(2)[0] is x
+    for array in (x, kept):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_as_point_keeps_an_exact_stack_and_normalises_the_rest():
+    stack = ((0.3, 0.4), (0.5, 0.6))
+    assert rm.as_point(stack) is stack
+    assert rm.as_point(stack[0]) is stack[0]
+    for given in ([[0.3, 0.4], [0.5, 0.6]], [(0.3, 0.4), (0.5, 0.6)],
+                  ((np.float64(0.3), 0.4), (0.5, 0.6)), np.array(stack),
+                  [np.array((0.3, 0.4)), np.array((0.5, 0.6))], ((0.3, 0.4), [0.5, 0.6])):
+        out = rm.as_point(given)
+        assert out == stack and type(out) is tuple
+        assert all(type(p) is tuple and all(type(v) is float for v in p) for p in out)
+    for given in ([0.3, 0.4], (np.float64(0.3), 0.4), np.array((0.3, 0.4))):
+        out = rm.as_point(given)
+        assert out == (0.3, 0.4) and all(type(v) is float for v in out)
+    out = rm.as_point(((3, 4), (5, 6)))  # integers become floats
+    assert out == ((3.0, 4.0), (5.0, 6.0)) and all(type(v) is float for p in out for v in p)
+
+
 def test_stacked_callers_raise_the_pointwise_foliation_fault():
     # relabelled as type (0, 1), hopf:1 has swapped foliation dimensions
     cp = dataclasses.replace(catalog.resolve("hopf:1"), pair_type=(0, 1))
