@@ -77,7 +77,10 @@ def _context(geo: rm.PointGeometry, J: np.ndarray, m: int, n: int, reading: str,
 
 def context(cp: ContactPairManifold, point, which: str = "J",
             reading: str = DEFAULT_READING) -> CurvatureContext:
-    """The context at a point, or over a stack of points."""
+    """The context of ``which``, "J" or "T" (else ``ValueError``), at a
+    point or over a stack of points."""
+    if which not in ("J", "T"):
+        raise ValueError(f"which must be 'J' or 'T'; got {which!r}")
     pt = rm.as_point(point)
     st = cpm.structure_at(cp, pt)
     cpm.require_foliations(st)
@@ -213,14 +216,22 @@ def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
                                points: Optional[Sequence[rm.Point]] = None) -> Report:
     """Check that the (1,3) Bochner tensor is unchanged, to 1e-7, under
     g -> e^{2f} g with the same J.  f may name chart parameters but no
-    coordinate, else ``ValueError``; the rescaled geometry is built from the
+    coordinate, and e^{2f} must be a finite positive double, else
+    ``ValueError``; the rescaled geometry is built from the
     stored jets by :meth:`riemann.PointGeometry.rescaled`."""
     fe = el.as_expr(f)
     moving = el.free_names(fe) & set(cp.chart.coords)
     if moving:
         raise ValueError(f"the conformal factor must be constant; it varies "
                          f"with {sorted(moving)}")
-    c = math.exp(2.0 * el.evaluate(fe, cp.chart.param_env()))
+    exponent = 2.0 * el.evaluate(fe, cp.chart.param_env())
+    try:
+        c = math.exp(exponent)
+    except OverflowError:
+        c = math.inf
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"the conformal factor e^(2f) = {c!r} is not a finite "
+                         f"positive number")
     report = Report(cp.name, cp.conventions() | convention_ledger())
     pts = rm.as_point(points if points is not None else cp.chart.sample_points)
     if pts:

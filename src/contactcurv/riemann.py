@@ -438,7 +438,7 @@ def covd_vector(values: np.ndarray, derivs: np.ndarray, gamma: np.ndarray) -> np
     d = gamma.shape[-1]
     # Gamma^k_ia V^a as one (d^2 x d) @ (d x 1) matmul per point, [(ki)]
     terms = gamma.reshape(gamma.shape[:-3] + (d * d, d)) @ values[..., None]
-    return derivs + np.swapaxes(terms.reshape(gamma.shape[:-1]), -1, -2)
+    return derivs + np.swapaxes(terms.reshape(terms.shape[:-2] + (d, d)), -1, -2)
 
 
 def covd_11(values: np.ndarray, derivs: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -457,12 +457,12 @@ def lie_bracket_from(x_values: np.ndarray, x_derivs: np.ndarray,
 
 
 def lie_derivative_metric(z_values: np.ndarray, z_derivs: np.ndarray,
-                          geo: PointGeometry) -> np.ndarray:
-    """(L_Z g)_ij from pointwise Z and dZ."""
-    d = geo.dim
+                          g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """(L_Z g)_ij from pointwise Z, dZ, g and dg; the leading axes broadcast."""
+    d = g.shape[-1]
     # Z^a d_a g_ij as one (1 x d) @ (d x d^2) matmul per point
-    term = z_values[..., None, :] @ geo.dg.reshape(geo.dg.shape[:-3] + (d, d * d))
-    mixed = z_derivs @ geo.g  # [i, j] = d_i Z^a g_aj
+    term = z_values[..., None, :] @ dg.reshape(dg.shape[:-3] + (d, d * d))
+    mixed = z_derivs @ g  # [i, j] = d_i Z^a g_aj
     return term.reshape(mixed.shape) + mixed + np.swapaxes(mixed, -1, -2)
 
 

@@ -21,6 +21,11 @@ as well: R(X, Y, Z, V) against a vector, grad Z, the Lie bracket, L_Z g,
 and the rows of ``validate_structure`` and ``lemma_checks`` that read them,
 phi^T dalpha_i or the Reeb fields.
 
+The package holds the two forms of the pair on one axis.  The references
+here take them one form at a time, term by term: J, T, dJ and dT by the
+product rule, the phi^2 target, the vertical correction of grad J and the
+star-Ricci correction.
+
 :func:`reference_geometry` builds the curvature by the long route, through
 the partials of g^{-1} and of Gamma and the mixed tensor R^l_ijk, which the
 package no longer forms, and :func:`reference_dphi` differentiates phi
@@ -379,45 +384,110 @@ def lie_derivative_metric(z_values, z_derivs, g, dg):
     return term + mixed + np.swapaxes(mixed, -1, -2)
 
 
+def _per_form(st):
+    """(alpha_f, Z_f, d_m Z_f^k) of both forms, one tuple per form."""
+    return [(st.alphas[..., f, :], st.reebs[..., f, :], st.dreebs[..., f, :, :])
+            for f in range(2)]
+
+
+def _outer(u, v):
+    return np.einsum("...k,...j->...kj", u, v)
+
+
 def reeb_rows(st):
     """The Reeb-field rows of ``validate_structure`` over a stack, [p], as
     einsums."""
     sup = rm.pointwise_sup
-    alphas = np.stack((st.a1, st.a2), axis=1)
-    reebs = np.stack((st.z1, st.z2), axis=1)
-    dalphas = np.stack((st.dalpha1, st.dalpha2), axis=1)
+    (_, z1, dz1), (_, z2, dz2) = _per_form(st)
     return {
-        "reeb_duality": sup(np.einsum("pai,pbi->pab", alphas, reebs) - np.eye(2)),
-        "reeb_in_dalpha_kernel": sup(np.einsum("pzi,pfij->pzfj", reebs, dalphas)),
-        "reeb_fields_commute": sup(lie_bracket_from(st.z1, st.dz1, st.z2, st.dz2)),
-        "metric_reeb_duality": sup(np.einsum("pij,pzj->pzi", st.geo.g, reebs) - alphas),
-        "phi_kills_reeb": sup(np.einsum("pij,pzj->pzi", st.phi, reebs)),
+        "reeb_duality": sup(np.einsum("pai,pbi->pab", st.alphas, st.reebs) - np.eye(2)),
+        "reeb_in_dalpha_kernel": sup(np.einsum("pzi,pfij->pzfj", st.reebs, st.dalphas)),
+        "reeb_fields_commute": sup(lie_bracket_from(z1, dz1, z2, dz2)),
+        "metric_reeb_duality": sup(np.einsum("pij,pzj->pzi", st.geo.g, st.reebs)
+                                   - st.alphas),
+        "phi_kills_reeb": sup(np.einsum("pij,pzj->pzi", st.phi, st.reebs)),
     }
+
+
+def _rhs_phi(st):
+    """sum_f dalpha_f(phi Y, X) alpha_f(V) - dalpha_f(phi V, X) alpha_f(Y), [x, y, v],
+    and phi^T dalpha_f, [y, x], of each form."""
+    phi_dalpha = [np.einsum("...ay,...ax->...yx", st.phi, st.dalphas[..., f, :, :])
+                  for f in range(2)]
+    rhs = 0.0
+    for Ai, (ai, _, _) in zip(phi_dalpha, _per_form(st)):
+        rhs = rhs + (np.einsum("...yx,...v->...xyv", Ai, ai)
+                     - np.einsum("...vx,...y->...xyv", Ai, ai))
+    return rhs, phi_dalpha
 
 
 def lemma_rows(st):
     """The rows of ``lemma_checks`` that read phi^T dalpha_i, R(., ., Z, .),
     grad Z_i or L_{Z_i} g, over a stack, [p], as einsums."""
     sup = rm.pointwise_sup
-    geo, a = st.geo, (st.a1, st.a2)
-    phi_dalpha = [np.einsum("...ay,...ax->...yx", st.phi, da) for da in (st.dalpha1, st.dalpha2)]
+    geo = st.geo
+    forms = _per_form(st)
     nabla_phi = rm.covd_11(st.phi, st.dphi, geo.gamma)
     lhs_phi = np.einsum("...xky,...kv->...xyv", nabla_phi, geo.g)
-    lhs_R = contract_third(geo.riem4, st.z1 + st.z2)
-    rhs_phi, rhs_R = np.zeros_like(lhs_phi), np.zeros_like(lhs_R)
-    for Ai, ai in zip(phi_dalpha, a):
-        rhs_phi += (np.einsum("...yx,...v->...xyv", Ai, ai)
-                    - np.einsum("...vx,...y->...xyv", Ai, ai))
+    rhs_phi, phi_dalpha = _rhs_phi(st)
+    lhs_R = contract_third(geo.riem4, forms[0][1] + forms[1][1])
+    rhs_R = np.zeros_like(lhs_R)
+    for Ai, (ai, _, _) in zip(phi_dalpha, forms):
         rhs_R += (np.einsum("...vx,...y->...xyv", Ai, ai)
                   - np.einsum("...vy,...x->...xyv", Ai, ai))
-    nabla_z = [covd_vector(z, dz, geo.gamma) for z, dz in ((st.z1, st.dz1), (st.z2, st.dz2))]
-    lie = [lie_derivative_metric(z, dz, geo.g, geo.dg)
-           for z, dz in ((st.z1, st.dz1), (st.z2, st.dz2))]
+    nabla_z = [covd_vector(z, dz, geo.gamma) for _, z, dz in forms]
+    lie = [lie_derivative_metric(z, dz, geo.g, geo.dg) for _, z, dz in forms]
+    phi1, phi2 = (st.phi @ st.proj[..., f, :, :] for f in (1, 0))
     return {
         "reeb_covariant_derivative": np.maximum(
-            sup(np.swapaxes(nabla_z[0], -1, -2) + st.phi1),
-            sup(np.swapaxes(nabla_z[1], -1, -2) + st.phi2)),
+            sup(np.swapaxes(nabla_z[0], -1, -2) + phi1),
+            sup(np.swapaxes(nabla_z[1], -1, -2) + phi2)),
         "phi_covariant_derivative": sup(lhs_phi - rhs_phi),
         "reeb_curvature_identity": sup(lhs_R - rhs_R),
         "reeb_fields_killing": np.maximum(sup(lie[0]), sup(lie[1])),
+    }
+
+
+def complex_structures(st):
+    """J, T, dJ and dT from phi, dphi and the jets of the forms and fields, by
+    the product rule with one outer product per term and form."""
+    cp = st.cp
+    comps = (cp.alpha1.comps, cp.alpha2.comps, cp.z1.comps, cp.z2.comps)
+    values, derivs, _ = rm.field_jets(comps, cp.chart, st.point)
+    a1, a2, z1, z2 = (values[..., f, :] for f in range(4))
+    da1, da2, dz1, dz2 = (derivs[..., f, :] for f in range(4))  # [m, i]
+    J = st.phi - _outer(z1, a2) + _outer(z2, a1)
+    T = st.phi + _outer(z1, a2) - _outer(z2, a1)
+    dJ = (st.dphi
+          - np.einsum("...mk,...j->...mkj", dz1, a2)
+          - np.einsum("...k,...mj->...mkj", z1, da2)
+          + np.einsum("...mk,...j->...mkj", dz2, a1)
+          + np.einsum("...k,...mj->...mkj", z2, da1))
+    return J, T, dJ, 2.0 * st.dphi - dJ
+
+
+def pair_rows(st):
+    """The rows of ``validate_structure`` and ``lemma_checks`` that read a sum
+    over the two forms, with the sum written one form at a time: the phi^2
+    target, the four vertical terms of grad J and the star-Ricci correction."""
+    sup = rm.pointwise_sup
+    geo, m, n = st.geo, *st.cp.pair_type
+    (a1, z1, _), (a2, z2, _) = _per_form(st)
+    target = -np.eye(st.cp.dim) + _outer(z1, a1) + _outer(z2, a2)
+    da1, da2 = st.dalphas[..., 0, :, :], st.dalphas[..., 1, :, :]
+    nabla_J = rm.covd_11(st.J, st.dJ, geo.gamma)
+    lhs_J = np.einsum("...xky,...kv->...xyv", nabla_J, geo.g)
+    rhs_J = (_rhs_phi(st)[0]
+             - np.einsum("...xy,...v->...xyv", da2, a1)
+             - np.einsum("...xv,...y->...xyv", da1, a2)
+             + np.einsum("...xy,...v->...xyv", da1, a2)
+             + np.einsum("...xv,...y->...xyv", da2, a1))
+    phi1, phi2 = (st.phi @ st.proj[..., f, :, :] for f in (1, 0))
+    correction = ((2 * m - 1) * np.einsum("...ai,...ab,...bj->...ij", phi1, geo.g, phi1)
+                  + (2 * n - 1) * np.einsum("...ai,...ab,...bj->...ij", phi2, geo.g, phi2)
+                  + 2 * m * _outer(a1, a1) + 2 * n * _outer(a2, a2))
+    return {
+        "phi_squared_identity": sup(st.phi @ st.phi - target),
+        "complex_structure_covariant_derivative": sup(lhs_J - rhs_J),
+        "star_ricci_defect": sup(geo.ricci - st.star_ricci - correction),
     }

@@ -332,3 +332,19 @@ class TestConformalInvariance:
         cp = catalog.sphere_product(1, 1)
         with pytest.raises(ValueError, match="constant"):
             bm.conformal_invariance_check(cp, "0.05*mu")
+
+    @pytest.mark.parametrize("f", ["400", "-400"])
+    def test_a_factor_out_of_range_is_rejected(self, f):
+        # e^800 overflows a double, and e^-800 is 0
+        with pytest.raises(ValueError, match="finite positive"):
+            bm.conformal_invariance_check(catalog.hopf(2), f)
+
+
+@pytest.mark.parametrize("which", ["j", "t", "B", None])
+def test_an_unknown_structure_is_refused(which):
+    cp = catalog.sphere_product(1, 1)
+    pt = cp.chart.sample_points[0]
+    with pytest.raises(ValueError, match="'J' or 'T'"):
+        bm.context(cp, pt, which)
+    with pytest.raises(ValueError, match="'J' or 'T'"):
+        bm.reeb_plane_component(cp, pt, which)

@@ -73,3 +73,42 @@ def test_every_top_level_definition_of_the_package_is_used():
                for path in [ROOT / "tests" / "test_acceptance.py",
                             *sorted((ROOT / "bench").glob("*.py"))]}
     assert unused_definitions(package, readers) == []
+
+
+def unread_fields(package: dict[str, str], readers: dict[str, str] | None = None) -> list[str]:
+    """Each annotated field of a class of the ``package`` sources that no
+    source of ``package`` or ``readers`` reads as an attribute or names by a
+    string."""
+    sources = {**package, **(readers or {})}
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [f"{name}:{stmt.lineno}: {cls.name}.{stmt.target.id}"
+            for name in package for cls in ast.walk(trees[name])
+            if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
+
+
+def test_the_guard_sees_unread_fields():
+    package = {"a.py": "class Record:\n    kept: int\n    by_name: int\n    written: int\n"
+                       "    unread: int = 0\n\n"
+                       "def use(r):\n    r.written = r.kept\n    return getattr(r, 'by_name')\n"}
+    assert unread_fields(package) == ["a.py:4: Record.written", "a.py:5: Record.unread"]
+    # a field read only by a reader outside the package counts
+    assert unread_fields(package, {"r.py": "x.unread + x.written"}) == []
+
+
+def test_every_field_of_a_package_class_is_read():
+    package = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    readers = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in [ROOT / "tests" / "test_acceptance.py",
+                            *sorted((ROOT / "bench").glob("*.py"))]}
+    assert unread_fields(package, readers) == []

@@ -95,15 +95,15 @@ def test_a_non_finite_entry_gives_a_non_finite_pfaffian(complex_):
                     assert not np.isfinite(cpm.pfaffian(b)), (i, j, bad)
 
 
-def _assert_matches_reference(pair_type, a1, a2, dalpha1, dalpha2):
-    """Clauses over a stack of points against the wedge algebra at each."""
-    rows = cpm.pair_clauses(pair_type, a1, a2, dalpha1, dalpha2)
+def _assert_matches_reference(pair_type, alphas, dalphas):
+    """Clauses over a stack of points, with the forms on the pair axis
+    (``alphas[p, f]``, ``dalphas[p, f]``), against the wedge algebra at each."""
+    rows = cpm.pair_clauses(pair_type, alphas, dalphas)
     assert [row[0] for row in rows] == ["volume_form", "dalpha1_power_vanishes",
                                         "dalpha2_power_vanishes"]
     values = np.stack([row[2] for row in rows], axis=-1)
-    for p in range(len(a1)):
-        ref = np.array(pair_clauses_reference(pair_type, a1[p], a2[p],
-                                              dalpha1[p], dalpha2[p]))
+    for p in range(len(alphas)):
+        ref = np.array(pair_clauses_reference(pair_type, *alphas[p], *dalphas[p]))
         assert np.all(np.abs(values[p] - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), \
             (pair_type, values[p], ref)
     assert np.array_equal(rows[0][4], np.abs(values[:, 0]) > 1e-10)
@@ -111,7 +111,7 @@ def _assert_matches_reference(pair_type, a1, a2, dalpha1, dalpha2):
 
 def _clauses_of(cp):
     st = cpm.structure_at(cp, cp.chart.sample_points)
-    return cp.pair_type, st.a1, st.a2, st.dalpha1, st.dalpha2
+    return cp.pair_type, st.alphas, st.dalphas
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -129,24 +129,24 @@ def test_dense_pullback_clauses_match_the_wedge_algebra(key):
 
 def test_a_type_of_the_wrong_degree_has_no_volume():
     rng = np.random.default_rng(5)
-    a1, a2 = rng.normal(size=(2, 3, 6))
-    d1, d2 = skew(rng.normal(size=(2, 3, 6, 6)))
+    alphas = rng.normal(size=(3, 2, 6))
+    dalphas = skew(rng.normal(size=(3, 2, 6, 6)))
     for pair_type in [(0, 0), (1, 0), (2, 1), (0, 3)]:
-        _assert_matches_reference(pair_type, a1, a2, d1, d2)
-        assert np.all(cpm.pair_clauses(pair_type, a1, a2, d1, d2)[0][2] == 0.0)
+        _assert_matches_reference(pair_type, alphas, dalphas)
+        assert np.all(cpm.pair_clauses(pair_type, alphas, dalphas)[0][2] == 0.0)
 
 
 @st.composite
 def random_forms(draw):
-    """Two one-forms and two two-forms at two points, for a type with
-    m, n <= 2; entries are often exactly zero, so most draws are invalid
-    pairs and many are sparse."""
+    """Two one-forms and two two-forms at two points, on the pair axis, for
+    a type with m, n <= 2; entries are often exactly zero, so most draws are
+    invalid pairs and many are sparse."""
     m, n = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     d = 2 * (m + n + 1)
     entries = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
-    a1, a2 = (draw(hnp.arrays(float, (2, d), elements=entries)) for _ in range(2))
-    d1, d2 = (skew(draw(hnp.arrays(float, (2, d, d), elements=entries))) for _ in range(2))
-    return (m, n), a1, a2, d1, d2
+    alphas = draw(hnp.arrays(float, (2, 2, d), elements=entries))
+    dalphas = skew(draw(hnp.arrays(float, (2, 2, d, d), elements=entries)))
+    return (m, n), alphas, dalphas
 
 
 @settings(max_examples=60, deadline=None)

@@ -111,9 +111,10 @@ REPLACED_EINSUMS = {"...xycv,...c->...xyv", "...ay,...ax->...yx", "...kia,...a->
 
 
 def test_a_cold_verify_makes_the_pinned_einsum_calls(tmp_path, monkeypatch):
-    # 24 calls: 16 outer products (dJ and the right-hand sides of the lemma
-    # suite), the index shuffle of C in two geometries and four traces
-    # (tau and tau* of g and of the rescaled 4g)
+    # 12 calls: 4 outer products summed over the pair axis (two for dX in
+    # dJ, dT = dphi -+ dX, and K and E on the right-hand sides of the lemma
+    # suite), the index shuffle of C in two geometries (two calls each) and
+    # four traces (tau and tau* of g and of the rescaled 4g)
     einsum, calls = np.einsum, []
 
     def counted(*args, **kwargs):
@@ -126,7 +127,7 @@ def test_a_cold_verify_makes_the_pinned_einsum_calls(tmp_path, monkeypatch):
     cpm.structure_at.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", path, "--suite", "all", "--format", "json"]) == 0
-    assert len(calls) == 24
+    assert len(calls) == 12
     assert not REPLACED_EINSUMS & set(calls)
 
 
