@@ -216,9 +216,10 @@ def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
                                points: Optional[Sequence[rm.Point]] = None) -> Report:
     """Check that the (1,3) Bochner tensor is unchanged, to 1e-7, under
     g -> e^{2f} g with the same J.  f may name chart parameters but no
-    coordinate, and e^{2f} must be a finite positive double, else
-    ``ValueError``; the rescaled geometry is built from the
-    stored jets by :meth:`riemann.PointGeometry.rescaled`."""
+    coordinate, and e^{2f} must be a finite positive double for which the
+    rescaled Bochner tensor is finite, else ``ValueError``; the rescaled
+    geometry is built from the stored jets by
+    :meth:`riemann.PointGeometry.rescaled`."""
     fe = el.as_expr(f)
     moving = el.free_names(fe) & set(cp.chart.coords)
     if moving:
@@ -235,8 +236,16 @@ def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
     report = Report(cp.name, cp.conventions() | convention_ledger())
     pts = rm.as_point(points if points is not None else cp.chart.sample_points)
     if pts:
-        _conformal_shift(report, cp, pts, bochner(context(cp, pts, "J", reading)),
-                         c, reading)
+        b = bochner(context(cp, pts, "J", reading))
+        try:
+            with np.errstate(all="ignore"):  # an overflow is refused below
+                _conformal_shift(report, cp, pts, b, c, reading)
+            finite = np.isfinite(report.blocks[0].values).all()
+        except np.linalg.LinAlgError:  # c g is singular in floating point
+            finite = False
+        if not finite:
+            raise ValueError(f"the Bochner tensor of e^(2f) g with e^(2f) = {c!r} is "
+                             f"not a finite number")
     return report
 
 

@@ -138,6 +138,7 @@ def _points(value) -> tuple:
 
 def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
     try:
+        data = _object(data, "the top level")
         coords = tuple(str(c) for c in _list(data["coords"], "coords"))
         dim = _count(data["dim"], "dim")
         if dim > rm.MAX_DIM:
@@ -184,7 +185,10 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
         alpha2 = rm.OneForm.of(chart, rows["alpha2"], table, seen, parsed)
         z1 = rm.VectorField.of(chart, rows["Z1"], table, seen, parsed)
         z2 = rm.VectorField.of(chart, rows["Z2"], table, seen, parsed)
-        m, n = (_count(v, "type entry") for v in _list(data["type"], "type"))
+        pair_type = _list(data["type"], "type")
+        if len(pair_type) != 2:
+            raise ValueError(f"type must have two entries, [m, n], got {pair_type!r}")
+        m, n = (_count(v, "type entry") for v in pair_type)
         if 2 * m + 2 * n + 2 != dim:
             raise UsageError(f"type {m, n} is inconsistent with dim={dim}")
         return ContactPairManifold(name, chart, metric, alpha1, alpha2,

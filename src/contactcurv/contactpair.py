@@ -24,7 +24,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -104,7 +103,7 @@ def exterior_derivative(alpha: rm.OneForm, s: float = DALPHA_FACTOR):
     return tuple(tuple(row) for row in grid)
 
 
-# --- the pair clauses as Pfaffians ---------------------------------------------
+# --- the pair clauses ---------------------------------------------------------
 
 def pfaffian(a: np.ndarray) -> np.ndarray:
     """Pf of a stack of skew-symmetric matrices over the last two axes, real
@@ -137,10 +136,12 @@ def pfaffian(a: np.ndarray) -> np.ndarray:
 def pair_clauses(pair_type: tuple[int, int], alphas: np.ndarray, dalphas: np.ndarray):
     """Rows for :meth:`Report.add_rows`: the volume and vanishing-power clauses of
     type (m, n) over the leading axes, for the forms on the pair axis
-    (``alphas[..., f, i]``, ``dalphas[..., f, i, j]``).  (d alpha)^p has the coefficients
-    p! Pf(d alpha[I, I]); alpha1 ^ (d alpha1)^m ^ alpha2 ^ (d alpha2)^n has
-    m! n! [t^n] (Pf(d alpha1 + t d alpha2 + alpha1 ^ alpha2) - Pf(d alpha1 +
-    t d alpha2)), read off at the (m + n + 1)-th roots of unity."""
+    (``alphas[..., f, i]``, ``dalphas[..., f, i, j]``).  The coefficients of
+    (d alpha)^p have the coordinate l2 norm p! sqrt(e_p(sigma^2)) over the singular
+    values sigma of d alpha, each of which a skew matrix has twice: the principal
+    2p-minors are Pf^2 and sum to e_p(sigma^2).  alpha1 ^ (d alpha1)^m ^ alpha2 ^
+    (d alpha2)^n has m! n! [t^n] (Pf(d alpha1 + t d alpha2 + alpha1 ^ alpha2) -
+    Pf(d alpha1 + t d alpha2)), read off at the (m + n + 1)-th roots of unity."""
     m, n = pair_type
     d = alphas.shape[-1]
     top = np.zeros(alphas.shape[:-2])  # unless the wedge has the top degree
@@ -152,18 +153,17 @@ def pair_clauses(pair_type: tuple[int, int], alphas: np.ndarray, dalphas: np.nda
         with_beta, without = pfaffian(np.stack((pencil + beta, pencil)))
         top = math.factorial(m) * math.factorial(n) * np.mean(
             (with_beta - without) * t ** -n, axis=-1).real
-
-    def power_sup(dalpha, p):  # the sup of p! |Pf| over the principal 2p-minors
-        rows = np.array(list(combinations(range(d), 2 * p)), dtype=int).reshape(-1, 2 * p)
-        minors = pfaffian(dalpha[..., rows[:, :, None], rows[:, None, :]])
-        return math.factorial(p) * np.max(np.abs(minors), axis=-1, initial=0.0)
-
+    sigma2 = np.linalg.svd(dalphas, compute_uv=False)[..., ::2] ** 2
+    e = np.zeros(sigma2.shape[:-1] + (max(m, n) + 2,))  # e[..., f, p] = e_p(sigma_f^2)
+    e[..., 0] = 1.0
+    for k in range(sigma2.shape[-1]):
+        e[..., 1:] += sigma2[..., k, None] * e[..., :-1]
+    powers = np.sqrt(e[..., (0, 1), (m + 1, n + 1)]) * [math.factorial(m + 1),
+                                                        math.factorial(n + 1)]
     return (("volume_form", "alpha1 ^ (dalpha1)^m ^ alpha2 ^ (dalpha2)^n has a "
              "nonzero top coefficient", top, 1e-10, np.abs(top) > 1e-10),
-            ("dalpha1_power_vanishes", "(dalpha1)^(m+1) = 0",
-             power_sup(dalphas[..., 0, :, :], m + 1), 1e-10),
-            ("dalpha2_power_vanishes", "(dalpha2)^(n+1) = 0",
-             power_sup(dalphas[..., 1, :, :], n + 1), 1e-10))
+            ("dalpha1_power_vanishes", "(dalpha1)^(m+1) = 0", powers[..., 0], 1e-10),
+            ("dalpha2_power_vanishes", "(dalpha2)^(n+1) = 0", powers[..., 1], 1e-10))
 
 
 # --- pointwise structure data --------------------------------------------------
@@ -248,6 +248,21 @@ def _exterior(partials: np.ndarray, s: float) -> np.ndarray:
     return s * (partials - np.swapaxes(partials, -1, -2))
 
 
+def _two_forms(derivs: np.ndarray, hess: np.ndarray, s: float, point):
+    """d alpha_f [f, i, j] and d_m (d alpha_1 + d alpha_2) [m, i, j] from the
+    jets of fields whose first two are alpha_1 and alpha_2.  A two-form that
+    overflows, though the jets are finite, raises
+    :class:`~contactcurv.exprlang.ExprError` at the first such point."""
+    with np.errstate(all="ignore"):  # a non-finite entry raises below
+        dalphas = _exterior(np.swapaxes(derivs, -3, -2)[..., :2, :, :], s)
+        dA = _exterior(hess[..., 0, :] + hess[..., 1, :], s)
+    finite = np.isfinite(dalphas).all(axis=(-3, -2, -1)) & np.isfinite(dA).all(axis=(-3, -2, -1))
+    if not finite.all():
+        at = point[int(np.argmin(finite))] if finite.ndim else point
+        raise el.ExprError(f"d alpha or its partials are not finite at {at}")
+    return dalphas, dA
+
+
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., :, None] * v[..., None, :]
 
@@ -316,9 +331,10 @@ def structure_at(cp: ContactPairManifold, point) -> StructureData:
     At one point, characteristic foliations of the wrong dimensions raise
     :class:`InvalidStructureError`; over a stack they are left in
     ``foliation_dims`` for :func:`validate_structure` to report point by
-    point, and :func:`require_foliations` raises them.  Evaluation faults
-    raise as in :func:`riemann.geometry_at`: the first faulty point in
-    point order, and at one point a metric fault before a form fault.
+    point, and :func:`require_foliations` raises them.  Evaluation faults,
+    a d alpha that overflows among them, raise as in
+    :func:`riemann.geometry_at`: the first faulty point in point order, and
+    at one point a metric fault before a form fault.
 
     The forms and fields continue the walk of the metric
     (:meth:`riemann.PointGeometry.continued_walk`), so a node they share
@@ -335,28 +351,25 @@ def structure_at(cp: ContactPairManifold, point) -> StructureData:
         else:
             held, geo = [], rm.geometry_at(cp.metric, point)
         values, derivs, hess = rm.field_jets(fields, cp.chart, point, geo.continued_walk())
+        dalphas, dA = _two_forms(derivs, hess, cp.dalpha_factor, point)
     except (el.ExprError, rm.MetricError):
         # point by point and uncached, so the first faulty point raises after
         # the warnings of the points before it, and of no later point
         for pt in point if stacked else ():
             rm.point_geometry(cp.metric, pt)
-            rm.field_jets(fields, cp.chart, pt)
+            _two_forms(*rm.field_jets(fields, cp.chart, pt)[1:], cp.dalpha_factor, pt)
         raise
     for caught in held:
         warnings.warn(caught.message, stacklevel=1)
     g, ginv = geo.g, geo.ginv
 
-    # the forms and fields on the pair axis, partials[f, m, i] = d_m of entry i;
-    # d alpha and its partials come from the gradients and Hessians of the alphas
+    # the forms and fields on the pair axis, d_m Z_f^k = dreebs[f, m, k]
     alphas, reebs = values[..., :2, :], values[..., 2:, :]
-    partials = np.swapaxes(derivs, -3, -2)
-    dalphas = _exterior(partials[..., :2, :, :], cp.dalpha_factor)  # [f, i, j]
-    dreebs = partials[..., 2:, :, :]
+    dreebs = np.swapaxes(derivs, -3, -2)[..., 2:, :, :]
 
     # phi from the associated-metric identity, with exact first derivatives:
     # d_m g^-1 = -g^-1 d_m g g^-1 gives d_m phi = g^-1 (d_m A - d_m g phi)
     A = dalphas[..., 0, :, :] + dalphas[..., 1, :, :]
-    dA = _exterior(hess[..., 0, :] + hess[..., 1, :], cp.dalpha_factor)
     phi = ginv @ A
     dphi = ginv[..., None, :, :] @ (dA - geo.dg @ phi[..., None, :, :])
 
@@ -390,8 +403,8 @@ def _phi_square_residual(st: StructureData):
 def check_contact_pair(cp: ContactPairManifold, point: Sequence[float]) -> Report:
     """Volume-form and vanishing-power clauses of the pair type."""
     pt = tuple(float(v) for v in point)
-    values, derivs, _ = rm.field_jets((cp.alpha1.comps, cp.alpha2.comps), cp.chart, pt)
-    dalphas = _exterior(np.moveaxis(derivs, 1, 0), cp.dalpha_factor)
+    values, derivs, hess = rm.field_jets((cp.alpha1.comps, cp.alpha2.comps), cp.chart, pt)
+    dalphas, _ = _two_forms(derivs, hess, cp.dalpha_factor, pt)
     report = Report(cp.name, cp.conventions())
     report.add_rows((pt,), pair_clauses(cp.pair_type, values[None], dalphas[None]))
     return report

@@ -47,7 +47,7 @@ Point = tuple[float, ...]
 
 CONDITION_LIMIT = 1e8
 
-# the most chart coordinates the dense jets and the Pfaffian minors serve
+# the most chart coordinates the dense jets serve
 MAX_DIM = 10
 
 

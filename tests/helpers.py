@@ -1,6 +1,6 @@
 """Shared test utilities: safe random expressions, finite differences, a
-dict-based wedge algebra that serves as the reference for the Pfaffian pair
-clauses, and the record-by-record reference for report rows.
+dict-based wedge algebra that serves as the reference for the pair clauses,
+and the record-by-record reference for report rows.
 
 The random expression generator only produces trees whose domain is all of
 R^n (log and sqrt arguments are bounded below by 1, divisors bounded away
@@ -113,6 +113,10 @@ class AltForm:
     def sup(self) -> float:
         return max((abs(v) for v in self.terms.values()), default=0.0)
 
+    def l2(self) -> float:
+        """The l2 norm of the coefficients on the dx^I basis."""
+        return float(np.sqrt(sum(v * v for v in self.terms.values())))
+
     def coeff(self, idx: tuple[int, ...]) -> float:
         return self.terms.get(idx, 0.0)
 
@@ -124,14 +128,14 @@ def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int,
 
 
 def pair_clauses_reference(pair_type, a1, a2, dalpha1, dalpha2) -> tuple[float, float, float]:
-    """The volume-form top coefficient and the sup coefficients of
-    (dalpha1)^(m+1) and (dalpha2)^(n+1) at one point, by wedge products."""
+    """The volume-form top coefficient and the l2 norms of the coefficients
+    of (dalpha1)^(m+1) and (dalpha2)^(n+1) at one point, by wedge products."""
     m, n = pair_type
     f_d1, f_d2 = AltForm.two_form(dalpha1), AltForm.two_form(dalpha2)
     vol = (AltForm.one_form(a1).wedge(f_d1.power(m)).wedge(AltForm.one_form(a2))
            .wedge(f_d2.power(n)))
-    return (vol.coeff(tuple(range(len(a1)))), f_d1.power(m + 1).sup(),
-            f_d2.power(n + 1).sup())
+    return (vol.coeff(tuple(range(len(a1)))), f_d1.power(m + 1).l2(),
+            f_d2.power(n + 1).l2())
 
 
 def record_rows(report, rows, p: int, pt) -> None:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -338,6 +339,20 @@ class TestConformalInvariance:
         # e^800 overflows a double, and e^-800 is 0
         with pytest.raises(ValueError, match="finite positive"):
             bm.conformal_invariance_check(catalog.hopf(2), f)
+
+    @pytest.mark.parametrize("f", ["-355", "-354.3", "-354", "354.8"])
+    def test_a_factor_that_overflows_the_assembly_is_rejected(self, f):
+        # e^(2f) is a positive double, but the rescaled curvature overflows
+        # (e^-710 is subnormal); no RuntimeWarning may escape either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not a finite number"):
+                bm.conformal_invariance_check(catalog.hopf(2), f)
+
+    @pytest.mark.parametrize("f", ["-353", "354", "354.5"])
+    def test_a_factor_near_the_range_ends_is_invariant(self, f):
+        report = bm.conformal_invariance_check(catalog.hopf(2), f)
+        assert report.passed and max(c.value for c in report.checks) < 1e-14
 
 
 @pytest.mark.parametrize("which", ["j", "t", "B", None])

@@ -716,6 +716,55 @@ def test_malformed_manifold_file_is_an_input_error(capsys, tmp_path, edit, argv)
     assert err.startswith("error: bad manifold file:")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "the top level must be a JSON object, got [1, 2]"),
+    ('"hopf:1"', "the top level must be a JSON object, got 'hopf:1'"),
+    ("4", "the top level must be a JSON object, got 4"),
+], ids=["list", "string", "number"])
+@pytest.mark.parametrize("argv", [["verify"], ["check"], ["tensor", "--what", "ricci"]])
+def test_a_file_that_is_no_json_object_is_named_so(capsys, tmp_path, text, message, argv):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert run(capsys, argv[0], str(path), *argv[1:]) == (
+        2, "", f"error: bad manifold file: {message}\n")
+
+
+@pytest.mark.parametrize("pair_type", [[1, 0, 0], [1], []])
+@pytest.mark.parametrize("argv", [["verify"], ["check"], ["tensor", "--what", "ricci"]])
+def test_a_type_needs_exactly_two_entries(capsys, tmp_path, pair_type, argv):
+    path = _hopf1_variant(capsys, tmp_path, _set("type", pair_type))
+    assert run(capsys, argv[0], path, *argv[1:]) == (
+        2, "", f"error: bad manifold file: type must have two entries, [m, n], "
+               f"got {pair_type}\n")
+
+
+def _overflowing_two_form(alpha1_t):
+    def edit(data):
+        # every jet is finite, but s (d_t a_1 - d_xi0 a_t) can overflow
+        data["alpha1"][1] = "cos(eta1)^2.0 + 1.5e308*t"
+        data["alpha1"][3] = alpha1_t
+    return edit
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["check"], ["tensor", "--what", "ricci"]])
+def test_a_two_form_that_overflows_is_an_input_error(capsys, tmp_path, argv):
+    path = _hopf1_variant(capsys, tmp_path, _overflowing_two_form("-1.5e308*xi0"))
+    first = tuple(catalog.resolve("hopf:1").chart.sample_points[0])
+    assert run(capsys, argv[0], path, *argv[1:]) == (
+        2, "", f"error: d alpha or its partials are not finite at {first}\n")
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["check"]])
+def test_a_two_form_that_overflows_names_its_first_point(capsys, tmp_path, argv):
+    def edit(data):
+        # 1.5e308 (1 + t) overflows for t > 0.198...
+        _overflowing_two_form("-1.5e308*xi0*t")(data)
+        data["sample_points"] = [[0.7, 0.5, 0.5, t] for t in (0.1, 0.9, 0.95)]
+    path = _hopf1_variant(capsys, tmp_path, edit)
+    assert run(capsys, argv[0], path, *argv[1:]) == (
+        2, "", "error: d alpha or its partials are not finite at (0.7, 0.5, 0.5, 0.9)\n")
+
+
 @pytest.mark.parametrize("where, text, key", [
     ("metric", '"metric": {"0,0": "4.0", ', "0,0"),
     ("params", '"params": {"c": 1.0, "c": 2.0}, ', "c"),

@@ -1,9 +1,11 @@
-"""The stacked Pfaffian and the pair-type clauses built on it.
+"""The stacked Pfaffian and the pair-type clauses.
 
-The clauses of a contact pair of type (m, n) are read off Pfaffians: the
-coefficient of (d alpha)^p on dx^I is p! Pf(d alpha[I, I]), and the volume
-form's top coefficient is the t^n coefficient of a Pfaffian pencil.  The
-dict-based wedge algebra in ``tests/helpers.py`` is the reference.
+Only the volume form uses a Pfaffian: its top coefficient is the t^n
+coefficient of a Pfaffian pencil.  The vanishing powers are coordinate l2
+norms from the spectrum: the coefficient of (d alpha)^p on dx^I is
+p! Pf(d alpha[I, I]), and these squared sum to p!^2 e_p(sigma^2) over the
+singular values sigma of d alpha, each counted once.  The dict-based wedge
+algebra in ``tests/helpers.py`` is the reference.
 """
 
 from itertools import combinations
@@ -114,9 +116,19 @@ def _clauses_of(cp):
     return cp.pair_type, st.alphas, st.dalphas
 
 
+def _assert_powers_vanish_to_rounding(pair_type, alphas, dalphas):
+    """Both power rows of a valid pair read at the rounding of d alpha, far
+    below their tolerance; singular values taken from d alpha d alpha^T
+    would read about 1e-8 here."""
+    rows = cpm.pair_clauses(pair_type, alphas, dalphas)
+    assert max(float(np.max(row[2])) for row in rows[1:]) <= 1e-14
+
+
 @pytest.mark.parametrize("key", KEYS)
 def test_catalog_clauses_match_the_wedge_algebra(key):
-    _assert_matches_reference(*_clauses_of(catalog.resolve(key)))
+    clauses = _clauses_of(catalog.resolve(key))
+    _assert_matches_reference(*clauses)
+    _assert_powers_vanish_to_rounding(*clauses)
 
 
 @pytest.mark.parametrize("key", sorted(CHECK_COUNTS))
@@ -124,7 +136,9 @@ def test_dense_pullback_clauses_match_the_wedge_algebra(key):
     cp = catalog.resolve(key)
     rng = np.random.default_rng(20261018)
     A = np.eye(cp.dim) + 0.3 * rng.uniform(-1.0, 1.0, (cp.dim, cp.dim))
-    _assert_matches_reference(*_clauses_of(pull_back(cp, A)))
+    clauses = _clauses_of(pull_back(cp, A))
+    _assert_matches_reference(*clauses)
+    _assert_powers_vanish_to_rounding(*clauses)
 
 
 def test_a_type_of_the_wrong_degree_has_no_volume():

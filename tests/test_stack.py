@@ -7,8 +7,10 @@ so the stacked values must be the pointwise ones, and the number of kernel
 calls of a run must not grow with its points.
 """
 
+import ast
 import contextlib
 import dataclasses
+import inspect
 import io
 
 import numpy as np
@@ -129,6 +131,27 @@ def test_a_cold_verify_makes_the_pinned_einsum_calls(tmp_path, monkeypatch):
         assert cli.main(["verify", path, "--suite", "all", "--format", "json"]) == 0
     assert len(calls) == 12
     assert not REPLACED_EINSUMS & set(calls)
+
+
+def test_a_cold_verify_takes_one_pfaffian_the_volume_pencil(tmp_path, monkeypatch):
+    # the vanishing powers come from the spectrum of d alpha, not from minors
+    pfaffian, calls = cpm.pfaffian, []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return pfaffian(a)
+
+    monkeypatch.setattr(cpm, "pfaffian", counted)
+    path = _export(tmp_path, "hopf:2", 5)
+    rm.geometry_at.cache_clear()
+    cpm.structure_at.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", path, "--suite", "all", "--format", "json"]) == 0
+    assert calls == [(2, 5, 3, 6, 6)]  # with and without alpha1 ^ alpha2, m + n + 1 = 3 roots
+    imported = {node.module if isinstance(node, ast.ImportFrom) else alias.name
+                for node in ast.walk(ast.parse(inspect.getsource(cpm)))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "itertools" not in imported
 
 
 def test_the_leaf_frame_is_built_once_per_verify(monkeypatch):
