@@ -160,11 +160,6 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
         if any(len(p) != dim for p in points):
             raise UsageError("sample points must have one value per coordinate")
         chart = rm.Chart(coords=coords, params=params, sample_points=points)
-        # an identical subtree anywhere in the file is one node, a source
-        # string repeated verbatim is parsed once, and names are checked once
-        table: dict = {}
-        parsed: dict = {}
-        seen: set[int] = set()
         entries = {}
         for key, src in _object(data["metric"], "metric").items():
             # int() alone also reads ' 0', '+0', '0_0', '٠' and '０'
@@ -174,17 +169,17 @@ def manifold_from_dict(data: dict, name: str) -> ContactPairManifold:
             if (i, j) in entries or (j, i) in entries:
                 raise ValueError(f"metric entry {(i, j)} is given twice")
             entries[(i, j)] = _finite(src, f"metric[{key!r}]")
-        metric = rm.MetricField.from_entries(chart, entries, table, seen, parsed)
+        metric = rm.MetricField.from_entries(chart, entries)
         rows = {}
         for field in ("alpha1", "alpha2", "Z1", "Z2"):
             row = _list(data[field], field)
             if len(row) != dim:
                 raise ValueError(f"{field} has {len(row)} entries, chart has dim {dim}")
             rows[field] = [_finite(v, f"{field}[{k}]") for k, v in enumerate(row)]
-        alpha1 = rm.OneForm.of(chart, rows["alpha1"], table, seen, parsed)
-        alpha2 = rm.OneForm.of(chart, rows["alpha2"], table, seen, parsed)
-        z1 = rm.VectorField.of(chart, rows["Z1"], table, seen, parsed)
-        z2 = rm.VectorField.of(chart, rows["Z2"], table, seen, parsed)
+        alpha1 = rm.OneForm.of(chart, rows["alpha1"])
+        alpha2 = rm.OneForm.of(chart, rows["alpha2"])
+        z1 = rm.VectorField.of(chart, rows["Z1"])
+        z2 = rm.VectorField.of(chart, rows["Z2"])
         pair_type = _list(data["type"], "type")
         if len(pair_type) != 2:
             raise ValueError(f"type must have two entries, [m, n], got {pair_type!r}")

@@ -141,25 +141,36 @@ def pair_clauses(pair_type: tuple[int, int], alphas: np.ndarray, dalphas: np.nda
     values sigma of d alpha, each of which a skew matrix has twice: the principal
     2p-minors are Pf^2 and sum to e_p(sigma^2).  alpha1 ^ (d alpha1)^m ^ alpha2 ^
     (d alpha2)^n has m! n! [t^n] (Pf(d alpha1 + t d alpha2 + alpha1 ^ alpha2) -
-    Pf(d alpha1 + t d alpha2)), read off at the (m + n + 1)-th roots of unity."""
+    Pf(d alpha1 + t d alpha2)), read off at the (m + n + 1)-th roots of unity.
+    Both are homogeneous in each form, so they are read off forms scaled by powers
+    of two, then scaled back exactly: nothing overflows but a result, as inf."""
     m, n = pair_type
-    d = alphas.shape[-1]
-    top = np.zeros(alphas.shape[:-2])  # unless the wedge has the top degree
-    if d == 2 * (m + n + 1):
+    sigma = np.linalg.svd(dalphas, compute_uv=False)[..., ::2]
+    k = np.frexp(sigma[..., 0])[1]  # 2^(k - 1) <= the largest singular value < 2^k
+    top, ktop = np.zeros(alphas.shape[:-2]), 0  # unless the wedge has the top degree
+    if alphas.shape[-1] == 2 * (m + n + 1):
+        # each form over a power of two that leaves its entries below 2, if they are not
+        ka = np.maximum(np.frexp(np.abs(alphas).max(axis=-1))[1] - 1, 0)
+        kd = np.maximum(k - 1, 0)
+        a = np.ldexp(alphas, -ka[..., None])
+        da = np.ldexp(dalphas, -kd[..., None, None])
         t = np.exp(2j * np.pi * np.arange(m + n + 1) / (m + n + 1))
-        pencil = dalphas[..., :1, :, :] + t[:, None, None] * dalphas[..., 1:, :, :]
-        wedge = _outer(alphas[..., 0, :], alphas[..., 1, :])
+        pencil = da[..., :1, :, :] + t[:, None, None] * da[..., 1:, :, :]
+        wedge = _outer(a[..., 0, :], a[..., 1, :])
         beta = (wedge - np.swapaxes(wedge, -1, -2))[..., None, :, :]
         with_beta, without = pfaffian(np.stack((pencil + beta, pencil)))
         top = math.factorial(m) * math.factorial(n) * np.mean(
             (with_beta - without) * t ** -n, axis=-1).real
-    sigma2 = np.linalg.svd(dalphas, compute_uv=False)[..., ::2] ** 2
+        ktop = ka.sum(axis=-1) + kd @ np.array([m, n])
+    sigma2 = np.ldexp(sigma, -k[..., None]) ** 2
     e = np.zeros(sigma2.shape[:-1] + (max(m, n) + 2,))  # e[..., f, p] = e_p(sigma_f^2)
     e[..., 0] = 1.0
-    for k in range(sigma2.shape[-1]):
-        e[..., 1:] += sigma2[..., k, None] * e[..., :-1]
-    powers = np.sqrt(e[..., (0, 1), (m + 1, n + 1)]) * [math.factorial(m + 1),
-                                                        math.factorial(n + 1)]
+    for j in range(sigma2.shape[-1]):
+        e[..., 1:] += sigma2[..., j, None] * e[..., :-1]
+    degrees = np.array([m + 1, n + 1])
+    powers = np.sqrt(e[..., (0, 1), degrees]) * [math.factorial(m + 1), math.factorial(n + 1)]
+    with np.errstate(over="ignore"):  # inf is the value too large for a double
+        top, powers = np.ldexp(top, ktop), np.ldexp(powers, k * degrees)
     return (("volume_form", "alpha1 ^ (dalpha1)^m ^ alpha2 ^ (dalpha2)^n has a "
              "nonzero top coefficient", top, 1e-10, np.abs(top) > 1e-10),
             ("dalpha1_power_vanishes", "(dalpha1)^(m+1) = 0", powers[..., 0], 1e-10),

@@ -24,26 +24,21 @@ point is bit-for-bit the plain evaluation.  Over a stack of points the jets
 use numpy's vectorized ``sin``, ``cos``, ``exp``, ``log`` and the like,
 which may differ from ``math`` in the last place.
 
-Sharing.  :func:`parse` and :func:`as_expr` take an optional table, a dict
-that the caller creates and keeps for as long as one document is read.
-Every node a parse builds is looked up in it by its kind, its own fields
-and the ``id`` of its children, which are shared already, so an identical
-subtree is one object in every expression read through the same table;
-constants are keyed on ``float.hex``, so ``0.0`` and ``-0.0`` stay apart.
-The key is never a node's structural hash, whose first computation walks
-the subtree.
-The parser looks a key up before it builds the node: a key is in the table
-only if the same smart constructor, given the same shared children, made
-that very node before, so a repeated subtree costs a lookup, not a node.
-A reader may keep, beside the table and never in it, a dict of the source
-strings it has parsed (:func:`as_expr`), so a source repeated verbatim in a
-document costs one lookup, not a parse.
+Sharing.  The node table and the memo of parsed sources belong to the chart
+the expressions are read on (:meth:`contactcurv.riemann.Chart.read`), which
+hands both to :func:`as_expr` for as long as it lives, so every manifold, from
+the catalog or from a file, is one graph.  The parser looks each node up in
+the table before it builds it, by its kind, its own fields and the ``id`` of
+its children, which are shared already (constants by ``float.hex``, so ``0.0``
+and ``-0.0`` stay apart), never by its structural hash, whose first computation
+walks the subtree; an identical subtree is one object, and a source repeated
+verbatim costs one lookup, not a parse.
 :func:`evaluate_all` walks a sequence of such expressions with one memo
 keyed on ``id``, so each distinct node is evaluated once per call;
-``evaluate(e, env)`` is ``evaluate_all((e,), env)[0]``.  The table does
-not outlive its caller; a memo outlives its call only when the caller
-hands it to a later walk, which is how the forms of a manifold continue
-the walk of its metric (:func:`contactcurv.riemann.field_jets`).
+``evaluate(e, env)`` is ``evaluate_all((e,), env)[0]``.  A memo outlives its
+call only when the caller hands it to a later walk, which is how the forms of
+a manifold continue the walk of its metric
+(:func:`contactcurv.riemann.field_jets`).
 
 Hashing.  Nodes compare and print as the frozen dataclasses they are, and
 hash as them too, but each node computes its hash on first use and keeps

@@ -61,6 +61,9 @@ class IllConditionedMetricWarning(UserWarning):
 
 # --- chart and field types ---------------------------------------------------
 
+ExprLike = Union[el.Expr, str, float, int]
+
+
 @dataclass(frozen=True)
 class Chart:
     """Coordinate names, parameter values and preferred sample points."""
@@ -90,30 +93,33 @@ class Chart:
         return frozenset(self.coords).union((name for name, _ in self.params), ("pi",))
 
     def validate_expr(self, e: el.Expr, seen: Optional[set[int]] = None) -> None:
-        """Raise on a name ``e`` reads that the chart does not declare; with
-        a ``seen`` shared over several expressions that are all kept, a
-        subtree they share is checked once (see :func:`exprlang.free_names`),
-        and an expression in ``seen`` already is not walked at all."""
+        """Raise on a name ``e`` reads that the chart does not declare.  A
+        ``seen`` set of the ids of kept nodes skips those checked before; a
+        failed check empties it, so no node it marked passes unchecked."""
         if seen is not None and id(e) in seen:
             return
         unknown = el.free_names(e, seen) - self.declared_names
         if unknown:
+            if seen is not None:
+                seen.clear()
             raise el.ExprError(
                 f"undeclared names {sorted(unknown)} in '{el.to_source(e)}'")
 
+    @cached_property
+    def _read_state(self) -> tuple[dict, dict, set[int]]:
+        # node table, parsed sources and checked nodes of Chart.read
+        return {}, {}, set()
 
-ExprLike = Union[el.Expr, str, float, int]
-
-
-def _expr_row(chart: Chart, comps: Iterable[ExprLike], table: Optional[dict] = None,
-              seen: Optional[set[int]] = None,
-              parsed: Optional[dict] = None) -> tuple[el.Expr, ...]:
-    out, seen = [], set() if seen is None else seen
-    for c in comps:
-        e = el.as_expr(c, table, parsed)
-        chart.validate_expr(e, seen)
-        out.append(e)
-    return tuple(out)
+    def read(self, value: ExprLike) -> el.Expr:
+        """``value`` as an expression on the chart, its names checked.  The
+        chart keeps what it has read for as long as it lives: strings share one
+        node table and are parsed once each, and each node is checked once.  An
+        expression handed in as one is checked in full, as the table does not
+        hold its nodes and their ids may be reused."""
+        table, parsed, seen = self._read_state
+        e = el.as_expr(value, table, parsed)
+        self.validate_expr(e, None if e is value else seen)
+        return e
 
 
 @el.keeps_hash
@@ -125,21 +131,14 @@ class MetricField:
     comps: tuple[tuple[el.Expr, ...], ...]
 
     @staticmethod
-    def from_entries(chart: Chart, entries: Mapping[tuple[int, int], ExprLike],
-                     table: Optional[dict] = None, seen: Optional[set[int]] = None,
-                     parsed: Optional[dict] = None) -> "MetricField":
-        """Build from the upper triangle; missing entries are zero.  Strings
-        are parsed through ``table`` and ``parsed`` (see
-        :func:`exprlang.as_expr`), and the names are checked with ``seen``
-        (see :meth:`Chart.validate_expr`)."""
+    def from_entries(chart: Chart, entries: Mapping[tuple[int, int], ExprLike]) -> "MetricField":
+        """Build from the upper triangle by :meth:`Chart.read`; missing entries are zero."""
         d = chart.dim
         grid = [[el.ZERO] * d for _ in range(d)]
-        seen = set() if seen is None else seen
         for (i, j), raw in entries.items():
             if not (0 <= i < d and 0 <= j < d):
                 raise IndexError(f"metric entry {(i, j)} outside a {d}-dim chart")
-            e = el.as_expr(raw, table, parsed)
-            chart.validate_expr(e, seen)
+            e = chart.read(raw)
             grid[i][j] = e
             grid[j][i] = e
         return MetricField(chart, tuple(tuple(row) for row in grid))
@@ -159,9 +158,8 @@ class VectorField:
     comps: tuple[el.Expr, ...]
 
     @staticmethod
-    def of(chart: Chart, comps: Iterable[ExprLike], table: Optional[dict] = None,
-           seen: Optional[set[int]] = None, parsed: Optional[dict] = None) -> "VectorField":
-        return VectorField(chart, _expr_row(chart, comps, table, seen, parsed))
+    def of(chart: Chart, comps: Iterable[ExprLike]) -> "VectorField":
+        return VectorField(chart, tuple(map(chart.read, comps)))
 
 
 @dataclass(frozen=True)
@@ -170,9 +168,8 @@ class OneForm:
     comps: tuple[el.Expr, ...]
 
     @staticmethod
-    def of(chart: Chart, comps: Iterable[ExprLike], table: Optional[dict] = None,
-           seen: Optional[set[int]] = None, parsed: Optional[dict] = None) -> "OneForm":
-        return OneForm(chart, _expr_row(chart, comps, table, seen, parsed))
+    def of(chart: Chart, comps: Iterable[ExprLike]) -> "OneForm":
+        return OneForm(chart, tuple(map(chart.read, comps)))
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Shared test utilities: safe random expressions, finite differences, a
 dict-based wedge algebra that serves as the reference for the pair clauses,
-and the record-by-record reference for report rows.
+the record-by-record reference for report rows, and the Berger deformation
+of a ``hopf:m`` export.
 
 The random expression generator only produces trees whose domain is all of
 R^n (log and sqrt arguments are bounded below by 1, divisors bounded away
@@ -144,3 +145,32 @@ def record_rows(report, rows, p: int, pt) -> None:
     one ``Report.add`` per record: the reference for ``Report.add_rows``."""
     for row in rows:
         report.add(row[0], row[1], row[2][p], row[3], pt, row[4][p] if len(row) > 4 else None)
+
+
+def berger(data: dict, a: float) -> dict:
+    """The D-homothetic deformation of a ``hopf:m`` export, a manifold file
+    as a dict (Tanno, Illinois J. Math. 12, 1968; Blair, Riemannian Geometry
+    of Contact and Symplectic Manifolds, 2nd ed., 2010, ch. 7): g_a =
+    a (g - alpha2 (x) alpha2) + a (a - 1) alpha1 (x) alpha1 + alpha2 (x) alpha2,
+    alpha1 -> a alpha1 and Z1 -> Z1 / a; alpha2, Z2 and the sample points are
+    kept.  For a > 0 this is a normal metric contact pair of type (m, 0) with
+    orthogonal foliations, a Berger sphere times a line, and only a = 1 is the
+    round model, whose export it returns unchanged."""
+    d = data["dim"]
+    g = [[el.ZERO] * d for _ in range(d)]
+    for key, source in data["metric"].items():
+        i, j = map(int, key.split(","))
+        g[i][j] = g[j][i] = el.parse(source)
+    a1, a2 = ([el.parse(source) for source in data[f]] for f in ("alpha1", "alpha2"))
+    scale, twist = el.Const(a), el.Const(a * (a - 1.0))
+    metric = {}
+    for i in range(d):
+        for j in range(i, d):
+            vertical = el.mul(a2[i], a2[j])
+            entry = el.add(el.add(el.mul(scale, el.sub(g[i][j], vertical)),
+                                  el.mul(twist, el.mul(a1[i], a1[j]))), vertical)
+            if entry != el.ZERO:
+                metric[f"{i},{j}"] = el.to_source(entry)
+    return {**data, "metric": metric,
+            "alpha1": [el.to_source(el.mul(scale, e)) for e in a1],
+            "Z1": [el.to_source(el.div(el.parse(source), scale)) for source in data["Z1"]]}

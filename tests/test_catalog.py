@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contactcurv import catalog
+from contactcurv import catalog, cli
 from contactcurv import contactpair as cpm
 from contactcurv import exprlang as el
 from contactcurv import riemann as rm
@@ -108,7 +108,8 @@ class TestHopfCharts:
 
     @pytest.mark.parametrize("m", range(1, catalog.HOPF_MAX_M + 1))
     def test_names_of_each_entry_are_checked_once(self, monkeypatch, m):
-        # one check per entry of the metric diagonal, alpha1, alpha2, Z1 and Z2
+        # one check per distinct entry node: the metric diagonal's 2m + 1 and
+        # alpha1's zero; every other entry is one of these nodes
         calls = []
         free_names = el.free_names
 
@@ -118,7 +119,52 @@ class TestHopfCharts:
 
         monkeypatch.setattr(el, "free_names", counted)
         catalog.hopf(m)
-        assert len(calls) == 5 * (2 * m + 2)
+        assert len(calls) == 2 * m + 2
+
+
+def _entries(cp):
+    return [*(e for row in cp.metric.comps for e in row), *cp.alpha1.comps,
+            *cp.alpha2.comps, *cp.z1.comps, *cp.z2.comps]
+
+
+def _distinct_nodes(exprs) -> int:
+    seen, todo = set(), list(exprs)
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            todo += [getattr(n, f) for f in ("arg", "lhs", "rhs") if hasattr(n, f)]
+    return len(seen)
+
+
+class TestOneGraphPerChart:
+    """A catalog builder reads every entry on its chart, so its manifold
+    shares nodes as a file read back does."""
+
+    # 7m + 2 for hopf(m)
+    NODES = {"hopf:1": 9, "hopf:2": 16, "hopf:3": 23, "hopf:4": 30,
+             "sphere_product:1,1": 14, "heisenberg_r": 16}
+
+    @pytest.mark.parametrize("entry", catalog.ENTRIES, ids=lambda e: e.key)
+    def test_a_catalog_manifold_is_as_small_as_its_export_read_back(self, entry):
+        cp = catalog.resolve(entry.key)
+        back = cli.manifold_from_dict(cli.manifold_to_dict(cp), cp.name)
+        assert _distinct_nodes(_entries(cp)) == _distinct_nodes(_entries(back)) \
+            == self.NODES[entry.key]
+
+    def test_the_metric_reads_the_radii_of_alpha1_as_the_same_nodes(self):
+        cp = catalog.hopf(2)  # coordinates eta1, eta2, xi0, xi1, xi2, t
+        for k in (2, 3, 4):  # r_0^2, r_1^2, r_2^2 on dxi_k
+            assert cp.metric.comps[k][k] is cp.alpha1.comps[k]
+        assert cp.z1.comps[2] is cp.z2.comps[5] is cp.metric.comps[5][5]
+
+    @pytest.mark.parametrize("entry", catalog.ENTRIES, ids=lambda e: e.key)
+    def test_each_distinct_source_is_parsed_once(self, monkeypatch, entry):
+        parse, as_expr, parsed, read = el.parse, el.as_expr, [], []
+        monkeypatch.setattr(el, "parse", lambda src, *a: parsed.append(src) or parse(src, *a))
+        monkeypatch.setattr(el, "as_expr", lambda v, *a: read.append(v) or as_expr(v, *a))
+        catalog.resolve(entry.key)
+        assert sorted(parsed) == sorted(set(read)) and len(set(read)) < len(read)
 
 
 class TestHeisenberg:

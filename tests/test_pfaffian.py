@@ -167,3 +167,57 @@ def random_forms(draw):
 @given(random_forms())
 def test_random_forms_match_the_wedge_algebra(forms):
     _assert_matches_reference(*forms)
+
+
+def _scaled(clauses, scale):
+    """The clauses' forms with d alpha_1 multiplied by ``scale``."""
+    pair_type, alphas, dalphas = clauses
+    dalphas = dalphas.copy()
+    dalphas[:, 0] *= scale
+    return pair_type, alphas, dalphas
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+@pytest.mark.parametrize("key", ["hopf:1", "hopf:2", "sphere_product:1,1"])
+def test_a_large_form_reads_a_number_or_inf_never_nan(key, scale):
+    # σ^2 and the Pfaffians of the unscaled forms overflow from about 1e154
+    rows = cpm.pair_clauses(*_scaled(_clauses_of(catalog.resolve(key)), scale))
+    for name, _, values, *_ in rows:
+        assert not np.isnan(values).any(), name
+    if key == "hopf:1":
+        power = rows[1][2]
+        # about 4e283 at 1e150, from the rounding-level second singular value
+        assert np.all((1e283 < power) & (power < 1e284)) if scale == 1e150 else \
+            np.all(power == np.inf)
+        assert np.all(rows[2][2] == 0.0)
+        # the volume is linear in d alpha_1
+        unscaled = cpm.pair_clauses(*_clauses_of(catalog.resolve(key)))[0][2]
+        assert np.allclose(rows[0][2] / scale, unscaled, rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+def test_a_large_power_is_exactly_zero_its_value_or_inf(scale):
+    # d = 4, type (1, 0), alpha = (dx2, dx3): at the first point d alpha_1 =
+    # s dx0^dx1, whose square is 0, at the second s (dx0^dx1 + dx2^dx3),
+    # whose square has l2 norm 2 s^2; the volume is s at both
+    alphas = np.zeros((2, 2, 4))
+    alphas[:, 0, 2] = alphas[:, 1, 3] = 1.0
+    dalphas = np.zeros((2, 2, 4, 4))
+    dalphas[:, 0, 0, 1] = dalphas[1, 0, 2, 3] = scale
+    rows = cpm.pair_clauses((1, 0), alphas, skew(dalphas))
+    assert rows[1][2][0] == 0.0
+    assert rows[1][2][1] == pytest.approx(2 * scale * scale, rel=1e-12) if scale < 1e154 \
+        else rows[1][2][1] == np.inf
+    assert np.all(rows[0][2] == pytest.approx(scale, rel=1e-12))
+    assert np.all(rows[2][2] == 0.0)
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_the_powers_scale_exactly_with_a_power_of_two(key):
+    clauses = _clauses_of(catalog.resolve(key))
+    m = clauses[0][0]
+    rows = cpm.pair_clauses(*clauses)
+    big = cpm.pair_clauses(*_scaled(clauses, 2.0 ** 400))
+    with np.errstate(over="ignore"):
+        assert np.array_equal(big[1][2], np.ldexp(rows[1][2], 400 * (m + 1)))
+    assert np.array_equal(big[2][2], rows[2][2])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -487,3 +488,39 @@ def test_cached_arrays_are_read_only(query):
     with pytest.raises(ValueError):
         query(metric, point)[0, 1, 1] += 100.0
     assert np.array_equal(query(metric, point), original)
+
+
+class TestChartRead:
+    def test_fields_on_one_chart_share_their_nodes(self):
+        chart = rm.Chart(coords=("x", "y"), params=(("c", 2.0),))
+        metric = rm.MetricField.diagonal(chart, ["c*sin(x)^2", "1"])
+        alpha = rm.OneForm.of(chart, ["c*sin(x)^2", 1.0])
+        z = rm.VectorField.of(chart, ["0", "1/(c*sin(x)^2)"])
+        assert alpha.comps[0] is metric.comps[0][0] and alpha.comps[1] is metric.comps[1][1]
+        assert z.comps[1].rhs is metric.comps[0][0]
+        assert chart.read("sin(x)") is metric.comps[0][0].rhs.lhs
+
+    def test_the_read_state_is_not_part_of_the_chart(self):
+        chart = rm.Chart(coords=("x", "y"), params=(("c", 2.0),))
+        e = chart.read("c*sin(x) + y")
+        twin = dataclasses.replace(chart)
+        assert twin == chart and hash(twin) == hash(chart) and repr(twin) == repr(chart)
+        assert chart.read("c*sin(x) + y") is e
+        assert twin.read("c*sin(x) + y") == e and twin.read("c*sin(x) + y") is not e
+
+    def test_an_undeclared_name_raises_after_many_reads(self):
+        chart = rm.Chart(coords=("x", "y"))
+        for k in range(300):
+            chart.read(f"sin(x)*{k} + y")
+            # handed in as an expression, checked and dropped: a later
+            # expression may take its id
+            chart.read(el.Bin("+", el.Sym("x"), el.Sym("y")))
+        for e in [el.Bin("+", el.Sym("x"), el.Sym("q")) for _ in range(300)]:
+            with pytest.raises(el.ExprError, match=r"undeclared names \['q'\]"):
+                chart.read(e)
+
+    def test_a_failed_read_leaves_no_node_marked_checked(self):
+        chart = rm.Chart(coords=("x",))
+        for source in ("x*sin(q)", "x*sin(q)", "sin(q) + x"):
+            with pytest.raises(el.ExprError, match=r"undeclared names \['q'\]"):
+                chart.read(source)
