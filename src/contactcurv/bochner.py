@@ -194,21 +194,19 @@ def reeb_plane_closed_form(m: int, n: int, tau: float) -> float:
         + (tau - 3.0 * (m * m + n * n)) / ((m + n + 2) * (m + n + 3))
 
 
-def _conformal_shift(report: Report, cp: ContactPairManifold,
-                     points: Sequence[rm.Point], b: np.ndarray, c: float,
+def _conformal_shift(report: Report, st: cpm.StructureData, b: np.ndarray, c: float,
                      reading: str) -> None:
     """Record the change of the (1,3) form B_J g^{-1} under g -> c g with J
-    fixed, at each point of the stack ``points``, where ``b`` is B_J of g
+    fixed, at each point of the stack ``st.point``, where ``b`` is B_J of g
     over that stack."""
-    st = cpm.structure_at(cp, points)
     # the context keeps only what the assembly reads of the rescaled geometry
-    scaled = _context(st.geo.rescaled(c), st.J, cp.m, cp.n, reading)
+    scaled = _context(st.geo.rescaled(c), st.J, st.cp.m, st.cp.n, reading)
     shift = rm.contract_last(bochner(scaled), scaled.ginv)
     shift -= rm.contract_last(b, st.geo.ginv)
     rows = (("bochner_13_conformal_shift", "change of the (1,3) Bochner tensor under "
              "g -> e^{2f} g (constant factor: asserted invariant)",
              rm.pointwise_sup(shift), 1e-7),)
-    report.add_rows(points, rows)
+    report.add_rows(st.point, rows)
 
 
 def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
@@ -239,7 +237,7 @@ def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
         b = bochner(context(cp, pts, "J", reading))
         try:
             with np.errstate(all="ignore"):  # an overflow is refused below
-                _conformal_shift(report, cp, pts, b, c, reading)
+                _conformal_shift(report, cpm.structure_at(cp, pts), b, c, reading)
             finite = np.isfinite(report.blocks[0].values).all()
         except np.linalg.LinAlgError:  # c g is singular in floating point
             finite = False
@@ -263,16 +261,14 @@ def loosen(default: float, requested: Optional[float]) -> float:
     return default if requested is None else max(default, requested)
 
 
-def _theorem1(report: Report, cp: ContactPairManifold, expected: Mapping,
-              tol: Optional[float], points: Sequence[rm.Point],
-              b_j: np.ndarray) -> None:
+def _theorem1(report: Report, st: cpm.StructureData, expected: Mapping,
+              tol: Optional[float], b_j: np.ndarray) -> None:
     """Bochner-flatness consequences on the model space; measured controls
     on the expected-nonflat entries.  ``b_j`` is B_J over the stack of
-    points."""
+    points of ``st``."""
     flat = expected["bochner_flat"]
-    m, n = cp.pair_type
+    m, n = st.cp.pair_type
     tight, loose = loosen(1e-7, tol), loosen(1e-6, tol)
-    st = cpm.structure_at(cp, points)
     tau = st.geo.tau
     sup = rm.pointwise_sup(b_j)
     plane = rm.sectional_form(b_j, st.z1, st.z2)
@@ -301,7 +297,7 @@ def _theorem1(report: Report, cp: ContactPairManifold, expected: Mapping,
                       plane - reeb_plane_closed_form(m, n, tau), loose),
                      ("bochner_reeb_plane_expected", f"B_J(Z1,Z2,Z2,Z1) = {target}",
                       plane - target, loose))
-    report.add_rows(points, rows)
+    report.add_rows(st.point, rows)
 
 
 def _quadratic_defect(x: np.ndarray, s: np.ndarray, value: float,
@@ -310,21 +306,20 @@ def _quadratic_defect(x: np.ndarray, s: np.ndarray, value: float,
     return cpm.kept_max(np.sum((x @ s) * x, axis=-1) - value, kept)
 
 
-def _theorem2(report: Report, cp: ContactPairManifold, expected: Mapping,
-              tol: Optional[float], points: Sequence[rm.Point],
-              b_j: Optional[np.ndarray]) -> None:
+def _theorem2(report: Report, st: cpm.StructureData, expected: Mapping,
+              tol: Optional[float], b_j: Optional[np.ndarray]) -> None:
     """Conformal flatness on the model space, plus constant-factor
     conformal invariance of the Bochner tensor."""
     flat = expected["weyl_flat"]
-    sup = rm.pointwise_sup(rm.weyl(cp.metric, points).comps)
+    sup = rm.pointwise_sup(rm.weyl(st.cp.metric, st.point).comps)
     rows = ((("weyl_flatness", "sup |W| vanishes on the model space", sup,
               loosen(1e-8, tol)),) if flat else
             (("weyl_not_flat", "sup |W| stays above the control bound", sup, 1e-2,
               sup > 1e-2),))
-    report.add_rows(points, rows)
+    report.add_rows(st.point, rows)
     if flat:
         c = math.exp(2.0 * math.log(2.0))  # f = log 2
-        _conformal_shift(report, cp, points, b_j, c, DEFAULT_READING)
+        _conformal_shift(report, st, b_j, c, DEFAULT_READING)
 
 
 def run_suites(cp: ContactPairManifold, suites: Collection[str],
@@ -351,19 +346,21 @@ def run_suites(cp: ContactPairManifold, suites: Collection[str],
             report.add(c.name, c.detail, c.value, c.tolerance, c.point, c.passed)
     if not gate.passed:
         return report
-    if "lemmas" in suites:
-        report.extend(cpm.lemma_checks(cp, loosen(cpm.LEMMA_TOL, tolerance), pts))
     if expected is None and {"theorem1", "theorem2"} & set(suites):
         raise MissingExpectedTable(
             f"theorem suites need the expected-results table of a catalog "
             f"entry; '{cp.name}' is not in the catalog")
     if not pts:
         return report
+    # the structure that passed the gate, which every later stage reads
+    st = cpm.structure_at(cp, pts)
+    if "lemmas" in suites:
+        report.extend(cpm.lemma_checks(st, loosen(cpm.LEMMA_TOL, tolerance)))
     # B_J over the stack, assembled once for the stages that read it
     wants_b = "theorem1" in suites or ("theorem2" in suites and expected["weyl_flat"])
     b_j = bochner(context(cp, pts)) if wants_b else None
     if "theorem1" in suites:
-        _theorem1(report, cp, expected, tolerance, pts, b_j)
+        _theorem1(report, st, expected, tolerance, b_j)
     if "theorem2" in suites:
-        _theorem2(report, cp, expected, tolerance, pts, b_j)
+        _theorem2(report, st, expected, tolerance, b_j)
     return report

@@ -17,8 +17,9 @@ with the table of values the verification suites assert.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -192,17 +193,20 @@ def entry(key: str) -> CatalogEntry:
 
 def resolve(spec: str) -> ContactPairManifold:
     """Build a catalog manifold from an address like ``hopf:2`` or
-    ``sphere_product:1,1``; a bare name uses its default parameters."""
+    ``sphere_product:1,1``; a bare name uses its default parameters.  An
+    address that names no builder, or gives it parameters it does not take,
+    raises ``KeyError``; a builder refuses parameters out of its range with
+    ``ValueError``."""
     name, _, raw = spec.partition(":")
-    params = [int(p) for p in raw.split(",") if p] if raw else []
-    builders: dict[str, Callable] = {
-        "hopf": hopf,
-        "sphere_product": sphere_product,
-        "heisenberg_r": heisenberg_r,
-    }
-    if name not in builders:
-        raise KeyError(f"unknown catalog manifold '{name}'")
-    return builders[name](*params)
+    builder = {"hopf": hopf, "sphere_product": sphere_product,
+               "heisenberg_r": heisenberg_r}.get(name)
+    try:
+        params = [int(p) for p in raw.split(",") if p]
+        inspect.signature(builder).bind(*params)
+    except (TypeError, ValueError):  # no builder, a non-integer, too few or too many
+        raise KeyError(f"no catalog manifold '{spec}'; catalog keys are hopf:m with "
+                       f"m in 1..{HOPF_MAX_M}, sphere_product:1,1 and heisenberg_r") from None
+    return builder(*params)
 
 
 def entry_for(cp_name: str) -> Optional[CatalogEntry]:

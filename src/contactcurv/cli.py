@@ -231,10 +231,14 @@ def save_manifold(cp: ContactPairManifold, path: str) -> None:
 def resolve_manifold(spec: str) -> ContactPairManifold:
     if os.path.sep in spec or spec.endswith(".json") or os.path.exists(spec):
         return load_manifold(spec)
+    return resolve_catalog(spec)
+
+
+def resolve_catalog(spec: str) -> ContactPairManifold:
     try:
         return catalog.resolve(spec)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
+    except (KeyError, ValueError) as exc:
+        raise UsageError(exc.args[0]) from exc  # str() would quote a KeyError's message
 
 
 # --- shared helpers --------------------------------------------------------------
@@ -316,6 +320,7 @@ _TENSOR_CHOICES = ("riemann", "ricci", "star-ricci", "weyl", "bochner-j", "bochn
 
 def _tensor_at(cp: ContactPairManifold, what: str, point) -> tuple[np.ndarray, dict]:
     st = cpm.structure_at(cp, point)
+    cpm.require_foliations(st)
     scalars = {"tau": st.geo.tau, "tau_star": st.tau_star}
     if what == "riemann":
         return st.geo.riem4, scalars
@@ -382,6 +387,9 @@ def cmd_tensor(args) -> int:
 def cmd_verify(args) -> int:
     cp = resolve_manifold(args.manifold)
     suites = bm.SUITES if args.suite == "all" else (args.suite,)
+    if cp.m + cp.n + 1 < 2 and {"theorem1", "theorem2"} & set(suites):
+        raise UsageError(f"the theorem suites need complex dimension m + n + 1 >= 2; "
+                         f"{cp.name} has type {cp.pair_type}")
     entry = catalog.entry_for(cp.name)
     points = _sample_points(cp, args.points)
     try:
@@ -395,10 +403,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        cp = catalog.resolve(args.catalog_id)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
+    cp = resolve_catalog(args.catalog_id)
     save_manifold(cp, args.path)
     print(f"wrote {cp.name} to {args.path}")
     return 0

@@ -327,7 +327,8 @@ def _foliation_fault(cp: ContactPairManifold, point: rm.Point,
 
 def require_foliations(st: StructureData) -> None:
     """Raise the fault of the first point, in point order, whose
-    characteristic foliations have the wrong dimensions."""
+    characteristic foliations have the wrong dimensions: the one place a
+    foliation fault is raised, at one point as over a stack."""
     points = st.point if rm.is_stack(st.point) else (st.point,)
     dims = np.reshape(st.foliation_dims, (-1, 2))
     bad = np.flatnonzero(np.any(dims != (2 * st.cp.n + 1, 2 * st.cp.m + 1), axis=1))
@@ -339,34 +340,29 @@ def require_foliations(st: StructureData) -> None:
 def structure_at(cp: ContactPairManifold, point) -> StructureData:
     """Structure fields at one point, or stacked over a tuple of points.
 
-    At one point, characteristic foliations of the wrong dimensions raise
-    :class:`InvalidStructureError`; over a stack they are left in
-    ``foliation_dims`` for :func:`validate_structure` to report point by
-    point, and :func:`require_foliations` raises them.  Evaluation faults,
+    Characteristic foliations of the wrong dimensions are left in
+    ``foliation_dims``, for :func:`validate_structure` to report point by
+    point and for :func:`require_foliations` to raise.  Evaluation faults,
     a d alpha that overflows among them, raise as in
     :func:`riemann.geometry_at`: the first faulty point in point order, and
-    at one point a metric fault before a form fault.
+    at that point a metric fault before a form fault.
 
     The forms and fields continue the walk of the metric
     (:meth:`riemann.PointGeometry.continued_walk`), so a node they share
-    with it is walked once.  The ill-conditioning warnings of a stack
-    come out once its forms have passed too.
+    with it is walked once.  The ill-conditioning warnings of the geometry
+    come out once the forms have passed too.
     """
-    stacked = rm.is_stack(point)
     fields = (cp.alpha1.comps, cp.alpha2.comps, cp.z1.comps, cp.z2.comps)
     try:
-        if stacked:
-            with warnings.catch_warnings(record=True) as held:
-                warnings.simplefilter("always")
-                geo = rm.geometry_at(cp.metric, point)
-        else:
-            held, geo = [], rm.geometry_at(cp.metric, point)
+        with warnings.catch_warnings(record=True) as held:
+            warnings.simplefilter("always")
+            geo = rm.geometry_at(cp.metric, point)
         values, derivs, hess = rm.field_jets(fields, cp.chart, point, geo.continued_walk())
         dalphas, dA = _two_forms(derivs, hess, cp.dalpha_factor, point)
     except (el.ExprError, rm.MetricError):
         # point by point and uncached, so the first faulty point raises after
         # the warnings of the points before it, and of no later point
-        for pt in point if stacked else ():
+        for pt in point if rm.is_stack(point) else (point,):
             rm.point_geometry(cp.metric, pt)
             _two_forms(*rm.field_jets(fields, cp.chart, pt)[1:], cp.dalpha_factor, pt)
         raise
@@ -393,8 +389,6 @@ def structure_at(cp: ContactPairManifold, point) -> StructureData:
     dJ, dT = dphi - dX, dphi + dX
 
     proj, dims = _nullspace_projectors(alphas, dalphas, g)
-    if not stacked and (fault := _foliation_fault(cp, point, dims)):
-        raise fault
     H = np.eye(cp.dim) - np.swapaxes(reebs, -1, -2) @ alphas
 
     star = star_contraction(geo.riem4, ginv, J)
@@ -528,7 +522,9 @@ def lemma_suite(cp: ContactPairManifold, tolerance: float = LEMMA_TOL,
             f"{cp.name} failed structure validation: "
             + ", ".join(sorted({c.name for c in gate.failures})),
             clauses=[c.name for c in gate.failures])
-    return lemma_checks(cp, tolerance, pts)
+    if not pts:
+        return Report(cp.name, cp.conventions())
+    return lemma_checks(structure_at(cp, pts), tolerance)
 
 
 def kept_max(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -536,18 +532,12 @@ def kept_max(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return np.max(np.abs(values), axis=-1, where=kept, initial=0.0)
 
 
-def lemma_checks(cp: ContactPairManifold, tolerance: float,
-                 points: Sequence[rm.Point]) -> Report:
-    """The identities of :func:`lemma_suite` over the stack of points, for
-    points at which the structure has already passed
-    :func:`validate_structure`."""
-    report = Report(cp.name, cp.conventions())
-    pts = rm.as_point(points)
-    if not pts:
-        return report
-    m, n = cp.pair_type
-    st = structure_at(cp, pts)
-    require_foliations(st)
+def lemma_checks(st: StructureData, tolerance: float) -> Report:
+    """The identities of :func:`lemma_suite` over the stack of points of
+    ``st``, a structure that has already passed :func:`validate_structure`,
+    recorded over ``st.point``."""
+    report = Report(st.cp.name, st.cp.conventions())
+    m, n = st.cp.pair_type
     geo = st.geo
     g, gamma, R4, rho, star = geo.g, geo.gamma, geo.riem4, geo.ricci, st.star_ricci
     alphas, reebs, dalphas = st.alphas, st.reebs, st.dalphas  # [p, f, ...]
@@ -638,5 +628,5 @@ def lemma_checks(cp: ContactPairManifold, tolerance: float,
          sup(rm.lie_derivative_metric(reebs, st.dreebs, g[:, None], geo.dg[:, None])),
          tolerance),
     )
-    report.add_rows(pts, rows)
+    report.add_rows(st.point, rows)
     return report

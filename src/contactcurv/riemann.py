@@ -317,7 +317,6 @@ def freeze_arrays(record) -> None:
 
 @dataclass
 class PointGeometry:
-    point: Union[Point, tuple[Point, ...]]
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray
@@ -369,7 +368,7 @@ class PointGeometry:
     def rescaled(self, c: float) -> "PointGeometry":
         """Geometry of c g for a constant c > 0, whose jets are c g, c dg, c d2g."""
         g = c * self.g
-        return PointGeometry(self.point, g, np.linalg.inv(g), c * self.dg, c * self.d2g)
+        return PointGeometry(g, np.linalg.inv(g), c * self.dg, c * self.d2g)
 
 
 def point_geometry(metric: MetricField, point) -> PointGeometry:
@@ -402,7 +401,7 @@ def point_geometry(metric: MetricField, point) -> PointGeometry:
         warnings.warn(
             f"metric condition number {cond[k]:.3e} at {point[k] if stacked else point}",
             IllConditionedMetricWarning, stacklevel=2)
-    return PointGeometry(point, g, np.linalg.inv(g), dg, d2g, walk)
+    return PointGeometry(g, np.linalg.inv(g), dg, d2g, walk)
 
 
 geometry_at = lru_cache(maxsize=None)(point_geometry)

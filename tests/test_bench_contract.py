@@ -8,6 +8,7 @@ requests; these tests make both fail here first.  They load the benchmark's
 modules by path and change nothing under ``bench/``.
 """
 
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -284,3 +285,38 @@ def test_the_writer_and_the_reader_pay_no_cost_per_row_or_per_repeated_source(
     sources = [*data["metric"].values(), *data["alpha1"], *data["alpha2"], *data["Z1"],
                *data["Z2"]]
     assert sorted(parsed) == sorted(set(sources)) and len(set(sources)) < len(sources)
+
+
+# the spans a cold request of each workload entered when every stage was on its run
+# path; a refactor that takes a stage off it would read 0 in that layer's metrics
+VERIFY_SPANS = {"cli.cmd", "cli.load_manifold", "report.serialize", "riemann.geometry_at",
+                "riemann.weyl", "contactpair.structure_at", "contactpair.validate_structure",
+                "bochner.bochner", "bochner.context"}
+TENSOR_SPANS = VERIFY_SPANS - {"contactpair.validate_structure", "report.serialize"}
+
+
+def _traced_spans(requests) -> set:
+    """The span names entered by each request, run cold under the tracer."""
+    tracer, entered = _load("tracer").Tracer(), []
+    with tracer.installed():
+        for request in requests:
+            _clear_package_caches()
+            start = len(tracer.spans)
+            assert cli.main(list(request.argv)) in (0, 1), request.argv
+            entered.append({span.name for span in tracer.spans[start:]})
+    return entered
+
+
+def test_every_traced_stage_stays_on_the_run_path(capsys, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))  # the workloads import their inputs by name
+    workloads = importlib.import_module("workloads")
+    (verify,) = workloads.catalog_verify(1, str(tmp_path))
+    for request, entered in zip(verify, _traced_spans(verify)):
+        assert VERIFY_SPANS <= entered, (request.key, VERIFY_SPANS - entered)
+    # the five tensors on the d = 10 nested-Hopf file, one cycle's point
+    tensors = [r for r in workloads.tensor_queries(1, str(tmp_path))[0]
+               if r.key.startswith("d=10 ")]
+    assert sorted(r.argv[3] for r in tensors) == sorted(workloads.TENSORS)
+    entered = set().union(*_traced_spans(tensors))
+    assert TENSOR_SPANS <= entered, TENSOR_SPANS - entered
+    capsys.readouterr()

@@ -1063,3 +1063,126 @@ class TestExport:
             cp = cli.load_manifold(str(path))
             assert cp.pair_type == cli.resolve_manifold(key).pair_type
             assert cp.chart.sample_points == cli.resolve_manifold(key).chart.sample_points
+
+
+# --- a flat plane of type (0, 0), whose complex dimension m + n + 1 is 1 -----------
+
+PLANE = {
+    "dim": 2, "coords": ["x", "y"], "metric": {"0,0": "1", "1,1": "1"},
+    "alpha1": ["1", "0"], "alpha2": ["0", "1"], "Z1": ["1", "0"], "Z2": ["0", "1"],
+    "type": [0, 0], "sample_points": [[0.1, 0.2], [0.3, 0.4]],
+}
+
+
+def _plane_file(tmp_path, stem: str) -> str:
+    """The plane saved under a catalog stem, so the theorem suites find a table."""
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(PLANE))
+    return str(path)
+
+
+@pytest.mark.parametrize("stem, suite", [("hopf:1", "all"), ("hopf:1", "theorem1"),
+                                         ("hopf:1", "theorem2"),
+                                         ("heisenberg_r", "theorem1")])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_the_theorem_suites_refuse_a_pair_of_complex_dimension_one(capsys, tmp_path, stem,
+                                                                   suite, fmt):
+    path = _plane_file(tmp_path, stem)
+    code, out, err = run(capsys, "verify", path, "--suite", suite, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == (f"error: the theorem suites need complex dimension m + n + 1 >= 2; "
+                   f"{stem} has type (0, 0)\n")
+
+
+@pytest.mark.parametrize("argv", [["check"], ["verify", "--suite", "lemmas"]])
+def test_the_plane_passes_its_definitions_and_lemmas(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, argv[0], _plane_file(tmp_path, "hopf:1"), *argv[1:],
+                       "--format", "json")
+    summary = json.loads(out)["summary"]
+    assert code == 0
+    assert (summary["passed"], summary["failed"]) == ((63, 0) if argv == ["check"]
+                                                      else (26, 0))
+
+
+# --- catalog keys -----------------------------------------------------------------------
+
+CATALOG_FORMS = "catalog keys are hopf:m with m in 1..4, sphere_product:1,1 and heisenberg_r"
+
+
+@pytest.mark.parametrize("key", ["hopf", "hopf:1,2", "hopf:1.5", "nothing:1", "hopf:"])
+@pytest.mark.parametrize("command", ["check", "verify", "tensor", "export"])
+def test_a_key_that_names_no_entry_is_refused_in_one_line(capsys, tmp_path, key, command):
+    argv = {"check": [], "verify": [], "tensor": ["--what", "ricci"],
+            "export": [str(tmp_path / "out.json")]}[command]
+    code, out, err = run(capsys, command, key, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: no catalog manifold '{key}'; {CATALOG_FORMS}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("key, message", [
+    ("hopf:0", "hopf is available for m in 1..4, not m=0"),
+    ("hopf:5", "hopf is available for m in 1..4, not m=5"),
+    ("sphere_product:2,1", "sphere_product is available for m = n = 1"),
+    ("heisenberg_r:2", "heisenberg_r is available for n = 1"),
+])
+def test_a_builder_keeps_its_range_message(capsys, key, message):
+    assert run(capsys, "check", key) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("alias, key", [("sphere_product", "sphere_product:1,1"),
+                                        ("heisenberg_r:1", "heisenberg_r")])
+def test_the_default_parameter_aliases_still_resolve(alias, key):
+    assert catalog.resolve(alias) == catalog.resolve(key)
+
+
+# --- one structure per run ---------------------------------------------------------------
+
+@pytest.mark.parametrize("key", [entry.key for entry in catalog.ENTRIES])
+def test_a_cold_verify_looks_the_structure_up_three_times(capsys, key):
+    # the gate, the run's own structure for the later stages, and the
+    # Bochner context
+    _clear_package_caches()
+    code, _, _ = run(capsys, "verify", key, "--suite", "all", "--format", "json")
+    info = contactpair.structure_at.cache_info()
+    assert code == 0
+    assert info.hits + info.misses == 3
+
+
+@pytest.mark.parametrize("what", cli._TENSOR_CHOICES)
+def test_a_tensor_at_a_foliation_fault_is_an_invalid_structure(capsys, what):
+    # at eta1 = pi/2 d alpha1 vanishes to rounding, and the metric is
+    # ill-conditioned there
+    _clear_package_caches()
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "tensor", "hopf:1", "--what", what,
+                             "--at=1.5707963267948966,0.5,0.5,0.5")
+    assert (code, out) == (1, "")
+    assert err == ("invalid structure (foliation_dimensions): characteristic foliations of "
+                   "hopf:1 have dimensions (3, 3) at (1.5707963267948966, 0.5, 0.5, 0.5); "
+                   "type (1, 0) needs (1, 3)\n")
+
+
+def test_each_cold_tensor_query_prints_its_ill_conditioning_note(capsys, tmp_path):
+    # under the default warning filters, outside pytest's warning capture: a
+    # point is held and re-issued as a stack is, so a second cold request in
+    # the same process prints its note too
+    path = _hopf1_variant(capsys, tmp_path, _set("sample_points", [ILL]))
+    script = (
+        "import sys, types, contactcurv\n"
+        "from contactcurv import cli\n"
+        "for _ in range(2):\n"
+        "    for module in vars(contactcurv).values():\n"
+        "        if isinstance(module, types.ModuleType):\n"
+        "            for value in vars(module).values():\n"
+        "                if hasattr(value, 'cache_clear'):\n"
+        "                    value.cache_clear()\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n")
+    src = str(Path(contactcurv.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    done = subprocess.run([sys.executable, "-c", script, "tensor", path, "--what", "ricci"],
+                          env=dict(env, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == [f"IllConditionedMetricWarning: {ILL_WARNING}"] * 2

@@ -186,8 +186,9 @@ class TestFoliations:
 
     def test_wrong_nullspace_dimension_raises(self, hopf1):
         wrong = dataclasses.replace(hopf1, pair_type=(0, 1))
+        st = cpm.structure_at(wrong, hopf1.chart.sample_points[0])
         with pytest.raises(cpm.InvalidStructureError, match="foliation"):
-            cpm.structure_at(wrong, hopf1.chart.sample_points[0])
+            cpm.require_foliations(st)
 
 
 class TestComplexStructures:
@@ -417,7 +418,8 @@ def test_points_given_as_lists_or_arrays(key):
     runs = {
         "validate_structure": lambda pts: cpm.validate_structure(cp, points=pts),
         "lemma_suite": lambda pts: cpm.lemma_suite(cp, points=pts),
-        "lemma_checks": lambda pts: cpm.lemma_checks(cp, cpm.LEMMA_TOL, pts),
+        "lemma_checks": lambda pts: cpm.lemma_checks(cpm.structure_at(cp, rm.as_point(pts)),
+                                                     cpm.LEMMA_TOL),
         "run_suites": lambda pts: bochner.run_suites(cp, bochner.SUITES, expected,
                                                      points=pts),
     }

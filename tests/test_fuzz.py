@@ -1,6 +1,7 @@
 """Fuzzing the manifold-file front end.
 
-Exports of ``hopf:1`` and ``sphere_product:1,1`` are mutated at random:
+Exports of ``hopf:1`` and ``sphere_product:1,1``, and a flat plane of type
+(0, 0) saved as ``hopf:2.json``, are mutated at random:
 random expressions, 1e+-200 scalings, exponentials that overflow, fields of
 the wrong shape or type, and non-finite or singular sample points.
 ``verify``, ``check`` and ``tensor`` must exit with 0, 1 or 2 and never
@@ -23,10 +24,12 @@ from contactcurv import catalog, cli
 from contactcurv import exprlang as el
 
 from helpers import random_expr
-from test_cli import _clear_package_caches, _reject_constant
+from test_cli import PLANE, _clear_package_caches, _reject_constant
 
-KEYS = ("hopf:1", "sphere_product:1,1")
-EXPORTS = {key: cli.manifold_to_dict(catalog.resolve(key)) for key in KEYS}
+# the seed files by the stem each is saved under, which finds its expected
+# table; the plane's type is one no catalog entry has
+SEEDS = {key: cli.manifold_to_dict(catalog.resolve(key))
+         for key in ("hopf:1", "sphere_product:1,1")} | {"hopf:2": PLANE}
 EXPRESSION_FIELDS = ("alpha1", "alpha2", "Z1", "Z2")
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(),
                  st.text(max_size=6), st.lists(st.integers(0, 3), max_size=3),
@@ -84,8 +87,8 @@ def point_edit(draw, data):
 
 @st.composite
 def mutated_files(draw):
-    key = draw(st.sampled_from(KEYS))
-    data = copy.deepcopy(EXPORTS[key])
+    key = draw(st.sampled_from(sorted(SEEDS)))
+    data = copy.deepcopy(SEEDS[key])
     edits = st.sampled_from((entry_edit, entry_edit, shape_edit, point_edit))
     for edit in draw(st.lists(edits, min_size=1, max_size=3)):
         draw(edit(data))

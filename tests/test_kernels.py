@@ -200,7 +200,7 @@ def _random_jets(d, lead):
 @pytest.mark.parametrize("d, lead", SHAPES)
 def test_curvature_matches_the_mixed_tensor_route(d, lead):
     g, ginv, dg, d2g = _random_jets(d, lead)
-    geo = rm.PointGeometry(None, g, ginv, dg, d2g)
+    geo = rm.PointGeometry(g, ginv, dg, d2g)
     ref = oracles.reference_geometry(g, ginv, dg, d2g)
     for name in ("gamma", "riem4", "ricci", "tau"):
         _close(getattr(geo, name), getattr(ref, name))
@@ -275,9 +275,9 @@ def test_rows_match_their_einsum_forms(key, count):
     cp = _skewed(catalog.resolve(key))
     pts = (cp.chart.sample_points * 7)[:count]
     report = cpm.validate_structure(cp, points=pts)
-    report.extend(cpm.lemma_checks(cp, cpm.LEMMA_TOL, pts))
-    rows = {name: b.values[:, r] for b in report.blocks for r, (name, _, _) in enumerate(b.heads)}
     st = cpm.structure_at(cp, pts)
+    report.extend(cpm.lemma_checks(st, cpm.LEMMA_TOL))
+    rows = {name: b.values[:, r] for b in report.blocks for r, (name, _, _) in enumerate(b.heads)}
     expected = oracles.reeb_rows(st) | oracles.lemma_rows(st)
     for name, ref in expected.items():
         assert np.min(ref) > 1e-3, name

@@ -19,6 +19,7 @@ from contactcurv import catalog, cli
 from contactcurv.report import Report, _json_point
 
 from helpers import record_rows
+from test_cli import _clear_package_caches
 
 
 def reference(report: Report) -> str:
@@ -203,7 +204,9 @@ def test_drawn_rows_read_as_records_added_one_at_a_time(data, manifold, shared):
 
 
 def test_every_stage_records_the_same_point_tuples():
-    # one stack per request, so each point's text is built once
+    # one stack per request, so each point's text is built once; cold, as
+    # every request runs, so no cached structure holds an equal earlier tuple
+    _clear_package_caches()
     cp = catalog.resolve("hopf:2")
     report = bm.run_suites(cp, bm.SUITES, dict(catalog.entry("hopf:2").expected))
     stacks = [b.points for b in report.blocks if b.points != (None,)]

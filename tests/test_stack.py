@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import inspect
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -199,13 +200,46 @@ def test_stacked_callers_raise_the_pointwise_foliation_fault():
     cp = dataclasses.replace(catalog.resolve("hopf:1"), pair_type=(0, 1))
     pts = cp.chart.sample_points
     with pytest.raises(cpm.InvalidStructureError) as pointwise:
-        cpm.structure_at(cp, pts[0])
-    for call in (lambda: cpm.lemma_checks(cp, 1e-7, pts),
+        cpm.require_foliations(cpm.structure_at(cp, pts[0]))
+    for call in (lambda: cpm.require_foliations(cpm.structure_at(cp, pts)),
                  lambda: bm.context(cp, pts),
                  lambda: bm.conformal_invariance_check(cp, "log(2)")):
         with pytest.raises(cpm.InvalidStructureError) as stacked:
             call()
         assert str(stacked.value) == str(pointwise.value)
+
+
+def test_a_foliation_fault_is_left_in_the_record_at_one_point_as_in_a_stack():
+    # at eta1 = pi/2 d alpha1 vanishes to rounding: the first foliation has
+    # dimension 3, and the metric is ill-conditioned there
+    cp = catalog.resolve("hopf:1")
+    point = (1.5707963267948966, 0.5, 0.5, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        st = cpm.structure_at(cp, point)
+        stack = cpm.structure_at(cp, (cp.chart.sample_points[0], point))
+    assert st.foliation_dims.tolist() == [3, 3]
+    assert stack.foliation_dims.tolist() == [[1, 3], [3, 3]]
+    message = ("characteristic foliations of hopf:1 have dimensions (3, 3) at "
+               "(1.5707963267948966, 0.5, 0.5, 0.5); type (1, 0) needs (1, 3)")
+    for record in (st, stack):
+        with pytest.raises(cpm.InvalidStructureError) as fault:
+            cpm.require_foliations(record)
+        assert str(fault.value) == message
+        assert fault.value.clauses == ["foliation_dimensions"]
+
+
+def test_the_stages_read_the_structure_they_are_handed():
+    # run_suites looks the structure up once; the stages neither look it up
+    # again nor re-check the foliations the gate has passed
+    stages = {"lemma_checks": cpm, "_theorem1": bm, "_theorem2": bm, "_conformal_shift": bm}
+    for name, module in stages.items():
+        tree = ast.parse(inspect.getsource(getattr(module, name)))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not named & {"structure_at", "require_foliations"}, name
+        params = set(inspect.signature(getattr(module, name)).parameters)
+        assert "st" in params and not params & {"cp", "points"}, name
 
 
 _POINT = (0.3, 0.4, 0.5, 0.6)
