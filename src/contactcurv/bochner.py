@@ -194,19 +194,16 @@ def reeb_plane_closed_form(m: int, n: int, tau: float) -> float:
         + (tau - 3.0 * (m * m + n * n)) / ((m + n + 2) * (m + n + 3))
 
 
-def _conformal_shift(report: Report, st: cpm.StructureData, b: np.ndarray, c: float,
-                     reading: str) -> None:
-    """Record the change of the (1,3) form B_J g^{-1} under g -> c g with J
-    fixed, at each point of the stack ``st.point``, where ``b`` is B_J of g
-    over that stack."""
+def _conformal_shift(st: cpm.StructureData, b: np.ndarray, c: float, reading: str):
+    """The row of the change of the (1,3) form B_J g^{-1} under g -> c g with
+    J fixed, where ``b`` is B_J of g over the stack of points of ``st``."""
     # the context keeps only what the assembly reads of the rescaled geometry
     scaled = _context(st.geo.rescaled(c), st.J, st.cp.m, st.cp.n, reading)
     shift = rm.contract_last(bochner(scaled), scaled.ginv)
     shift -= rm.contract_last(b, st.geo.ginv)
-    rows = (("bochner_13_conformal_shift", "change of the (1,3) Bochner tensor under "
+    return (("bochner_13_conformal_shift", "change of the (1,3) Bochner tensor under "
              "g -> e^{2f} g (constant factor: asserted invariant)",
              rm.pointwise_sup(shift), 1e-7),)
-    report.add_rows(st.point, rows)
 
 
 def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
@@ -237,13 +234,14 @@ def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
         b = bochner(context(cp, pts, "J", reading))
         try:
             with np.errstate(all="ignore"):  # an overflow is refused below
-                _conformal_shift(report, cpm.structure_at(cp, pts), b, c, reading)
-            finite = np.isfinite(report.blocks[0].values).all()
+                rows = _conformal_shift(cpm.structure_at(cp, pts), b, c, reading)
+            finite = np.isfinite(rows[0][2]).all()
         except np.linalg.LinAlgError:  # c g is singular in floating point
             finite = False
         if not finite:
             raise ValueError(f"the Bochner tensor of e^(2f) g with e^(2f) = {c!r} is "
                              f"not a finite number")
+        report.add_rows(pts, rows)
     return report
 
 
@@ -261,11 +259,10 @@ def loosen(default: float, requested: Optional[float]) -> float:
     return default if requested is None else max(default, requested)
 
 
-def _theorem1(report: Report, st: cpm.StructureData, expected: Mapping,
-              tol: Optional[float], b_j: np.ndarray) -> None:
-    """Bochner-flatness consequences on the model space; measured controls
-    on the expected-nonflat entries.  ``b_j`` is B_J over the stack of
-    points of ``st``."""
+def _theorem1(st: cpm.StructureData, expected: Mapping, tol: Optional[float],
+              b_j: np.ndarray):
+    """Rows of the Bochner-flatness consequences on the model space; measured
+    controls on the expected-nonflat entries.  ``b_j`` is B_J over ``st``."""
     flat = expected["bochner_flat"]
     m, n = st.cp.pair_type
     tight, loose = loosen(1e-7, tol), loosen(1e-6, tol)
@@ -297,7 +294,7 @@ def _theorem1(report: Report, st: cpm.StructureData, expected: Mapping,
                       plane - reeb_plane_closed_form(m, n, tau), loose),
                      ("bochner_reeb_plane_expected", f"B_J(Z1,Z2,Z2,Z1) = {target}",
                       plane - target, loose))
-    report.add_rows(st.point, rows)
+    return rows
 
 
 def _quadratic_defect(x: np.ndarray, s: np.ndarray, value: float,
@@ -306,20 +303,15 @@ def _quadratic_defect(x: np.ndarray, s: np.ndarray, value: float,
     return cpm.kept_max(np.sum((x @ s) * x, axis=-1) - value, kept)
 
 
-def _theorem2(report: Report, st: cpm.StructureData, expected: Mapping,
-              tol: Optional[float], b_j: Optional[np.ndarray]) -> None:
-    """Conformal flatness on the model space, plus constant-factor
-    conformal invariance of the Bochner tensor."""
-    flat = expected["weyl_flat"]
+def _theorem2(st: cpm.StructureData, expected: Mapping, tol: Optional[float]):
+    """The row of conformal flatness on the model space, or of its measured
+    control on the expected-nonflat entries."""
     sup = rm.pointwise_sup(rm.weyl(st.cp.metric, st.point).comps)
-    rows = ((("weyl_flatness", "sup |W| vanishes on the model space", sup,
-              loosen(1e-8, tol)),) if flat else
-            (("weyl_not_flat", "sup |W| stays above the control bound", sup, 1e-2,
-              sup > 1e-2),))
-    report.add_rows(st.point, rows)
-    if flat:
-        c = math.exp(2.0 * math.log(2.0))  # f = log 2
-        _conformal_shift(report, st, b_j, c, DEFAULT_READING)
+    if expected["weyl_flat"]:
+        return (("weyl_flatness", "sup |W| vanishes on the model space", sup,
+                 loosen(1e-8, tol)),)
+    return (("weyl_not_flat", "sup |W| stays above the control bound", sup, 1e-2,
+             sup > 1e-2),)
 
 
 def run_suites(cp: ContactPairManifold, suites: Collection[str],
@@ -329,18 +321,18 @@ def run_suites(cp: ContactPairManifold, suites: Collection[str],
     """Run the requested suites of :data:`SUITES`, always in that order.
 
     Every stage evaluates its checks over the whole stack of points at once
-    and records them as rows over that stack.  The definitions report, over
-    ``points`` at the loosened structure tolerance, is built once and gates
-    the later stages.  It is emitted when requested, else only its failed
-    records are.  ``expected`` is the catalog entry's expected-results table
-    that the theorem suites read.
+    and returns them as rows, recorded here as one block per stage.  The
+    definitions report, over ``points`` at the loosened structure tolerance,
+    is built once and gates the later stages.  It is emitted when requested,
+    else only its failed records are.  ``expected`` is the catalog entry's
+    expected-results table that the theorem suites read.
     """
     pts = rm.as_point(points if points is not None else cp.chart.sample_points)
     report = Report(cp.name, cp.conventions() | convention_ledger())
     gate = cpm.validate_structure(cp, loosen(cpm.STRUCTURE_TOL, tolerance),
                                   points=pts)
     if "definitions" in suites:
-        report.extend(gate)
+        report.blocks += gate.blocks
     elif not gate.passed:
         for c in gate.failures:
             report.add(c.name, c.detail, c.value, c.tolerance, c.point, c.passed)
@@ -355,12 +347,15 @@ def run_suites(cp: ContactPairManifold, suites: Collection[str],
     # the structure that passed the gate, which every later stage reads
     st = cpm.structure_at(cp, pts)
     if "lemmas" in suites:
-        report.extend(cpm.lemma_checks(st, loosen(cpm.LEMMA_TOL, tolerance)))
+        report.add_rows(pts, cpm.lemma_checks(st, loosen(cpm.LEMMA_TOL, tolerance)))
     # B_J over the stack, assembled once for the stages that read it
-    wants_b = "theorem1" in suites or ("theorem2" in suites and expected["weyl_flat"])
-    b_j = bochner(context(cp, pts)) if wants_b else None
+    shifts = "theorem2" in suites and expected["weyl_flat"]
+    b_j = bochner(context(cp, pts)) if "theorem1" in suites or shifts else None
     if "theorem1" in suites:
-        _theorem1(report, st, expected, tolerance, b_j)
+        report.add_rows(pts, _theorem1(st, expected, tolerance, b_j))
     if "theorem2" in suites:
-        _theorem2(report, st, expected, tolerance, b_j)
+        report.add_rows(pts, _theorem2(st, expected, tolerance))
+    if shifts:  # f = log 2, as its own block
+        report.add_rows(pts, _conformal_shift(st, b_j, math.exp(2.0 * math.log(2.0)),
+                                              DEFAULT_READING))
     return report

@@ -18,6 +18,7 @@ with the table of values the verification suites assert.
 from __future__ import annotations
 
 import inspect
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -195,15 +196,19 @@ def resolve(spec: str) -> ContactPairManifold:
     """Build a catalog manifold from an address like ``hopf:2`` or
     ``sphere_product:1,1``; a bare name uses its default parameters.  An
     address that names no builder, or gives it parameters it does not take,
-    raises ``KeyError``; a builder refuses parameters out of its range with
-    ``ValueError``."""
-    name, _, raw = spec.partition(":")
+    raises ``KeyError``, as does a colon with no parameters after it or a
+    parameter that is not plain ASCII decimal digits without a leading zero;
+    a builder refuses parameters out of its range with ``ValueError``."""
+    name, colon, raw = spec.partition(":")
     builder = {"hopf": hopf, "sphere_product": sphere_product,
                "heisenberg_r": heisenberg_r}.get(name)
+    params = raw.split(",") if colon else []
     try:
-        params = [int(p) for p in raw.split(",") if p]
+        if not all(re.fullmatch("0|[1-9][0-9]*", p) for p in params):
+            raise ValueError(spec)  # no plain decimal numeral
+        params = [int(p) for p in params]
         inspect.signature(builder).bind(*params)
-    except (TypeError, ValueError):  # no builder, a non-integer, too few or too many
+    except (TypeError, ValueError):  # no builder, a malformed parameter, too few or too many
         raise KeyError(f"no catalog manifold '{spec}'; catalog keys are hopf:m with "
                        f"m in 1..{HOPF_MAX_M}, sphere_product:1,1 and heisenberg_r") from None
     return builder(*params)

@@ -522,9 +522,10 @@ def lemma_suite(cp: ContactPairManifold, tolerance: float = LEMMA_TOL,
             f"{cp.name} failed structure validation: "
             + ", ".join(sorted({c.name for c in gate.failures})),
             clauses=[c.name for c in gate.failures])
-    if not pts:
-        return Report(cp.name, cp.conventions())
-    return lemma_checks(structure_at(cp, pts), tolerance)
+    report = Report(cp.name, cp.conventions())
+    if pts:
+        report.add_rows(pts, lemma_checks(structure_at(cp, pts), tolerance))
+    return report
 
 
 def kept_max(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -532,11 +533,10 @@ def kept_max(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return np.max(np.abs(values), axis=-1, where=kept, initial=0.0)
 
 
-def lemma_checks(st: StructureData, tolerance: float) -> Report:
-    """The identities of :func:`lemma_suite` over the stack of points of
-    ``st``, a structure that has already passed :func:`validate_structure`,
-    recorded over ``st.point``."""
-    report = Report(st.cp.name, st.cp.conventions())
+def lemma_checks(st: StructureData, tolerance: float):
+    """Rows for :meth:`Report.add_rows`: the identities of :func:`lemma_suite`
+    over the stack of points of ``st``, a structure that has already passed
+    :func:`validate_structure`."""
     m, n = st.cp.pair_type
     geo = st.geo
     g, gamma, R4, rho, star = geo.g, geo.gamma, geo.riem4, geo.ricci, st.star_ricci
@@ -589,7 +589,7 @@ def lemma_checks(st: StructureData, tolerance: float) -> Report:
     star_on_reeb = reebs @ star @ tr(reebs)
     JH = st.J @ st.H
 
-    rows = (
+    return (
         ("reeb_covariant_derivative",
          "grad_X Z_1 = -phi_1 X and grad_X Z_2 = -phi_2 X",
          sup(tr(nabla_z) + phis), tolerance),
@@ -628,5 +628,3 @@ def lemma_checks(st: StructureData, tolerance: float) -> Report:
          sup(rm.lie_derivative_metric(reebs, st.dreebs, g[:, None], geo.dg[:, None])),
          tolerance),
     )
-    report.add_rows(st.point, rows)
-    return report

@@ -75,11 +75,6 @@ class Report:
         flags = () if passed is None else ((passed,),)
         self.add_rows((point,), ((name, detail, (value,), tolerance, *flags),))
 
-    def extend(self, other: "Report") -> None:
-        self.blocks.extend(other.blocks)
-        for key, val in other.conventions.items():
-            self.conventions.setdefault(key, val)
-
     @property
     def checks(self) -> tuple[CheckRecord, ...]:
         """Every check record, built from the rows on each access."""

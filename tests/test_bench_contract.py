@@ -320,3 +320,20 @@ def test_every_traced_stage_stays_on_the_run_path(capsys, monkeypatch, tmp_path)
     entered = set().union(*_traced_spans(tensors))
     assert TENSOR_SPANS <= entered, TENSOR_SPANS - entered
     capsys.readouterr()
+
+
+def test_one_cycle_of_each_workload_passes_its_gate(capsys, monkeypatch, tmp_path):
+    # each request cold, as the benchmark sends it: a change to the rows per
+    # point, or to a tensor summary, fails its request's gate here first
+    monkeypatch.syspath_prepend(str(BENCH))  # the workloads import their inputs by name
+    workloads = importlib.import_module("workloads")
+    requests = []
+    for name, make in workloads.WORKLOADS.items():
+        folder = tmp_path / name
+        folder.mkdir()
+        requests += make(1, str(folder))[0]
+    assert len(requests) == 26
+    for request in requests:
+        _clear_package_caches()
+        code = cli.main(list(request.argv))
+        assert request.gate(code, capsys.readouterr().out) is None, request.argv

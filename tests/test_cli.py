@@ -1120,6 +1120,20 @@ def test_a_key_that_names_no_entry_is_refused_in_one_line(capsys, tmp_path, key,
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("key", ["hopf:\u0661", "hopf: 1", "hopf:1 ", "hopf:+1", "hopf:01",
+                                 "hopf:1_0", "sphere_product:1,,1", "sphere_product:",
+                                 "heisenberg_r:", "heisenberg_r:01"])
+@pytest.mark.parametrize("command", ["check", "verify", "tensor", "export"])
+def test_a_key_parameter_is_plain_decimal_digits(capsys, tmp_path, key, command):
+    # no other digits, sign, space, underscore or leading zero, and a colon
+    # has parameters after it
+    argv = {"check": [], "verify": [], "tensor": ["--what", "ricci"],
+            "export": [str(tmp_path / "out.json")]}[command]
+    assert run(capsys, command, key, *argv) == \
+        (2, "", f"error: no catalog manifold '{key}'; {CATALOG_FORMS}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("key, message", [
     ("hopf:0", "hopf is available for m in 1..4, not m=0"),
     ("hopf:5", "hopf is available for m in 1..4, not m=5"),

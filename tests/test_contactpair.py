@@ -418,8 +418,6 @@ def test_points_given_as_lists_or_arrays(key):
     runs = {
         "validate_structure": lambda pts: cpm.validate_structure(cp, points=pts),
         "lemma_suite": lambda pts: cpm.lemma_suite(cp, points=pts),
-        "lemma_checks": lambda pts: cpm.lemma_checks(cpm.structure_at(cp, rm.as_point(pts)),
-                                                     cpm.LEMMA_TOL),
         "run_suites": lambda pts: bochner.run_suites(cp, bochner.SUITES, expected,
                                                      points=pts),
     }

@@ -276,7 +276,7 @@ def test_rows_match_their_einsum_forms(key, count):
     pts = (cp.chart.sample_points * 7)[:count]
     report = cpm.validate_structure(cp, points=pts)
     st = cpm.structure_at(cp, pts)
-    report.extend(cpm.lemma_checks(st, cpm.LEMMA_TOL))
+    report.add_rows(pts, cpm.lemma_checks(st, cpm.LEMMA_TOL))
     rows = {name: b.values[:, r] for b in report.blocks for r, (name, _, _) in enumerate(b.heads)}
     expected = oracles.reeb_rows(st) | oracles.lemma_rows(st)
     for name, ref in expected.items():

@@ -214,6 +214,30 @@ def test_every_stage_records_the_same_point_tuples():
     assert all(stack is cp.chart.sample_points for stack in stacks)
 
 
+def test_no_report_copies_another():
+    # run_suites records each stage's rows itself, over its own points
+    assert not hasattr(Report, "extend")
+
+
+def _json_checks(capsys, key: str, suite: str) -> list:
+    assert cli.main(["verify", key, "--suite", suite, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["checks"]
+
+
+@pytest.mark.parametrize("key", [entry.key for entry in catalog.ENTRIES])
+def test_the_full_run_records_the_suites_in_turn(capsys, key):
+    assert _json_checks(capsys, key, "all") == [
+        check for suite in bm.SUITES for check in _json_checks(capsys, key, suite)]
+
+
+@pytest.mark.parametrize("key", [e.key for e in catalog.ENTRIES if dict(e.expected)["weyl_flat"]])
+def test_theorem2_records_its_weyl_rows_then_its_conformal_rows(capsys, key):
+    # two blocks, each point by point
+    count = len(catalog.resolve(key).chart.sample_points)
+    assert [check["name"] for check in _json_checks(capsys, key, "theorem2")] == \
+        ["weyl_flatness"] * count + ["bochner_13_conformal_shift"] * count
+
+
 def _run(cp, suites, expected):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the foliation-fault point is ill-conditioned

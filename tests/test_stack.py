@@ -242,6 +242,42 @@ def test_the_stages_read_the_structure_they_are_handed():
         assert "st" in params and not params & {"cp", "points"}, name
 
 
+STAGES = {"lemma_checks": cpm, "_theorem1": bm, "_theorem2": bm, "_conformal_shift": bm}
+
+
+@pytest.mark.parametrize("name", STAGES)
+def test_the_stages_return_rows_and_record_nothing(name):
+    # run_suites records each stage's rows, once, over its own points
+    stage = getattr(STAGES[name], name)
+    tree = ast.parse(inspect.getsource(stage))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not named & {"Report", "add_rows"}, name
+    assert "report" not in inspect.signature(stage).parameters, name
+
+
+@pytest.mark.parametrize("key", ["hopf:2", "heisenberg_r"])
+def test_each_stage_returns_rows_with_one_value_per_point(key):
+    cp = catalog.resolve(key)
+    pts = cp.chart.sample_points[:3]
+    expected = dict(catalog.entry(key).expected)
+    st = cpm.structure_at(cp, pts)
+    b_j = bm.bochner(bm.context(cp, pts))
+    outputs = {
+        "lemma_checks": cpm.lemma_checks(st, cpm.LEMMA_TOL),
+        "_theorem1": bm._theorem1(st, expected, None, b_j),
+        "_theorem2": bm._theorem2(st, expected, None),
+        "_conformal_shift": bm._conformal_shift(st, b_j, 4.0, bm.DEFAULT_READING),
+    }
+    for name, rows in outputs.items():
+        assert type(rows) is tuple and rows, name
+        for row in rows:
+            assert len(row) in (4, 5) and isinstance(row[0], str), (name, row[0])
+            assert np.shape(row[2]) == (len(pts),), (name, row[0])
+            if len(row) == 5:  # pass flags, one per point
+                assert np.shape(row[4]) == (len(pts),), (name, row[0])
+
+
 _POINT = (0.3, 0.4, 0.5, 0.6)
 
 
