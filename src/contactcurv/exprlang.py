@@ -18,11 +18,11 @@ the finiteness check of a jet walk reports it with its source.
 
 Expressions evaluate over any scalar algebra that supports the arithmetic
 operators and, for the named functions, either a method of the same name
-(jets) or the ``math`` module fallback (plain floats).  The evaluation walk
-is the same in both cases, so the value slot of a jet evaluation at one
-point is bit-for-bit the plain evaluation.  Over a stack of points the jets
-use numpy's vectorized ``sin``, ``cos``, ``exp``, ``log`` and the like,
-which may differ from ``math`` in the last place.
+(jets) or the ``math`` module fallback (plain numbers).  The jets run
+numpy's routines at one point as over a stack, so a jet walk at one point
+equals the stacked walk at that point bit for bit.  Plain numbers go through
+``math`` and Python powers, which raise on a domain error and on overflow,
+and may differ from a jet's value in the last place.
 
 Sharing.  The node table and the memo of parsed sources belong to the chart
 the expressions are read on (:meth:`contactcurv.riemann.Chart.read`), which
@@ -410,8 +410,11 @@ def evaluate(e: Expr, env: Mapping[str, object]):
 
     ``env`` maps every free name to a scalar (plain number or jet); ``pi``
     is supplied when not shadowed.  Domain failures (log of a non-positive
-    value, sqrt of a negative value, division by zero) and overflow are
-    reported with the offending subexpression.
+    value, sqrt of a negative value, division by zero) are reported with the
+    offending subexpression.  So is overflow on plain numbers, which go
+    through ``math`` and Python powers and may differ from a jet's value in
+    the last place; a jet walk, which equals the stacked walk bit for bit,
+    leaves an overflow as a non-finite entry.
     """
     return evaluate_all((e,), env)[0]
 
@@ -472,7 +475,7 @@ def _walk(e: Expr, env: Mapping[str, object], memo: dict[int, object]):
         x = _walk(e.arg, env, memo)
         try:
             out = _call(e.name, x)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise ExprEvalError(f"{e.name}: {exc}", e) from None
     else:
         raise TypeError(f"not an expression node: {e!r}")

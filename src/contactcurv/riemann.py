@@ -218,7 +218,8 @@ def field_jets(comps, chart: Chart, point, walk: Optional[tuple[dict, dict]] = N
     axis over a stack.  This is the one loop that walks expressions over
     jets: each coordinate is seeded once, and each distinct subexpression
     of all the entries is walked once over the whole stack
-    (:func:`exprlang.evaluate_all`).  A non-finite value or derivative raises
+    (:func:`exprlang.evaluate_all`).  It is the one place a non-finite value
+    or derivative is refused, at one point as over a stack: it raises
     :class:`~contactcurv.exprlang.ExprEvalError` naming the first such point
     and, at that point, the expression of the first such entry.
 

@@ -224,6 +224,27 @@ def test_nested_hopf_tensor_queries_pass_their_gate(capsys, tmp_path, m):
         assert summary["max_abs_component"] <= 1e-6
 
 
+def _structure_tensors(cp, point) -> dict:
+    st = cpm.structure_at(cp, point)
+    return {"riem4": st.geo.riem4, "ricci": st.geo.ricci, "star_ricci": st.star_ricci,
+            "J": st.J, "bochner_j": bm.bochner(bm.context(cp, point, "J")),
+            "bochner_t": bm.bochner(bm.context(cp, point, "T"))}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_tensor_query_gives_the_bits_of_the_stacked_run_at_its_point(seed):
+    # the tensor_queries inputs: each point of a pool walked alone, as
+    # `tensor --at` walks it, against the same point of the stacked walk
+    inputs = _load("inputs")
+    for m in (1, 2, 3, 4):
+        pool = inputs.seeded_points(seed, 100 + m, 2 * m + 2, inputs.NESTED_HOPF_BOX, 8)
+        cp = cli.manifold_from_dict(inputs.nested_hopf(m, pool), f"nested_hopf_{m}")
+        stacked = _structure_tensors(cp, pool)
+        for k, point in enumerate(pool):
+            for name, mine in _structure_tensors(cp, point).items():
+                assert mine.tobytes() == stacked[name][k].tobytes(), (m, k, name)
+
+
 def _per_value_points(raw) -> tuple:
     """The sample points read value by value, as the reader did before it
     read them in bulk."""

@@ -817,6 +817,27 @@ def test_overflowing_metric_is_an_input_error(capsys, tmp_path, entry, point):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("entry", ["1 + exp(1000*t)", "1 + t^400", "1 + (t - t)^-1.0",
+                                   "2 + sin(1e300*t^4*1e300)"])
+def test_a_non_finite_entry_is_one_error_at_a_point_as_over_a_stack(capsys, tmp_path,
+                                                                    entry):
+    # an overflow, a zero to a negative power or an infinite angle leaves a
+    # non-finite entry at one point as over a stack, so both commands refuse
+    # it with the same line, naming the point
+    def edit(data):
+        data["metric"]["3,3"] = entry
+        data["sample_points"] = [[0.5, 0.6, 0.7, 30.0]]
+    path = _hopf1_variant(capsys, tmp_path, edit)
+    _clear_package_caches()
+    tensor = run(capsys, "tensor", path, "--what", "riemann", "--at", "0.5,0.6,0.7,30.0")
+    verify = run(capsys, "verify", path, "--points", "1")
+    assert tensor == verify
+    code, out, err = tensor
+    assert (code, out) == (2, "")
+    assert err.startswith("error: non-finite value or derivative at (0.5, 0.6, 0.7, 30.0) in ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def _exp_metric(data):
     data["metric"]["3,3"] = "exp(700*t)"  # finite, but its curvature overflows
 

@@ -311,9 +311,36 @@ class TestHashing:
 @pytest.mark.parametrize("source, x", [("exp(1000*x)", 1.0), ("1 + x^400", 30.0)])
 def test_overflow_is_an_evaluation_error(source, x):
     e = el.parse(source)
-    for value in (x, Jet2.seed(0, x, 1)):
+    with pytest.raises(el.ExprEvalError):
+        el.evaluate(e, {"x": x})
+    # over jets an overflow leaves a non-finite entry, at one point as over a
+    # stack, and field_jets refuses it by its point
+    chart = rm.Chart(coords=("x",))
+    for point in ((x,), ((0.5,), (x,))):
+        with pytest.raises(el.ExprEvalError, match=rf"non-finite .* at \({x},\)") as err:
+            rm.field_jets([e], chart, point)
+        assert err.value.subexpr == e
+
+
+def test_plain_numbers_raise_on_domain_and_overflow():
+    for source in ("exp(1000)", "log(-1)"):
         with pytest.raises(el.ExprEvalError):
-            el.evaluate(e, {"x": value})
+            el.evaluate(el.parse(source), {})
+    with pytest.raises(el.ExprEvalError, match="overflow"):
+        el.evaluate(el.parse("10^400"), {})
+
+
+def test_a_constant_subtree_of_a_jet_walk_raises_at_a_point_as_over_a_stack():
+    # log(-a) reads no coordinate, so both walks take it on plain numbers
+    chart = rm.Chart(coords=("x",), params=(("a", 1.0),))
+    e = chart.read("x + log(-a)")
+    errors = []
+    for point in ((0.5,), ((0.5,), (1.0,), (1.5,))):
+        with pytest.raises(el.ExprEvalError) as err:
+            rm.field_jets([e], chart, point)
+        errors.append((str(err.value), err.value.subexpr))
+    assert errors[0] == errors[1]
+    assert errors[0] == ("log: math domain error in 'log(-a)'", e.rhs)
 
 
 @pytest.mark.parametrize("source, message", [("1 + 10^400", "overflow"),
