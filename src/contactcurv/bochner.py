@@ -229,19 +229,18 @@ def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
         raise ValueError(f"the conformal factor e^(2f) = {c!r} is not a finite "
                          f"positive number")
     report = Report(cp.name, cp.conventions() | convention_ledger())
-    pts = rm.as_point(points if points is not None else cp.chart.sample_points)
-    if pts:
-        b = bochner(context(cp, pts, "J", reading))
-        try:
-            with np.errstate(all="ignore"):  # an overflow is refused below
-                rows = _conformal_shift(cpm.structure_at(cp, pts), b, c, reading)
-            finite = np.isfinite(rows[0][2]).all()
-        except np.linalg.LinAlgError:  # c g is singular in floating point
-            finite = False
-        if not finite:
-            raise ValueError(f"the Bochner tensor of e^(2f) g with e^(2f) = {c!r} is "
-                             f"not a finite number")
-        report.add_rows(pts, rows)
+    pts = cpm.point_stack(cp, points)
+    b = bochner(context(cp, pts, "J", reading))
+    try:
+        with np.errstate(all="ignore"):  # an overflow is refused below
+            rows = _conformal_shift(cpm.structure_at(cp, pts), b, c, reading)
+        finite = np.isfinite(rows[0][2]).all()
+    except np.linalg.LinAlgError:  # c g is singular in floating point
+        finite = False
+    if not finite:
+        raise ValueError(f"the Bochner tensor of e^(2f) g with e^(2f) = {c!r} is "
+                         f"not a finite number")
+    report.add_rows(pts, rows)
     return report
 
 
@@ -260,58 +259,56 @@ def loosen(default: float, requested: Optional[float]) -> float:
 
 
 def _theorem1(st: cpm.StructureData, expected: Mapping, tol: Optional[float],
-              b_j: np.ndarray):
-    """Rows of the Bochner-flatness consequences on the model space; measured
-    controls on the expected-nonflat entries.  ``b_j`` is B_J over ``st``."""
-    flat = expected["bochner_flat"]
+              b_j: np.ndarray, certificate: tuple):
+    """Rows of Bochner flatness and its conclusion, the ``certificate``, on
+    the model space; measured controls on the expected-nonflat entries.
+    ``b_j`` is B_J over ``st``."""
     m, n = st.cp.pair_type
     tight, loose = loosen(1e-7, tol), loosen(1e-6, tol)
-    tau = st.geo.tau
     sup = rm.pointwise_sup(b_j)
     plane = rm.sectional_form(b_j, st.z1, st.z2)
-    if flat:
-        # unit horizontal leaf-tangent candidates x[p, c], of which kept[p, c] count
-        x, kept = st.horizontal_leaf_frame(2)
-        rows = (
-            ("bochner_flatness", "sup |B_J| vanishes on the model space", sup, loose),
-            ("bochner_reeb_plane", "B_J(Z1,Z2,Z2,Z1) = 0", plane, tight),
-            ("scalar_curvature_value", "tau = 2m(2m+1) + 2n(2n+1) + 2mn",
-             tau - (2 * m * (2 * m + 1) + 2 * n * (2 * n + 1) + 2 * m * n), tight),
-            ("horizontal_ricci", "rho(X,X) = 2m for unit horizontal leaf-tangent X",
-             _quadratic_defect(x, st.geo.ricci, 2.0 * m, kept), tight),
-            ("horizontal_star_ricci", "rho*(X,X) = 1",
-             _quadratic_defect(x, st.star_ricci, 1.0, kept), tight),
-            ("phi_sectional_curvature", "R(X,phiX,phiX,X) = 1",
-             cpm.kept_max(cpm.phi_sectional(st, x) - 1.0, kept), tight),
-        )
-    else:
-        rows = (("bochner_not_flat", "sup |B_J| stays above the control bound on a "
-                 "non-model structure", sup, 1e-2, sup > 1e-2),)
-        target = expected.get("bochner_reeb_plane")
-        if target is not None:
-            rows += (("bochner_reeb_plane_value", "B_J(Z1,Z2,Z2,Z1) matches the "
-                      "closed-form value computed from the measured scalar curvature",
-                      plane - reeb_plane_closed_form(m, n, tau), loose),
-                     ("bochner_reeb_plane_expected", f"B_J(Z1,Z2,Z2,Z1) = {target}",
-                      plane - target, loose))
+    if expected["bochner_flat"]:
+        return (("bochner_flatness", "sup |B_J| vanishes on the model space", sup, loose),
+                ("bochner_reeb_plane", "B_J(Z1,Z2,Z2,Z1) = 0", plane, tight)) + certificate
+    rows = (("bochner_not_flat", "sup |B_J| stays above the control bound on a "
+             "non-model structure", sup, 1e-2, sup > 1e-2),)
+    target = expected.get("bochner_reeb_plane")
+    if target is not None:
+        rows += (("bochner_reeb_plane_value", "B_J(Z1,Z2,Z2,Z1) matches the "
+                  "closed-form value computed from the measured scalar curvature",
+                  plane - reeb_plane_closed_form(m, n, st.geo.tau), loose),
+                 ("bochner_reeb_plane_expected", f"B_J(Z1,Z2,Z2,Z1) = {target}",
+                  plane - target, loose))
     return rows
 
 
-def _quadratic_defect(x: np.ndarray, s: np.ndarray, value: float,
-                     kept: np.ndarray) -> np.ndarray:
-    """max |S(x, x) - value| over the kept candidate rows x[c]."""
-    return cpm.kept_max(np.sum((x @ s) * x, axis=-1) - value, kept)
-
-
-def _theorem2(st: cpm.StructureData, expected: Mapping, tol: Optional[float]):
-    """The row of conformal flatness on the model space, or of its measured
-    control on the expected-nonflat entries."""
+def _theorem2(st: cpm.StructureData, expected: Mapping, tol: Optional[float],
+              certificate: tuple):
+    """Rows of conformal flatness and its conclusion, the ``certificate``, on
+    the model space, or the row of its measured control on the
+    expected-nonflat entries."""
     sup = rm.pointwise_sup(rm.weyl(st.cp.metric, st.point).comps)
     if expected["weyl_flat"]:
         return (("weyl_flatness", "sup |W| vanishes on the model space", sup,
-                 loosen(1e-8, tol)),)
+                 loosen(1e-8, tol)),) + certificate
     return (("weyl_not_flat", "sup |W| stays above the control bound", sup, 1e-2,
              sup > 1e-2),)
+
+
+def _hopf_certificate(st: cpm.StructureData, tol: Optional[float]):
+    """Rows of the conclusion of both theorems, a local isometry to the Hopf
+    model S^{2m+1}(1) x R: Z2 is parallel, so M is locally N x R (de Rham),
+    and R = 1/2 g1 o g1 with g1 = g - alpha2 (x) alpha2, so N has constant
+    curvature 1 (Kobayashi & Nomizu I, ch. IV-V)."""
+    tight = loosen(1e-7, tol)
+    alpha2 = st.alphas[:, 1]
+    g1 = st.geo.g - alpha2[:, :, None] * alpha2[:, None, :]
+    defect = rm.kulkarni_nomizu((g1, -0.5 * g1))
+    defect += st.geo.riem4
+    nabla_z2 = rm.covd_vector(st.reebs[:, 1], st.dreebs[:, 1], st.geo.gamma)
+    return (("hopf_model_curvature", "R = 1/2 g1 o g1 with g1 = g - alpha2 (x) alpha2",
+             rm.pointwise_sup(defect), tight),
+            ("reeb2_parallel", "grad Z2 = 0", rm.pointwise_sup(nabla_z2), tight))
 
 
 def run_suites(cp: ContactPairManifold, suites: Collection[str],
@@ -327,7 +324,7 @@ def run_suites(cp: ContactPairManifold, suites: Collection[str],
     else only its failed records are.  ``expected`` is the catalog entry's
     expected-results table that the theorem suites read.
     """
-    pts = rm.as_point(points if points is not None else cp.chart.sample_points)
+    pts = cpm.point_stack(cp, points)
     report = Report(cp.name, cp.conventions() | convention_ledger())
     gate = cpm.validate_structure(cp, loosen(cpm.STRUCTURE_TOL, tolerance),
                                   points=pts)
@@ -342,19 +339,20 @@ def run_suites(cp: ContactPairManifold, suites: Collection[str],
         raise MissingExpectedTable(
             f"theorem suites need the expected-results table of a catalog "
             f"entry; '{cp.name}' is not in the catalog")
-    if not pts:
-        return report
     # the structure that passed the gate, which every later stage reads
     st = cpm.structure_at(cp, pts)
     if "lemmas" in suites:
         report.add_rows(pts, cpm.lemma_checks(st, loosen(cpm.LEMMA_TOL, tolerance)))
     # B_J over the stack, assembled once for the stages that read it
     shifts = "theorem2" in suites and expected["weyl_flat"]
+    flat = "theorem1" in suites and expected["bochner_flat"]
     b_j = bochner(context(cp, pts)) if "theorem1" in suites or shifts else None
+    # the conclusion, formed once for both flat branches
+    certificate = _hopf_certificate(st, tolerance) if flat or shifts else ()
     if "theorem1" in suites:
-        report.add_rows(pts, _theorem1(st, expected, tolerance, b_j))
+        report.add_rows(pts, _theorem1(st, expected, tolerance, b_j, certificate))
     if "theorem2" in suites:
-        report.add_rows(pts, _theorem2(st, expected, tolerance))
+        report.add_rows(pts, _theorem2(st, expected, tolerance, certificate))
     if shifts:  # f = log 2, as its own block
         report.add_rows(pts, _conformal_shift(st, b_j, math.exp(2.0 * math.log(2.0)),
                                               DEFAULT_READING))

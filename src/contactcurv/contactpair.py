@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
@@ -204,8 +204,6 @@ class StructureData:
     star_ricci: np.ndarray
     tau_star: Union[float, np.ndarray]
     foliation_dims: np.ndarray  # [2]: dimensions of the two characteristic foliations
-    # the leaf frames formed so far, by foliation
-    _leaf_frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rm.freeze_arrays(self)
@@ -223,18 +221,9 @@ class StructureData:
         or 2, else ``ValueError``) cut to the horizontal bundle, one per
         coordinate vector, as rows ``x[c]``, and the mask ``kept[c]`` of
         those that count: tiny projections and vectors within 1e-3 rad of an
-        earlier kept one are dropped.  Formed once per structure and
-        foliation; both arrays are read-only."""
+        earlier kept one are dropped."""
         if which not in (1, 2):
             raise ValueError(f"which must be 1 or 2, for F_1 or F_2; got {which!r}")
-        frame = self._leaf_frames.get(which)
-        if frame is None:
-            frame = self._leaf_frames[which] = self._leaf_frame(which)
-            for a in frame:
-                a.setflags(write=False)
-        return frame
-
-    def _leaf_frame(self, which: int) -> tuple[np.ndarray, np.ndarray]:
         proj = self.proj[..., which - 1, :, :]
         g = self.geo.g
         w = np.swapaxes(self.H @ proj, -1, -2)  # w[c] = H proj e_c
@@ -425,11 +414,6 @@ def nijenhuis_from(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
     return t1 - np.swapaxes(t1, -1, -2) + t3 - np.swapaxes(t3, -1, -2)
 
 
-def phi_sectional(st: StructureData, x: np.ndarray) -> np.ndarray:
-    """R(x, phi x, phi x, x) for each row x[c]."""
-    return rm.sectional_form(st.geo.riem4, x, x @ np.swapaxes(st.phi, -1, -2))
-
-
 # --- validation and lemma suite ---------------------------------------------------
 
 def _at(rows, p: int) -> list[tuple]:
@@ -437,19 +421,27 @@ def _at(rows, p: int) -> list[tuple]:
     return [(*row[:2], row[2][p:p + 1], row[3], *(f[p:p + 1] for f in row[4:])) for row in rows]
 
 
+def point_stack(cp: ContactPairManifold,
+                points: Optional[Sequence[rm.Point]] = None) -> tuple[rm.Point, ...]:
+    """``points`` as one stack, or the chart's sample points when it is None.
+    An empty stack raises ``ValueError``: a run over no point would pass."""
+    pts = rm.as_point(cp.chart.sample_points if points is None else points)
+    if not pts:
+        raise ValueError(f"{cp.name}: no point to check")
+    return pts
+
+
 def validate_structure(cp: ContactPairManifold,
                        tolerance: float = STRUCTURE_TOL,
                        points: Optional[Sequence[rm.Point]] = None) -> Report:
     """Definition-level invariants at every sample point, evaluated and
     recorded over the stack of points."""
+    pts = point_stack(cp, points)
     report = Report(cp.name, cp.conventions())
     d = cp.dim
     m, n = cp.pair_type
     report.add("dimension_type", "dim = 2m + 2n + 2",
                d - (2 * m + 2 * n + 2), 0.0, passed=(d == 2 * m + 2 * n + 2))
-    pts = rm.as_point(points if points is not None else cp.chart.sample_points)
-    if not pts:
-        return report
     st = structure_at(cp, pts)
     g, phi, P = st.geo.g, st.phi, st.proj
     alphas, reebs, dreebs = st.alphas, st.reebs, st.dreebs  # [p, f, :]
@@ -515,7 +507,7 @@ def lemma_suite(cp: ContactPairManifold, tolerance: float = LEMMA_TOL,
     """Pointwise identities satisfied by every normal metric contact pair
     with orthogonal characteristic foliations, gated on
     :func:`validate_structure` at the same points."""
-    pts = rm.as_point(points if points is not None else cp.chart.sample_points)
+    pts = point_stack(cp, points)
     gate = validate_structure(cp, points=pts)
     if not gate.passed:
         raise InvalidStructureError(
@@ -523,8 +515,7 @@ def lemma_suite(cp: ContactPairManifold, tolerance: float = LEMMA_TOL,
             + ", ".join(sorted({c.name for c in gate.failures})),
             clauses=[c.name for c in gate.failures])
     report = Report(cp.name, cp.conventions())
-    if pts:
-        report.add_rows(pts, lemma_checks(structure_at(cp, pts), tolerance))
+    report.add_rows(pts, lemma_checks(structure_at(cp, pts), tolerance))
     return report
 
 

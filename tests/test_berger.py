@@ -82,6 +82,7 @@ def test_the_theorems_hold_only_on_the_round_model(berger_file, m, a):
     if a == 1.0:
         assert report.passed
     else:
-        # both flatness rows fail; the conformal shift of B holds on any metric
-        assert {"bochner_flatness", "weyl_flatness"} <= failed
-        assert "bochner_13_conformal_shift" not in failed
+        # both flatness rows and the model curvature fail; Z2 = d/dt stays
+        # parallel, and the conformal shift of B holds on any metric
+        assert {"bochner_flatness", "weyl_flatness", "hopf_model_curvature"} <= failed
+        assert not {"reeb2_parallel", "bochner_13_conformal_shift"} & failed

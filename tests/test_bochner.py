@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from contactcurv import bochner as bm
-from contactcurv import catalog
+from contactcurv import catalog, cli
 from contactcurv import contactpair as cpm
 from contactcurv import riemann as rm
 
@@ -353,6 +353,71 @@ class TestConformalInvariance:
     def test_a_factor_near_the_range_ends_is_invariant(self, f):
         report = bm.conformal_invariance_check(catalog.hopf(2), f)
         assert report.passed and max(c.value for c in report.checks) < 1e-14
+
+
+class TestHopfCertificate:
+    """The conclusion of both theorems: Z2 is parallel and R = 1/2 g1 o g1
+    with g1 = g - alpha2 (x) alpha2."""
+
+    CERTIFICATE = {"hopf_model_curvature", "reeb2_parallel"}
+
+    @staticmethod
+    def _failed(cp, key):
+        report = bm.run_suites(cp, ("theorem1", "theorem2"), dict(catalog.entry(key).expected))
+        return {check.name for check in report.failures}
+
+    @pytest.fixture
+    def cold(self):
+        rm.geometry_at.cache_clear()
+        cpm.structure_at.cache_clear()
+        yield
+        rm.geometry_at.cache_clear()  # no geometry of a patched engine outlives the test
+        cpm.structure_at.cache_clear()
+
+    @pytest.mark.parametrize("key", [f"hopf:{m}" for m in range(1, catalog.HOPF_MAX_M + 1)])
+    def test_both_rows_pass_on_the_model(self, key):
+        cp = catalog.resolve(key)
+        rows = {row[0]: row[2] for row in bm._hopf_certificate(
+            cpm.structure_at(cp, cp.chart.sample_points), None)}
+        assert set(rows) == self.CERTIFICATE
+        assert np.max(rows["hopf_model_curvature"]) <= 4 * np.finfo(float).eps
+        assert np.all(rows["reeb2_parallel"] == 0.0)
+
+    def test_a_scaled_curvature_fails_the_model_curvature(self, monkeypatch, cold):
+        # R off by one part in a million; the Christoffel symbols are intact,
+        # so Z2 stays parallel
+        post_init = rm.PointGeometry.__post_init__
+
+        def scaled(geo):
+            post_init(geo)
+            geo.riem4 = geo.riem4 * (1.0 + 1e-6)
+
+        monkeypatch.setattr(rm.PointGeometry, "__post_init__", scaled)
+        failed = self._failed(catalog.hopf(2), "hopf:2")
+        assert "hopf_model_curvature" in failed and "reeb2_parallel" not in failed
+
+    def test_the_product_of_spheres_fails_the_parallel_reeb_field(self):
+        # under the flat table of hopf:1: Z2 is the Hopf field of the second
+        # sphere, with grad Z2 = -phi_2 of rank 2
+        assert "reeb2_parallel" in self._failed(catalog.sphere_product(1, 1), "hopf:1")
+
+    def test_a_verify_forms_the_certificate_once(self, capsys, monkeypatch, cold):
+        calls = {"_hopf_certificate": 0, "kulkarni_nomizu": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(bm, "_hopf_certificate")
+        counted(rm, "kulkarni_nomizu")
+        assert cli.main(["verify", "hopf:2", "--suite", "all", "--format", "json"]) == 0
+        capsys.readouterr()
+        # one product each for B_J, W, the rescaled B_J and the certificate
+        assert calls == {"_hopf_certificate": 1, "kulkarni_nomizu": 4}
 
 
 @pytest.mark.parametrize("which", ["j", "t", "B", None])

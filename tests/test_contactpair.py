@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from contactcurv import bochner, catalog
 from contactcurv import contactpair as cpm
 from contactcurv import riemann as rm
@@ -345,7 +346,7 @@ def _phi_sectional_values(cp, pt):
     """R(X, phi X, phi X, X) over the kept unit horizontal leaf-tangent vectors."""
     st = cpm.structure_at(cp, pt)
     x, kept = st.horizontal_leaf_frame(2)
-    return cpm.phi_sectional(st, x)[kept]
+    return oracles.phi_sectional(st.geo.riem4, st.phi, x)[kept]
 
 
 def test_phi_sectional_on_hopf(hopf1):
@@ -425,3 +426,20 @@ def test_points_given_as_lists_or_arrays(key):
         reference = run(points).to_json()
         assert run([list(p) for p in points]).to_json() == reference, name
         assert run(np.array(points)).to_json() == reference, name
+
+
+@pytest.mark.parametrize("empty", [(), [], np.empty((0, 4)), None],
+                         ids=["tuple", "list", "array", "no sample points"])
+def test_an_empty_point_stack_is_refused(empty):
+    # a run over no point would pass with nothing checked
+    cp = catalog.heisenberg_r(1)
+    if empty is None:
+        cp = dataclasses.replace(cp, chart=dataclasses.replace(cp.chart, sample_points=()))
+    expected = dict(catalog.entry("heisenberg_r").expected)
+    runs = (lambda: cpm.validate_structure(cp, points=empty),
+            lambda: cpm.lemma_suite(cp, points=empty),
+            lambda: bochner.run_suites(cp, bochner.SUITES, expected, None, empty),
+            lambda: bochner.conformal_invariance_check(cp, "0", points=empty))
+    for run in runs:
+        with pytest.raises(ValueError, match="no point to check"):
+            run()

@@ -13,10 +13,10 @@ SRC = ROOT / "src" / "contactcurv"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _uses(filename: str, tree: ast.Module) -> set[tuple[str, tuple]]:
-    """(name, where) for every identifier, attribute, imported name and
-    string constant of ``tree``, where is (filename, the top-level definition
-    it sits in), or (filename,) outside any."""
+def _uses(filename: str, tree: ast.Module, strings: bool) -> set[tuple[str, tuple]]:
+    """(name, where) for every identifier, attribute and imported name of
+    ``tree``, and with ``strings`` every string constant, where is (filename,
+    the top-level definition it sits in), or (filename,) outside any."""
     found = set()
 
     def visit(node, where):
@@ -26,7 +26,7 @@ def _uses(filename: str, tree: ast.Module) -> set[tuple[str, tuple]]:
             found.add((node.attr, where))
         elif isinstance(node, ast.alias):
             found.add((node.name.rsplit(".", 1)[-1], where))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.add((node.value, where))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -41,11 +41,13 @@ def unused_definitions(package: dict[str, str],
                        readers: dict[str, str] | None = None) -> list[str]:
     """Each top-level function or class of the ``package`` sources, given as
     {file name: text}, that no source of ``package`` or ``readers`` names
-    outside its own definition.  ``cmd_*`` is exempt: the command line
-    dispatches to it by name."""
+    outside its own definition.  A string names one only in ``readers``,
+    which may patch by name: in the package it is data, such as a key of a
+    table.  ``cmd_*`` is exempt: the command line dispatches to it by name."""
     sources = {**package, **(readers or {})}
     trees = {name: ast.parse(text, name) for name, text in sources.items()}
-    uses = set().union(*(_uses(name, tree) for name, tree in trees.items()))
+    uses = set().union(*(_uses(name, tree, name not in package)
+                         for name, tree in trees.items()))
     return [f"{name}:{node.lineno}: {node.name}"
             for name in package for node in trees[name].body
             if isinstance(node, DEFINITIONS) and not node.name.startswith("cmd_")
@@ -58,11 +60,12 @@ def test_the_guard_sees_unused_definitions():
                        "class Kept:\n    pass\n\ndef cmd_run(args):\n    pass\n",
                "b.py": "from .a import Kept\n\ndef caller():\n    return used()\n\n"
                        "def by_string():\n    pass\n\nTABLE = ['by_string', caller]\n"}
-    assert unused_definitions(package) == ["a.py:4: unused"]
-    # a name read only by a reader outside the package counts
+    # a string in the package is no use
+    assert unused_definitions(package) == ["a.py:4: unused", "b.py:6: by_string"]
+    # a name read only by a reader outside the package counts, as a string too
     package["a.py"] += "\ndef read_elsewhere():\n    pass\n"
-    assert unused_definitions(package) == ["a.py:4: unused", "a.py:13: read_elsewhere"]
-    assert unused_definitions(package, {"r.py": "x.read_elsewhere()"}) == ["a.py:4: unused"]
+    readers = {"r.py": "x.read_elsewhere()\npatch(x, 'by_string')"}
+    assert unused_definitions(package, readers) == ["a.py:4: unused"]
 
 
 def test_every_top_level_definition_of_the_package_is_used():

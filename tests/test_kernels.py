@@ -159,13 +159,11 @@ def test_the_assembly_contracts_r_twice_and_only_in_the_combination_reading(
 def test_sectional_values_match_the_five_operand_einsums(d, lead):
     ctx, rng = _random_context(d, lead)
     z1, z2 = rng.normal(size=(2,) + lead + (d,))
-    # one kernel serves B(Z1, Z2, Z2, Z1) and R(x, phi x, phi x, x)
+    # one kernel serves one pair, B(Z1, Z2, Z2, Z1), and candidate rows, R(x, phi x, phi x, x)
     _close(rm.sectional_form(ctx.riem4, z1, z2), oracles.reeb_plane(ctx.riem4, z1, z2))
     x = rng.normal(size=lead + (d + 1, d))  # candidate rows x[c]
     expected = oracles.phi_sectional(ctx.riem4, ctx.J, x)
     _close(rm.sectional_form(ctx.riem4, x, x @ np.swapaxes(ctx.J, -1, -2)), expected)
-    st = SimpleNamespace(geo=SimpleNamespace(riem4=ctx.riem4), phi=ctx.J)
-    _close(cpm.phi_sectional(st, x), expected)
 
 
 @pytest.mark.parametrize("key", ["hopf:1", "hopf:2", "hopf:4", "sphere_product:1,1",

@@ -230,12 +230,53 @@ def test_the_full_run_records_the_suites_in_turn(capsys, key):
         check for suite in bm.SUITES for check in _json_checks(capsys, key, suite)]
 
 
-@pytest.mark.parametrize("key", [e.key for e in catalog.ENTRIES if dict(e.expected)["weyl_flat"]])
-def test_theorem2_records_its_weyl_rows_then_its_conformal_rows(capsys, key):
-    # two blocks, each point by point
+DEFINITION_ROWS = (
+    "volume_form", "dalpha1_power_vanishes", "dalpha2_power_vanishes", "reeb_duality",
+    "reeb_in_dalpha_kernel", "reeb_fields_commute", "metric_reeb_duality",
+    "phi_squared_identity", "phi_kills_reeb", "alpha_circ_phi", "phi_rank",
+    "foliation_projectors", "phi_preserves_foliations", "complex_structures_square",
+    "complex_structures_isometric", "associated_metric", "normality_J", "normality_T")
+LEMMA_ROWS = (
+    "reeb_covariant_derivative", "phi_covariant_derivative",
+    "complex_structure_covariant_derivative", "reeb_curvature_identity",
+    "reeb_sectional_values", "star_ricci_defect", "star_ricci_symmetric",
+    "star_ricci_j_exchange", "scalar_curvature_defect", "reeb_ricci_values",
+    "reeb_star_ricci_values", "ricci_j_invariance_horizontal", "reeb_fields_killing")
+_STRUCTURE = {"definitions": (DEFINITION_ROWS,), "lemmas": (LEMMA_ROWS,)}
+_FLAT = _STRUCTURE | {
+    "theorem1": (("bochner_flatness", "bochner_reeb_plane", "hopf_model_curvature",
+                  "reeb2_parallel"),),
+    "theorem2": (("weyl_flatness", "hopf_model_curvature", "reeb2_parallel"),
+                 ("bochner_13_conformal_shift",)),
+}
+# the blocks of each suite on each catalog key, each block as its row names
+# at one point
+ROW_NAMES = {
+    **{f"hopf:{m}": _FLAT for m in range(1, catalog.HOPF_MAX_M + 1)},
+    "sphere_product:1,1": _STRUCTURE | {
+        "theorem1": (("bochner_not_flat", "bochner_reeb_plane_value",
+                      "bochner_reeb_plane_expected"),),
+        "theorem2": (("weyl_not_flat",),),
+    },
+    "heisenberg_r": _STRUCTURE | {
+        "theorem1": (("bochner_not_flat",),),
+        "theorem2": (("weyl_not_flat",),),
+    },
+}
+
+
+@pytest.mark.parametrize("key, suite", [
+    pytest.param(e.key, suite, id=f"{e.key}-{suite}")
+    for e in catalog.ENTRIES for suite in (*bm.SUITES, "all")])
+def test_each_suite_records_its_rows_in_table_order(capsys, key, suite):
+    # the point-free dimension check of the definitions, then each block
+    # point by point
+    suites = bm.SUITES if suite == "all" else (suite,)
     count = len(catalog.resolve(key).chart.sample_points)
-    assert [check["name"] for check in _json_checks(capsys, key, "theorem2")] == \
-        ["weyl_flatness"] * count + ["bochner_13_conformal_shift"] * count
+    expected = ["dimension_type"] * ("definitions" in suites) + [
+        name for s in suites for block in ROW_NAMES[key][s] for _ in range(count)
+        for name in block]
+    assert [check["name"] for check in _json_checks(capsys, key, suite)] == expected
 
 
 def _run(cp, suites, expected):

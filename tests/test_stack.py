@@ -155,29 +155,6 @@ def test_a_cold_verify_takes_one_pfaffian_the_volume_pencil(tmp_path, monkeypatc
     assert "itertools" not in imported
 
 
-def test_the_leaf_frame_is_built_once_per_verify(monkeypatch):
-    built = []
-    builder = cpm.StructureData._leaf_frame
-
-    def counted(self, which):
-        built.append(which)
-        return builder(self, which)
-
-    monkeypatch.setattr(cpm.StructureData, "_leaf_frame", counted)
-    rm.geometry_at.cache_clear()
-    cpm.structure_at.cache_clear()
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["verify", "hopf:2", "--suite", "all", "--format", "json"]) == 0
-    assert built == [2]  # read by the lemma suite and by theorem 1
-    cp = catalog.resolve("hopf:2")
-    st = cpm.structure_at(cp, cp.chart.sample_points)
-    x, kept = st.horizontal_leaf_frame(2)
-    assert st.horizontal_leaf_frame(2)[0] is x
-    for array in (x, kept):
-        with pytest.raises(ValueError):
-            array[0] = 0
-
-
 def test_as_point_keeps_an_exact_stack_and_normalises_the_rest():
     stack = ((0.3, 0.4), (0.5, 0.6))
     assert rm.as_point(stack) is stack
@@ -229,20 +206,20 @@ def test_a_foliation_fault_is_left_in_the_record_at_one_point_as_in_a_stack():
         assert fault.value.clauses == ["foliation_dimensions"]
 
 
+STAGES = {"lemma_checks": cpm, "_theorem1": bm, "_theorem2": bm, "_hopf_certificate": bm,
+          "_conformal_shift": bm}
+
+
 def test_the_stages_read_the_structure_they_are_handed():
     # run_suites looks the structure up once; the stages neither look it up
     # again nor re-check the foliations the gate has passed
-    stages = {"lemma_checks": cpm, "_theorem1": bm, "_theorem2": bm, "_conformal_shift": bm}
-    for name, module in stages.items():
+    for name, module in STAGES.items():
         tree = ast.parse(inspect.getsource(getattr(module, name)))
         named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not named & {"structure_at", "require_foliations"}, name
         params = set(inspect.signature(getattr(module, name)).parameters)
         assert "st" in params and not params & {"cp", "points"}, name
-
-
-STAGES = {"lemma_checks": cpm, "_theorem1": bm, "_theorem2": bm, "_conformal_shift": bm}
 
 
 @pytest.mark.parametrize("name", STAGES)
@@ -263,10 +240,12 @@ def test_each_stage_returns_rows_with_one_value_per_point(key):
     expected = dict(catalog.entry(key).expected)
     st = cpm.structure_at(cp, pts)
     b_j = bm.bochner(bm.context(cp, pts))
+    certificate = bm._hopf_certificate(st, None)
     outputs = {
         "lemma_checks": cpm.lemma_checks(st, cpm.LEMMA_TOL),
-        "_theorem1": bm._theorem1(st, expected, None, b_j),
-        "_theorem2": bm._theorem2(st, expected, None),
+        "_theorem1": bm._theorem1(st, expected, None, b_j, certificate),
+        "_theorem2": bm._theorem2(st, expected, None, certificate),
+        "_hopf_certificate": certificate,
         "_conformal_shift": bm._conformal_shift(st, b_j, 4.0, bm.DEFAULT_READING),
     }
     for name, rows in outputs.items():
