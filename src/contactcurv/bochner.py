@@ -194,18 +194,6 @@ def reeb_plane_closed_form(m: int, n: int, tau: float) -> float:
         + (tau - 3.0 * (m * m + n * n)) / ((m + n + 2) * (m + n + 3))
 
 
-def _conformal_shift(st: cpm.StructureData, b: np.ndarray, c: float, reading: str):
-    """The row of the change of the (1,3) form B_J g^{-1} under g -> c g with
-    J fixed, where ``b`` is B_J of g over the stack of points of ``st``."""
-    # the context keeps only what the assembly reads of the rescaled geometry
-    scaled = _context(st.geo.rescaled(c), st.J, st.cp.m, st.cp.n, reading)
-    shift = rm.contract_last(bochner(scaled), scaled.ginv)
-    shift -= rm.contract_last(b, st.geo.ginv)
-    return (("bochner_13_conformal_shift", "change of the (1,3) Bochner tensor under "
-             "g -> e^{2f} g (constant factor: asserted invariant)",
-             rm.pointwise_sup(shift), 1e-7),)
-
-
 def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
                                reading: str = DEFAULT_READING,
                                points: Optional[Sequence[rm.Point]] = None) -> Report:
@@ -214,7 +202,7 @@ def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
     coordinate, and e^{2f} must be a finite positive double for which the
     rescaled Bochner tensor is finite, else ``ValueError``; the rescaled
     geometry is built from the stored jets by
-    :meth:`riemann.PointGeometry.rescaled`."""
+    :meth:`riemann.PointGeometry.conformal`, with no partials of e^{2f}."""
     fe = el.as_expr(f)
     moving = el.free_names(fe) & set(cp.chart.coords)
     if moving:
@@ -231,16 +219,21 @@ def conformal_invariance_check(cp: ContactPairManifold, f: rm.ExprLike,
     report = Report(cp.name, cp.conventions() | convention_ledger())
     pts = cpm.point_stack(cp, points)
     b = bochner(context(cp, pts, "J", reading))
+    st = cpm.structure_at(cp, pts)
     try:
         with np.errstate(all="ignore"):  # an overflow is refused below
-            rows = _conformal_shift(cpm.structure_at(cp, pts), b, c, reading)
-        finite = np.isfinite(rows[0][2]).all()
+            scaled = _context(st.geo.conformal(c, 0.0, 0.0), st.J, cp.m, cp.n, reading)
+            shift = rm.contract_last(bochner(scaled), scaled.ginv)
+            shift -= rm.contract_last(b, st.geo.ginv)
+            sup = rm.pointwise_sup(shift)
     except np.linalg.LinAlgError:  # c g is singular in floating point
-        finite = False
-    if not finite:
+        sup = np.nan
+    if not np.isfinite(sup).all():
         raise ValueError(f"the Bochner tensor of e^(2f) g with e^(2f) = {c!r} is "
                          f"not a finite number")
-    report.add_rows(pts, rows)
+    report.add_rows(pts, (("bochner_13_conformal_shift", "change of the (1,3) Bochner tensor "
+                           "under g -> e^{2f} g (constant factor: asserted invariant)",
+                           sup, 1e-7),))
     return report
 
 
@@ -284,13 +277,23 @@ def _theorem1(st: cpm.StructureData, expected: Mapping, tol: Optional[float],
 
 def _theorem2(st: cpm.StructureData, expected: Mapping, tol: Optional[float],
               certificate: tuple):
-    """Rows of conformal flatness and its conclusion, the ``certificate``, on
-    the model space, or the row of its measured control on the
-    expected-nonflat entries."""
-    sup = rm.pointwise_sup(rm.weyl(st.cp.metric, st.point).comps)
+    """Rows of conformal flatness, its conclusion, the ``certificate``, and
+    the conformal invariance of W on the model space, or the row of its
+    measured control on the expected-nonflat entries."""
+    w = rm.weyl(st.cp.metric, st.point).comps
+    sup = rm.pointwise_sup(w)
     if expected["weyl_flat"]:
-        return (("weyl_flatness", "sup |W| vanishes on the model space", sup,
-                 loosen(1e-8, tol)),) + certificate
+        # h = e^{2f} with f = 0.1 sin x0, so h' = 2f' h and h'' = ((2f')^2 + 2f'') h
+        x = np.asarray(st.point)[..., 0]
+        two_f, two_df, h = 0.2 * np.sin(x), 0.2 * np.cos(x), np.exp(0.2 * np.sin(x))
+        moved = st.geo.conformal(h, two_df * h, (two_df ** 2 - two_f) * h)
+        shift = rm.contract_last(moved.weyl(), moved.ginv)
+        shift -= rm.contract_last(w, st.geo.ginv)
+        flat = loosen(1e-8, tol)
+        return (("weyl_flatness", "sup |W| vanishes on the model space", sup, flat),
+                *certificate, ("weyl_13_conformal_shift", "change of the (1,3) Weyl tensor "
+                               "under g -> e^{2f} g, f = 0.1 sin x0",
+                               rm.pointwise_sup(shift), flat))
     return (("weyl_not_flat", "sup |W| stays above the control bound", sup, 1e-2,
              sup > 1e-2),)
 
@@ -343,17 +346,13 @@ def run_suites(cp: ContactPairManifold, suites: Collection[str],
     st = cpm.structure_at(cp, pts)
     if "lemmas" in suites:
         report.add_rows(pts, cpm.lemma_checks(st, loosen(cpm.LEMMA_TOL, tolerance)))
-    # B_J over the stack, assembled once for the stages that read it
-    shifts = "theorem2" in suites and expected["weyl_flat"]
-    flat = "theorem1" in suites and expected["bochner_flat"]
-    b_j = bochner(context(cp, pts)) if "theorem1" in suites or shifts else None
     # the conclusion, formed once for both flat branches
-    certificate = _hopf_certificate(st, tolerance) if flat or shifts else ()
-    if "theorem1" in suites:
-        report.add_rows(pts, _theorem1(st, expected, tolerance, b_j, certificate))
+    flat = ("theorem1" in suites and expected["bochner_flat"]
+            or "theorem2" in suites and expected["weyl_flat"])
+    certificate = _hopf_certificate(st, tolerance) if flat else ()
+    if "theorem1" in suites:  # B_J over the stack
+        report.add_rows(pts, _theorem1(st, expected, tolerance, bochner(context(cp, pts)),
+                                       certificate))
     if "theorem2" in suites:
         report.add_rows(pts, _theorem2(st, expected, tolerance, certificate))
-    if shifts:  # f = log 2, as its own block
-        report.add_rows(pts, _conformal_shift(st, b_j, math.exp(2.0 * math.log(2.0)),
-                                              DEFAULT_READING))
     return report

@@ -28,10 +28,6 @@ class CheckRecord:
     tolerance: Optional[float] = None
     passed: bool = True
 
-    def to_dict(self) -> dict:
-        # the fields in their order, with the point as a list
-        return vars(self) | {"point": None if self.point is None else list(self.point)}
-
 
 class Block(NamedTuple):
     """Rows of checks over one stack of points."""
@@ -96,22 +92,14 @@ class Report:
         passed = sum(int(b.passed.sum()) for b in self.blocks)
         return {"total": total, "passed": passed, "failed": total - passed}
 
-    def to_dict(self) -> dict:
-        return {
-            "manifold": self.manifold,
-            "conventions": self.conventions,
-            "summary": self.summary(),
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)``, byte for byte.  With an
-        indent, :mod:`json` runs its pure-Python encoder, so the check
-        records, nearly all of the output, are written from the rows: each
-        distinct value formatted once, keyed on its bits so that 0.0, -0.0
-        and NaNs stay apart, each row's name, detail and tolerance written
-        once per block by :func:`_scalar`, and all records as one list of
-        pieces, joined once."""
+        """``json.dumps(report_dict(self), indent=2)``, byte for byte, with the
+        test reference ``tests/oracles.report_dict``.  With an indent,
+        :mod:`json` runs its pure-Python encoder, so the check records, nearly
+        all of the output, are written from the rows: each distinct value
+        formatted once, keyed on its bits so that 0.0, -0.0 and NaNs stay
+        apart, each row's name, detail and tolerance written once per block by
+        :func:`_scalar`, and all records as one list of pieces, joined once."""
         top = json.dumps({"manifold": self.manifold, "conventions": self.conventions,
                           "summary": self.summary()}, indent=2)[:-2]
         if not self.blocks:

@@ -366,10 +366,27 @@ class PointGeometry:
         env, memo, _ = self._walk
         return dict(env), dict(memo)
 
-    def rescaled(self, c: float) -> "PointGeometry":
-        """Geometry of c g for a constant c > 0, whose jets are c g, c dg, c d2g."""
-        g = c * self.g
-        return PointGeometry(g, np.linalg.inv(g), c * self.dg, c * self.d2g)
+    def conformal(self, h, dh, d2h) -> "PointGeometry":
+        """Geometry of h g for a factor h > 0 of x0 alone, from h, h' and h''
+        (numbers, or arrays over the point axis) by the product rule on the jets:
+        d(h g) adds h' g in slot 0, d2(h g) adds h' dg in slices 0 and h'' g at (0, 0)."""
+        h, dh, d2h = (np.asarray(v, dtype=float)[..., None, None] for v in (h, dh, d2h))
+        g, dg, d2g = h * self.g, h[..., None] * self.dg, h[..., None, None] * self.d2g
+        dg[..., 0, :, :] += dh * self.g
+        d2g[..., 0, :, :, :] += dh[..., None] * self.dg
+        d2g[..., :, 0, :, :] += dh[..., None] * self.dg
+        d2g[..., 0, 0, :, :] += d2h * self.g
+        return PointGeometry(g, np.linalg.inv(g), dg, d2g)
+
+    def weyl(self) -> np.ndarray:
+        """Trace-free conformal part of the curvature; needs dim >= 4."""
+        if (d := self.dim) < 4:
+            raise MetricError(f"Weyl tensor needs dimension >= 4, got {d}")
+        # W = R - S o g with the Schouten-type form S = rho/(d-2) - tau g/(2(d-1)(d-2))
+        tau = np.asarray(self.tau)[..., None, None]
+        s = self.ricci / (d - 2) - tau * self.g / (2.0 * (d - 1) * (d - 2))
+        out = kulkarni_nomizu((s, self.g))
+        return np.subtract(self.riem4, out, out=out)
 
 
 def point_geometry(metric: MetricField, point) -> PointGeometry:
@@ -493,18 +510,8 @@ def orthonormal_frame(metric: MetricField, point: Sequence[float],
 
 
 def weyl(metric: MetricField, point) -> TensorValue:
-    """Trace-free conformal part of the curvature, at a point or over a
-    stack of points; needs dim >= 4."""
-    pt = as_point(point)
-    geo = geometry_at(metric, pt)
-    d = geo.dim
-    if d < 4:
-        raise MetricError(f"Weyl tensor needs dimension >= 4, got {d}")
-    # W = R - S o g with the Schouten-type form S = rho/(d-2) - tau g/(2(d-1)(d-2))
-    tau = np.asarray(geo.tau)[..., None, None]
-    s = geo.ricci / (d - 2) - tau * geo.g / (2.0 * (d - 1) * (d - 2))
-    out = kulkarni_nomizu((s, geo.g))
-    return TensorValue(np.subtract(geo.riem4, out, out=out))
+    """:meth:`PointGeometry.weyl` at a point or over a stack of points."""
+    return TensorValue(geometry_at(metric, as_point(point)).weyl())
 
 
 def kulkarni_nomizu(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -32,7 +32,9 @@ package no longer forms, and :func:`reference_dphi` differentiates phi
 through the partials of g^{-1}.
 
 :func:`conformal_rescale` builds the metric e^{2f} g as expressions, a
-second metric whose geometry the tests hold against the rescaled jets.
+second metric whose geometry the tests hold against the product-rule jets
+of ``PointGeometry.conformal``.  :func:`report_dict` is the report as the
+dict that ``Report.to_json`` writes.
 """
 
 from __future__ import annotations
@@ -178,6 +180,18 @@ class RecursiveParser:
 def reference_parse(source: str, table: dict | None = None) -> Expr:
     """:func:`exprlang.parse` by the recursive reference parser."""
     return RecursiveParser(source, {} if table is None else table).parse()
+
+
+# --- the report as a dict -------------------------------------------------------------
+
+def report_dict(report) -> dict:
+    """The dict whose ``json.dumps(..., indent=2)`` ``Report.to_json`` writes
+    byte for byte: the head, then each check record's fields in their order,
+    with its point as a list."""
+    return {"manifold": report.manifold, "conventions": report.conventions,
+            "summary": report.summary(),
+            "checks": [vars(c) | {"point": None if c.point is None else list(c.point)}
+                       for c in report.checks]}
 
 
 # --- conformal rescaling ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 from types import SimpleNamespace
@@ -355,6 +356,15 @@ class TestConformalInvariance:
         assert report.passed and max(c.value for c in report.checks) < 1e-14
 
 
+@pytest.fixture
+def cold():
+    rm.geometry_at.cache_clear()
+    cpm.structure_at.cache_clear()
+    yield
+    rm.geometry_at.cache_clear()  # no geometry of a patched engine outlives the test
+    cpm.structure_at.cache_clear()
+
+
 class TestHopfCertificate:
     """The conclusion of both theorems: Z2 is parallel and R = 1/2 g1 o g1
     with g1 = g - alpha2 (x) alpha2."""
@@ -365,14 +375,6 @@ class TestHopfCertificate:
     def _failed(cp, key):
         report = bm.run_suites(cp, ("theorem1", "theorem2"), dict(catalog.entry(key).expected))
         return {check.name for check in report.failures}
-
-    @pytest.fixture
-    def cold(self):
-        rm.geometry_at.cache_clear()
-        cpm.structure_at.cache_clear()
-        yield
-        rm.geometry_at.cache_clear()  # no geometry of a patched engine outlives the test
-        cpm.structure_at.cache_clear()
 
     @pytest.mark.parametrize("key", [f"hopf:{m}" for m in range(1, catalog.HOPF_MAX_M + 1)])
     def test_both_rows_pass_on_the_model(self, key):
@@ -416,8 +418,57 @@ class TestHopfCertificate:
         counted(rm, "kulkarni_nomizu")
         assert cli.main(["verify", "hopf:2", "--suite", "all", "--format", "json"]) == 0
         capsys.readouterr()
-        # one product each for B_J, W, the rescaled B_J and the certificate
+        # one product each for B_J, W, W of e^{2f} g and the certificate
         assert calls == {"_hopf_certificate": 1, "kulkarni_nomizu": 4}
+
+
+class TestWeylShift:
+    """Theorem 2's last row: W^(1,3) is unchanged under g -> e^{2f} g with
+    f = 0.1 sin x0, a factor no engine error can scale away."""
+
+    HOPF_KEYS = [f"hopf:{m}" for m in range(1, catalog.HOPF_MAX_M + 1)]
+
+    @staticmethod
+    def _halve_the_quadratic_term(monkeypatch):
+        # R = (second partials) + C^T Gamma becomes (second partials) +
+        # C^T Gamma / 2, with Gamma intact; rho and tau follow from R
+        post_init = rm.PointGeometry.__post_init__
+
+        def halved(geo):
+            post_init(geo)
+            C = 0.5 * (np.einsum("...ijl->...lij", geo.dg) + np.einsum("...jil->...lij", geo.dg)
+                       - geo.dg)
+            t = np.einsum("...pab,...pce->...abce", C, geo.gamma)
+            quad = np.einsum("...ikjl->...ijkl", t) - np.einsum("...iljk->...ijkl", t)
+            geo.riem4 = geo.riem4 - 0.5 * quad
+            geo.ricci = rm.contract_middle(geo.riem4, geo.ginv)
+            geo.tau = np.einsum("...jk,...jk->...", geo.ginv, geo.ricci)
+
+        monkeypatch.setattr(rm.PointGeometry, "__post_init__", halved)
+
+    @pytest.mark.parametrize("key", HOPF_KEYS)
+    def test_the_shift_vanishes_to_rounding_on_the_model(self, key):
+        cp = catalog.resolve(key)
+        rows = {row[0]: row[2] for row in bm._theorem2(
+            cpm.structure_at(cp, cp.chart.sample_points), dict(catalog.entry(key).expected),
+            None, ())}
+        assert list(rows) == ["weyl_flatness", "weyl_13_conformal_shift"]
+        assert np.max(rows["weyl_13_conformal_shift"]) < 1e-14
+
+    @pytest.mark.parametrize("key", HOPF_KEYS)
+    def test_a_halved_quadratic_term_fails_the_shift(self, capsys, monkeypatch, cold, key):
+        # a constant factor scales every term of R alike, so the constant
+        # Bochner shift read 0.0 under this error; the Weyl shift under a
+        # factor of x0 reads up to 0.17, 0.27, 0.73 and 1.9 on hopf:1 to 4
+        self._halve_the_quadratic_term(monkeypatch)
+        assert cli.main(["verify", key, "--suite", "theorem2", "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        count = len(catalog.resolve(key).chart.sample_points)
+        # the complete report: every row of theorem 2 at every point
+        assert report["summary"]["total"] == len(report["checks"]) == 4 * count
+        shifts = [c for c in report["checks"] if c["name"] == "weyl_13_conformal_shift"]
+        assert len(shifts) == count and not any(c["passed"] for c in shifts)
+        assert min(c["value"] for c in shifts) > 1e-2
 
 
 @pytest.mark.parametrize("which", ["j", "t", "B", None])

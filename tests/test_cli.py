@@ -217,8 +217,9 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "hopf:1", "--suite", "theorem2",
                            "--points", "2", "--format", "json")
         assert code == 0
+        # the Weyl shift closes theorem 2's block, one row per point
         shifts = [c for c in json.loads(out)["checks"]
-                  if c["name"] == "bochner_13_conformal_shift"]
+                  if c["name"] == "weyl_13_conformal_shift"]
         assert len(shifts) == 2
 
     def test_theorem_suite_requires_catalog_entry(self, capsys, tmp_path):
@@ -387,21 +388,30 @@ def test_verify_all_validates_the_structure_once(capsys, monkeypatch, key, per_p
     assert all(c["passed"] for c in checks)
 
 
-# Bochner assemblies of a verify --suite all: B_J, and on the Weyl-flat
-# entries B_J of the rescaled geometry as well
-BOCHNER_PER_REQUEST = [("hopf:1", 2), ("hopf:2", 2), ("hopf:3", 2), ("hopf:4", 2),
-                       ("sphere_product:1,1", 1), ("heisenberg_r", 1)]
+# geometries a verify --suite all builds: that of g, and on the Weyl-flat
+# entries that of e^{2f} g for theorem 2's Weyl shift; B_J is assembled only
+# for theorem 1 (it was assembled a second time, for 4 g, on the Weyl-flat
+# entries)
+GEOMETRIES_PER_REQUEST = [("hopf:1", 2), ("hopf:2", 2), ("hopf:3", 2), ("hopf:4", 2),
+                          ("sphere_product:1,1", 1), ("heisenberg_r", 1)]
 
 
-@pytest.mark.parametrize("key, bochner_per_request, points", [
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("key, geometries, points", [
     pytest.param(key, count, points, id=f"{key}-{count}" + (f"-export-{points}" if points else ""))
-    for points in (None, 50) for key, count in BOCHNER_PER_REQUEST])
+    for points in (None, 50) for key, count in GEOMETRIES_PER_REQUEST])
 def test_verify_all_assembles_bochner_once_per_structure(capsys, monkeypatch, tmp_path, key,
-                                                         bochner_per_request, points):
-    # B_J once over the stack of points, plus B_J of the rescaled geometry
-    # on the Weyl-flat entries; no second metric is walked over jets, and
-    # the jets are walked once per request for the metric and once for the
-    # forms and fields, whatever the number of points
+                                                         geometries, points):
+    # B_J once over the stack of points; the geometry of e^{2f} g comes from
+    # the jets of g, so no second metric is walked over jets, and the jets
+    # are walked once per request for the metric and once for the forms and
+    # fields, whatever the number of points
     _clear_package_caches()
     target = key
     if points:  # an export of the entry with seeded points from its sampling box
@@ -412,42 +422,34 @@ def test_verify_all_assembles_bochner_once_per_structure(capsys, monkeypatch, tm
         data["sample_points"] = (lo + (hi - lo) * np.random.default_rng(points).random(
             (points, data["dim"]))).tolist()
         Path(target).write_text(json.dumps(data))
-    calls = {"bochner": 0, "field_jets": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(bochner, "bochner", counted("bochner", bochner.bochner))
-    monkeypatch.setattr(riemann, "field_jets", counted("field_jets", riemann.field_jets))
+    calls = {"bochner": 0, "field_jets": 0, "geometries": 0}
+    monkeypatch.setattr(bochner, "bochner", _counted(calls, "bochner", bochner.bochner))
+    monkeypatch.setattr(riemann, "field_jets", _counted(calls, "field_jets", riemann.field_jets))
+    monkeypatch.setattr(riemann.PointGeometry, "__post_init__", _counted(
+        calls, "geometries", riemann.PointGeometry.__post_init__))
     code, out, err = run(capsys, "verify", target, "--suite", "all", "--format", "json")
     assert code == 0, err
     assert len({tuple(c["point"]) for c in json.loads(out)["checks"] if c["point"]}) \
         == (points or 5)
-    assert calls == {"bochner": bochner_per_request, "field_jets": 2}
+    assert calls == {"bochner": 1, "field_jets": 2, "geometries": geometries}
 
 
-@pytest.mark.parametrize("key, bochner_per_request", BOCHNER_PER_REQUEST)
-def test_verify_all_contracts_the_star_of_j_once(capsys, monkeypatch, key,
-                                                 bochner_per_request):
+@pytest.mark.parametrize("key, geometries", GEOMETRIES_PER_REQUEST)
+def test_verify_all_contracts_the_star_of_j_once(capsys, monkeypatch, key, geometries):
     # structure_at contracts the star of J once, and the context of B_J
     # reuses its tau*; a Bochner assembly reads all its contractions off R
-    # in one middle contraction, without this function, and only the
-    # rescaled context of the conformal shift takes its own tau*
+    # in one middle contraction, without this function, and the geometry of
+    # e^{2f} g is read by the Weyl tensor alone (the Bochner assembly of 4 g
+    # took a second star contraction on the Weyl-flat entries)
     _clear_package_caches()
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return star_contraction(*args)
-
-    star_contraction = contactpair.star_contraction
-    monkeypatch.setattr(contactpair, "star_contraction", counted)
+    calls = {"star_contraction": 0, "geometries": 0}
+    monkeypatch.setattr(contactpair, "star_contraction", _counted(
+        calls, "star_contraction", contactpair.star_contraction))
+    monkeypatch.setattr(riemann.PointGeometry, "__post_init__", _counted(
+        calls, "geometries", riemann.PointGeometry.__post_init__))
     code, _, err = run(capsys, "verify", key, "--suite", "all")
     assert code == 0, err
-    assert len(calls) == 1 + (bochner_per_request - 1)
+    assert calls == {"star_contraction": 1, "geometries": geometries}
 
 
 def _hopf1_variant(capsys, tmp_path, edit):

@@ -344,7 +344,8 @@ CONSTANT_FACTORS = (str(math.log(2.0)), str(math.log(3.0)), "-0.37", "log(5)",
 @pytest.mark.parametrize("key", CATALOG_KEYS)
 def test_rescaled_geometry_is_the_geometry_of_the_rescaled_metric(key):
     # a constant times a jet scales its value, gradient and Hessian exactly,
-    # so the stored jets times c are the jets of e^{2f} g bit for bit
+    # so the stored jets times c, with no partials of c, are the jets of
+    # e^{2f} g bit for bit
     cp = catalog.resolve(key)
     params = cp.chart.param_env()
     checked = 0
@@ -355,13 +356,38 @@ def test_rescaled_geometry_is_the_geometry_of_the_rescaled_metric(key):
         c = math.exp(2.0 * el.evaluate(f, params))
         scaled = oracles.conformal_rescale(cp.metric, f)
         for pt in cp.chart.sample_points:
-            mine = rm.geometry_at(cp.metric, pt).rescaled(c)
+            mine = rm.geometry_at(cp.metric, pt).conformal(c, 0.0, 0.0)
             ref = rm.geometry_at(scaled, pt)
             for name in ("g", "ginv", "dg", "d2g", "riem4", "tau"):
                 assert np.array_equal(getattr(mine, name), getattr(ref, name)), \
                     (source, pt, name)
             checked += 1
     assert checked == len(cp.chart.sample_points) * (6 if params else 4)
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_a_factor_of_x0_is_the_product_rule_on_the_stored_jets(key):
+    # h = e^{2f} for an f of the first coordinate alone, at one point and
+    # over the stack, its partials along x0 read off the jets of h
+    cp = catalog.resolve(key)
+    x0 = cp.chart.coords[0]
+    drawn = [f for f in (random_expr(np.random.default_rng(seed), [x0], 3)
+                         for seed in range(20)) if el.free_names(f)][:2]
+    factors = [el.parse(f"0.1*sin({x0})"), el.parse(f"0.3*{x0}^2 - 0.2*{x0}"), *drawn]
+    assert len(factors) == 4
+    points = cp.chart.sample_points
+    for f in factors:
+        ref = rm.geometry_at(oracles.conformal_rescale(cp.metric, f), points)
+        h = el.Fn("exp", el.mul(el.Const(2.0), f))
+        for point, p in ((points, slice(None)), (points[0], 0)):
+            values, derivs, hess = rm.field_jets([h], cp.chart, point)
+            mine = rm.geometry_at(cp.metric, point).conformal(
+                values[..., 0], derivs[..., 0, 0], hess[..., 0, 0, 0])
+            for name in ("g", "ginv", "dg", "d2g", "gamma", "riem4", "ricci", "tau"):
+                want = getattr(ref, name)[p]
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(getattr(mine, name) - want)) <= 1e-12 * scale, \
+                    (el.to_source(f), name)
 
 
 def _weyl13(metric, point):
@@ -427,7 +453,7 @@ class TestFieldJets:
             walk[1].clear()
             assert geo.continued_walk()[0].keys() >= set(cp.chart.coords)
             assert len(geo.continued_walk()[1]) == kept
-        assert geo.rescaled(4.0).continued_walk() is None
+        assert geo.conformal(1.5, 0.2, -0.1).continued_walk() is None
 
     def test_hessian_of_a_product(self):
         chart = rm.Chart(coords=("x", "y"))

@@ -49,12 +49,18 @@ def test_stack_matches_pointwise(key):
     st = cpm.structure_at(cp, pts)
 
     def tensors(point, st):
-        rescaled = bm._context(st.geo.rescaled(4.0), st.J, cp.m, cp.n, bm.DEFAULT_READING)
+        # the geometry of e^{2f} g with f = 0.1 sin x0, from h = e^{2f} and
+        # its partials along x0 at one point or over the stack, as theorem 2
+        # forms it (the geometry of 4 g and its B_J were compared here)
+        x0 = np.asarray(point)[..., 0]
+        h = np.exp(0.2 * np.sin(x0))
+        moved = st.geo.conformal(h, 0.2 * np.cos(x0) * h,
+                                 (0.04 * np.cos(x0) ** 2 - 0.2 * np.sin(x0)) * h)
         x, kept = st.horizontal_leaf_frame(2)
-        return {**_fields(st.geo, "geo."), **_fields(st),
+        return {**_fields(st.geo, "geo."), **_fields(st), **_fields(moved, "moved geo."),
                 "B_J": bm.bochner(bm.context(cp, point, "J")),
                 "B_T": bm.bochner(bm.context(cp, point, "T")),
-                "rescaled B_J": bm.bochner(rescaled),
+                "moved weyl": moved.weyl(),
                 "weyl": rm.weyl(cp.metric, point).comps,
                 "leaf vectors": x, "leaf mask": kept}
 
@@ -114,10 +120,11 @@ REPLACED_EINSUMS = {"...xycv,...c->...xyv", "...ay,...ax->...yx", "...kia,...a->
 
 
 def test_a_cold_verify_makes_the_pinned_einsum_calls(tmp_path, monkeypatch):
-    # 12 calls: 4 outer products summed over the pair axis (two for dX in
+    # 11 calls: 4 outer products summed over the pair axis (two for dX in
     # dJ, dT = dphi -+ dX, and K and E on the right-hand sides of the lemma
     # suite), the index shuffle of C in two geometries (two calls each) and
-    # four traces (tau and tau* of g and of the rescaled 4g)
+    # three traces: tau and tau* of g, and tau of e^{2f} g, whose Weyl
+    # tensor needs no tau* (12 with the tau* of the Bochner assembly of 4 g)
     einsum, calls = np.einsum, []
 
     def counted(*args, **kwargs):
@@ -130,7 +137,7 @@ def test_a_cold_verify_makes_the_pinned_einsum_calls(tmp_path, monkeypatch):
     cpm.structure_at.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", path, "--suite", "all", "--format", "json"]) == 0
-    assert len(calls) == 12
+    assert len(calls) == 11
     assert not REPLACED_EINSUMS & set(calls)
 
 
@@ -206,8 +213,8 @@ def test_a_foliation_fault_is_left_in_the_record_at_one_point_as_in_a_stack():
         assert fault.value.clauses == ["foliation_dimensions"]
 
 
-STAGES = {"lemma_checks": cpm, "_theorem1": bm, "_theorem2": bm, "_hopf_certificate": bm,
-          "_conformal_shift": bm}
+# the conformal shift of B_J is no stage: theorem 2 records the Weyl shift
+STAGES = {"lemma_checks": cpm, "_theorem1": bm, "_theorem2": bm, "_hopf_certificate": bm}
 
 
 def test_the_stages_read_the_structure_they_are_handed():
@@ -220,6 +227,12 @@ def test_the_stages_read_the_structure_they_are_handed():
         assert not named & {"structure_at", "require_foliations"}, name
         params = set(inspect.signature(getattr(module, name)).parameters)
         assert "st" in params and not params & {"cp", "points"}, name
+    # and they are the stages run_suites calls, which no longer include the
+    # conformal shift of B_J
+    calls = [node.func for node in ast.walk(ast.parse(inspect.getsource(bm.run_suites)))
+             if isinstance(node, ast.Call)]
+    called = {getattr(func, "attr", getattr(func, "id", None)) for func in calls}
+    assert {name for name in called if name in STAGES or name.startswith("_")} == set(STAGES)
 
 
 @pytest.mark.parametrize("name", STAGES)
@@ -246,7 +259,6 @@ def test_each_stage_returns_rows_with_one_value_per_point(key):
         "_theorem1": bm._theorem1(st, expected, None, b_j, certificate),
         "_theorem2": bm._theorem2(st, expected, None, certificate),
         "_hopf_certificate": certificate,
-        "_conformal_shift": bm._conformal_shift(st, b_j, 4.0, bm.DEFAULT_READING),
     }
     for name, rows in outputs.items():
         assert type(rows) is tuple and rows, name
