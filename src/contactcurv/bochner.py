@@ -20,7 +20,6 @@ chosen reading.  :func:`run_suites` is the staged verification run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Collection, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -42,7 +41,6 @@ def convention_ledger() -> dict:
     return {"bochner_reading": DEFAULT_READING}
 
 
-@dataclass
 class CurvatureContext:
     """Pointwise ingredients for one complex structure, at one point or over
     a stack of points (arrays with a leading point axis, ``tau`` and
@@ -59,7 +57,13 @@ class CurvatureContext:
     n: int
     tau: Union[float, np.ndarray]
     tau_star: Union[float, np.ndarray]
-    reading: str = DEFAULT_READING
+    reading: str
+
+    def __init__(self, g, ginv, J, riem4, ricci, star_ricci, m, n, tau, tau_star,
+                 reading=DEFAULT_READING):
+        self.g, self.ginv, self.J, self.riem4, self.ricci = g, ginv, J, riem4, ricci
+        self.star_ricci, self.m, self.n, self.tau, self.tau_star = star_ricci, m, n, tau, tau_star
+        self.reading = reading
 
     @property
     def dim(self) -> int:

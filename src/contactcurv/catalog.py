@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import inspect
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .contactpair import ContactPairManifold
+from .exprlang import Record
 from .riemann import MAX_DIM, Chart, MetricField, OneForm, VectorField
 
 # scale constants of the Heisenberg entry; the structure equations force
@@ -127,11 +127,13 @@ def heisenberg_r(n: int = 1) -> ContactPairManifold:
                                alpha1, alpha2, z1, z2, (1, 0))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     key: str
     description: str
     expected: tuple[tuple[str, object], ...]
+
+    def __init__(self, key, description, expected):
+        self.__dict__.update(key=key, description=description, expected=expected)
 
 
 def hopf_entry(m: int) -> CatalogEntry:

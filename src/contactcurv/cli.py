@@ -355,9 +355,10 @@ def cmd_tensor(args) -> int:
         comps, scalars = _tensor_at(cp, args.what, point)
     except (rm.MetricError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    _require_finite([np.max(np.abs(comps)), scalars["tau"], scalars["tau_star"], *point])
+    size = np.abs(comps)
+    _require_finite(size, [scalars["tau"], scalars["tau_star"], *point])
     names = cp.chart.coords
-    nonzero = np.abs(comps) > 1e-12  # indices and values both in C order
+    nonzero = size > 1e-12  # indices and values both in C order
     entries = [(",".join(names[i] for i in idx), value)
                for idx, value in zip(np.argwhere(nonzero).tolist(), comps[nonzero].tolist())]
     summary = {
@@ -366,7 +367,7 @@ def cmd_tensor(args) -> int:
         "point": list(point),
         "tau": scalars["tau"],
         "tau_star": scalars["tau_star"],
-        "max_abs_component": float(np.max(np.abs(comps))),
+        "max_abs_component": float(np.max(size)),
         "nonzero_components": {label: value for label, value in entries},
         "conventions": cp.conventions() | bm.convention_ledger(),
     }

@@ -179,7 +179,6 @@ def pair_clauses(pair_type: tuple[int, int], alphas: np.ndarray, dalphas: np.nda
 
 # --- pointwise structure data --------------------------------------------------
 
-@dataclass
 class StructureData:
     """Structure fields at one point, or over a stack of points with a
     leading point axis on every array (``tau_star`` is then an array too).
@@ -205,7 +204,12 @@ class StructureData:
     tau_star: Union[float, np.ndarray]
     foliation_dims: np.ndarray  # [2]: dimensions of the two characteristic foliations
 
-    def __post_init__(self):
+    def __init__(self, cp, point, geo, alphas, reebs, dreebs, dalphas, phi, dphi, J, dJ,
+                 T, dT, proj, H, star_ricci, tau_star, foliation_dims):
+        self.cp, self.point, self.geo, self.alphas, self.reebs = cp, point, geo, alphas, reebs
+        self.dreebs, self.dalphas, self.phi, self.dphi, self.J = dreebs, dalphas, phi, dphi, J
+        self.dJ, self.T, self.dT, self.proj, self.H = dJ, T, dT, proj, H
+        self.star_ricci, self.tau_star, self.foliation_dims = star_ricci, tau_star, foliation_dims
         rm.freeze_arrays(self)
 
     @property

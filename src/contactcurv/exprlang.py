@@ -40,11 +40,10 @@ call only when the caller hands it to a later walk, which is how the forms of
 a manifold continue the walk of its metric
 (:func:`contactcurv.riemann.field_jets`).
 
-Hashing.  Nodes compare and print as the frozen dataclasses they are, and
-hash as them too, but each node computes its hash on first use and keeps
-it (:func:`keeps_hash`), so hashing a manifold to key a cache touches each
-distinct node once per process.  The metric and the manifold keep theirs
-the same way, so a later lookup reads one kept hash.
+Hashing.  Nodes are frozen records (:class:`Record`) that compare, print and
+hash as frozen dataclasses, each computing its hash on first use and keeping it
+(:func:`keeps_hash`), so hashing a manifold to key a cache touches each distinct
+node once per process; the metric and the manifold keep theirs the same way.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "log", "sqrt")
@@ -89,13 +87,10 @@ class ExprEvalError(ExprError):
 # --- AST -------------------------------------------------------------------
 
 def keeps_hash(cls):
-    """``cls``, a frozen dataclass whose fields all take part in its hash,
-    with the hash the dataclass gives it (that of the tuple of its fields)
-    computed on first use and kept on the instance, so hashing a tree
-    again, or a tree that shares the node, reads it in one step.  Hashing a
-    tree for the first time recurses one frame per level, as the dataclass
-    hash does."""
-    names = tuple(cls.__dataclass_fields__)
+    """``cls``, whose fields are the names annotated in its body, with the hash of the
+    tuple of its fields, as a frozen dataclass has it, computed on first use and kept on
+    the instance: a later hash reads it in one step, a first recurses once per level."""
+    names = tuple(cls.__annotations__)
     fields = operator.attrgetter(*names)  # a tuple for two names or more
     single = len(names) == 1
 
@@ -110,39 +105,70 @@ def keeps_hash(cls):
     return cls
 
 
-@keeps_hash
-@dataclass(frozen=True)
-class Const:
+class Record:
+    """Base of the frozen value records, whose fields are the names annotated in the
+    subclass: they compare, hash and print as frozen dataclasses, and refuse changes."""
+
+    def __init_subclass__(cls):
+        keeps_hash(cls)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__annotations__
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__annotations__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+class Const(Record):
     value: float
 
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
 
-@keeps_hash
-@dataclass(frozen=True)
-class Sym:
+
+class Sym(Record):
     """Coordinate or parameter reference; the environment decides which."""
 
     name: str
 
+    def __init__(self, name):
+        object.__setattr__(self, "name", name)
 
-@keeps_hash
-@dataclass(frozen=True)
-class Neg:
+
+class Neg(Record):
     arg: "Expr"
 
+    def __init__(self, arg):
+        object.__setattr__(self, "arg", arg)
 
-@keeps_hash
-@dataclass(frozen=True)
-class Bin:
+
+class Bin(Record):
     op: str  # one of + - * / ^
     lhs: "Expr"
     rhs: "Expr"
 
+    def __init__(self, op, lhs, rhs):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
-@keeps_hash
-@dataclass(frozen=True)
-class Fn:
+
+class Fn(Record):
     name: str
     arg: "Expr"
+
+    def __init__(self, name, arg):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arg", arg)
 
 
 Expr = Union[Const, Sym, Neg, Bin, Fn]

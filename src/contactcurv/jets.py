@@ -19,8 +19,6 @@ non-finite entry, which :func:`riemann.field_jets` reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -32,11 +30,13 @@ def _per_point(x):
     return x, x
 
 
-@dataclass(eq=False)
 class Jet2:
     val: float        # or shape (N,) over a stack
     grad: np.ndarray  # shape (d,) or (N, d)
     hess: np.ndarray  # shape (d, d) or (N, d, d), symmetric
+
+    def __init__(self, val, grad, hess):
+        self.val, self.grad, self.hess = val, grad, hess
 
     @property
     def dim(self) -> int:

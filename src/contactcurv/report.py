@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -19,14 +18,20 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 
-@dataclass
 class CheckRecord:
     name: str
     detail: str
-    point: Optional[tuple] = None
-    value: float = 0.0
-    tolerance: Optional[float] = None
-    passed: bool = True
+    point: Optional[tuple]
+    value: float
+    tolerance: Optional[float]
+    passed: bool
+
+    def __init__(self, name, detail, point=None, value=0.0, tolerance=None, passed=True):
+        self.name, self.detail, self.point = name, detail, point
+        self.value, self.tolerance, self.passed = value, tolerance, passed
+
+    def __repr__(self):
+        return f"CheckRecord({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 class Block(NamedTuple):
@@ -38,11 +43,13 @@ class Block(NamedTuple):
     passed: np.ndarray     # [point, row]
 
 
-@dataclass(eq=False)
 class Report:
     manifold: str
-    conventions: dict = field(default_factory=dict)
-    blocks: list[Block] = field(default_factory=list, init=False, repr=False)
+    conventions: dict
+    blocks: list[Block]
+
+    def __init__(self, manifold, conventions=None):
+        self.manifold, self.conventions, self.blocks = manifold, conventions or {}, []
 
     def add_rows(self, points: Sequence, rows: Iterable[tuple]) -> None:
         """Record ``rows``, each (name, detail, values, tolerance) or (name,

@@ -33,7 +33,7 @@ Kulkarni-Nomizu kernel serves Weyl and the Bochner sum.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -122,13 +122,14 @@ class Chart:
         return e
 
 
-@el.keeps_hash
-@dataclass(frozen=True)
-class MetricField:
+class MetricField(el.Record):
     """Symmetric d x d matrix of expressions (stored as the full grid)."""
 
     chart: Chart
     comps: tuple[tuple[el.Expr, ...], ...]
+
+    def __init__(self, chart, comps):
+        self.__dict__.update(chart=chart, comps=comps)
 
     @staticmethod
     def from_entries(chart: Chart, entries: Mapping[tuple[int, int], ExprLike]) -> "MetricField":
@@ -152,32 +153,38 @@ class MetricField:
         return self.chart.dim
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(el.Record):
     chart: Chart
     comps: tuple[el.Expr, ...]
+
+    def __init__(self, chart, comps):
+        self.__dict__.update(chart=chart, comps=comps)
 
     @staticmethod
     def of(chart: Chart, comps: Iterable[ExprLike]) -> "VectorField":
         return VectorField(chart, tuple(map(chart.read, comps)))
 
 
-@dataclass(frozen=True)
-class OneForm:
+class OneForm(el.Record):
     chart: Chart
     comps: tuple[el.Expr, ...]
+
+    def __init__(self, chart, comps):
+        self.__dict__.update(chart=chart, comps=comps)
 
     @staticmethod
     def of(chart: Chart, comps: Iterable[ExprLike]) -> "OneForm":
         return OneForm(chart, tuple(map(chart.read, comps)))
 
 
-@dataclass
 class TensorValue:
     """Pointwise dense tensor; over a stack of points, ``comps`` has a
     leading point axis."""
 
     comps: np.ndarray
+
+    def __init__(self, comps):
+        self.comps = comps
 
 
 def is_stack(point) -> bool:
@@ -316,21 +323,20 @@ def freeze_arrays(record) -> None:
             value.setflags(write=False)
 
 
-@dataclass
 class PointGeometry:
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
     # (seeds, node memo, metric) of the metric walk, which continued_walk hands on
-    _walk: Optional[tuple] = field(default=None, repr=False, compare=False)
-    gamma: np.ndarray = field(init=False)
-    riem4: np.ndarray = field(init=False)
-    ricci: np.ndarray = field(init=False)
-    tau: Union[float, np.ndarray] = field(init=False)
+    _walk: Optional[tuple]
+    gamma: np.ndarray
+    riem4: np.ndarray
+    ricci: np.ndarray
+    tau: Union[float, np.ndarray]
 
-    def __post_init__(self):
-        ginv, dg, d2g = self.ginv, self.dg, self.d2g
+    def __init__(self, g, ginv, dg, d2g, _walk=None):
+        self.g, self.ginv, self.dg, self.d2g, self._walk = g, ginv, dg, d2g, _walk
         # C[l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2
         C = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
         pairs = C.shape[:-2] + (-1,)  # [p, (ij)]: the pair ij merged

@@ -425,8 +425,8 @@ def test_verify_all_assembles_bochner_once_per_structure(capsys, monkeypatch, tm
     calls = {"bochner": 0, "field_jets": 0, "geometries": 0}
     monkeypatch.setattr(bochner, "bochner", _counted(calls, "bochner", bochner.bochner))
     monkeypatch.setattr(riemann, "field_jets", _counted(calls, "field_jets", riemann.field_jets))
-    monkeypatch.setattr(riemann.PointGeometry, "__post_init__", _counted(
-        calls, "geometries", riemann.PointGeometry.__post_init__))
+    monkeypatch.setattr(riemann.PointGeometry, "__init__", _counted(
+        calls, "geometries", riemann.PointGeometry.__init__))
     code, out, err = run(capsys, "verify", target, "--suite", "all", "--format", "json")
     assert code == 0, err
     assert len({tuple(c["point"]) for c in json.loads(out)["checks"] if c["point"]}) \
@@ -445,8 +445,8 @@ def test_verify_all_contracts_the_star_of_j_once(capsys, monkeypatch, key, geome
     calls = {"star_contraction": 0, "geometries": 0}
     monkeypatch.setattr(contactpair, "star_contraction", _counted(
         calls, "star_contraction", contactpair.star_contraction))
-    monkeypatch.setattr(riemann.PointGeometry, "__post_init__", _counted(
-        calls, "geometries", riemann.PointGeometry.__post_init__))
+    monkeypatch.setattr(riemann.PointGeometry, "__init__", _counted(
+        calls, "geometries", riemann.PointGeometry.__init__))
     code, _, err = run(capsys, "verify", key, "--suite", "all")
     assert code == 0, err
     assert calls == {"star_contraction": 1, "geometries": geometries}

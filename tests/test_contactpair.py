@@ -332,14 +332,24 @@ class TestReebCovariantDerivative:
             assert np.max(np.abs(nabla.T + st.phi @ st.proj[1])) < 1e-8  # phi_1 = phi P_2
 
 
-@pytest.mark.parametrize("field", ["alphas", "dalphas", "dreebs", "phi", "dJ", "proj",
-                                   "star_ricci"])
+# tau* is a number at one point and an array over a stack
+STRUCTURE_ARRAYS = ("alphas", "dalphas", "dreebs", "phi", "dJ", "proj", "star_ricci", "reebs",
+                    "dphi", "J", "T", "dT", "H", "foliation_dims")
+
+
+@pytest.mark.parametrize("field", STRUCTURE_ARRAYS + ("tau_star",))
 def test_structure_arrays_are_read_only(hopf1, field):
-    pt = hopf1.chart.sample_points[1]
-    original = getattr(cpm.structure_at(hopf1, pt), field).copy()
-    with pytest.raises(ValueError):
-        getattr(cpm.structure_at(hopf1, pt), field)[0] += 100.0
-    assert np.array_equal(getattr(cpm.structure_at(hopf1, pt), field), original)
+    # at one point and over a stack, with the fields covering every array
+    for point in (hopf1.chart.sample_points[1], hopf1.chart.sample_points[1:3]):
+        if field == "tau_star" and not rm.is_stack(point):
+            continue
+        st = cpm.structure_at(hopf1, point)
+        arrays = {name for name, value in vars(st).items() if isinstance(value, np.ndarray)}
+        assert arrays == set(STRUCTURE_ARRAYS) | ({"tau_star"} if rm.is_stack(point) else set())
+        original = getattr(st, field).copy()
+        with pytest.raises(ValueError):
+            getattr(cpm.structure_at(hopf1, point), field)[0] += 100
+        assert np.array_equal(getattr(cpm.structure_at(hopf1, point), field), original)
 
 
 def _phi_sectional_values(cp, pt):

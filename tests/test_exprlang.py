@@ -1,8 +1,13 @@
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import contactcurv
 from contactcurv import catalog, cli
 from contactcurv import exprlang as el
 from contactcurv import riemann as rm
@@ -279,6 +284,21 @@ class TestHashing:
         assert hash(e.lhs) == hash(("*", el.Fn("sin", el.Sym("x")), el.Const(2.0)))
         assert hash(el.Sym("x")) == hash(("x",))
 
+    @pytest.mark.parametrize("kind", ["metric", "vector", "form"])
+    def test_equal_field_records_on_separate_charts_compare_and_hash_equal(self, kind):
+        def read(chart):
+            if kind == "metric":
+                return rm.MetricField.from_entries(chart, {(0, 0): "c*sin(y)^2", (0, 1): "x*y",
+                                                           (1, 1): "1 + x^2"})
+            build = rm.VectorField.of if kind == "vector" else rm.OneForm.of
+            return build(chart, ["c*sin(y)^2", "-(x*y)"])
+
+        a, b = (read(rm.Chart(coords=("x", "y"), params=(("c", 2.0),))) for _ in range(2))
+        assert a.chart is not b.chart and a.comps[0] is not b.comps[0]
+        assert a == b and hash(a) == hash(b) == hash((a.chart, a.comps))
+        assert repr(a) == repr(b) and "_hash" not in repr(a)
+        assert a != read(rm.Chart(coords=("x", "y"), params=(("c", 3.0),)))
+
     @pytest.mark.parametrize("key", [e.key for e in catalog.ENTRIES])
     def test_a_catalog_manifold_equals_its_exported_file(self, key):
         cp = catalog.resolve(key)
@@ -306,6 +326,49 @@ class TestHashing:
         # the manifold keeps its hash, so not even the d^2 metric entries
         # and four rows of d are hashed again
         assert calls == [] and computed == []
+
+
+def _package_classes():
+    for info in pkgutil.iter_modules(contactcurv.__path__):
+        module = importlib.import_module(f"contactcurv.{info.name}")
+        yield from (value for value in vars(module).values()
+                    if inspect.isclass(value) and value.__module__ == module.__name__)
+
+
+class TestRecords:
+    def test_only_the_targets_of_dataclasses_replace_are_dataclasses(self):
+        """Processing a dataclass generates and compiles its methods at import,
+        which every command pays for; the chart and the manifold stay
+        dataclasses because tests and the benchmark rebuild them with
+        ``dataclasses.replace``, and no other class is one."""
+        found = {f"{cls.__module__}.{cls.__qualname__}" for cls in _package_classes()
+                 if dataclasses.is_dataclass(cls)}
+        assert found == {"contactcurv.riemann.Chart", "contactcurv.contactpair.ContactPairManifold"}
+
+    RECORDS = [
+        el.Const(2.0), el.Sym("x"), el.Neg(el.Sym("x")), el.Bin("+", el.Sym("x"), el.Const(1.0)),
+        el.Fn("sin", el.Sym("x")),
+        rm.MetricField.diagonal(rm.Chart(coords=("x",)), ["1 + x^2"]),
+        rm.VectorField.of(rm.Chart(coords=("x",)), ["x"]),
+        rm.OneForm.of(rm.Chart(coords=("x",)), ["x"]),
+        catalog.ENTRIES[0],
+    ]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_a_record_refuses_assignment_and_deletion(self, record):
+        hash(record)  # a kept hash is no field
+        before = dict(vars(record))
+        for name in (*type(record).__annotations__, "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert vars(record) == before
+
+    def test_a_tree_prints_as_a_dataclass(self):
+        assert repr(el.parse("sin(x)*2 - -y")) == (
+            "Bin(op='-', lhs=Bin(op='*', lhs=Fn(name='sin', arg=Sym(name='x')), "
+            "rhs=Const(value=2.0)), rhs=Neg(arg=Sym(name='y')))")
 
 
 @pytest.mark.parametrize("source, x", [("exp(1000*x)", 1.0), ("1 + x^400", 30.0)])

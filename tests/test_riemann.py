@@ -516,6 +516,36 @@ def test_cached_arrays_are_read_only(query):
     assert np.array_equal(query(metric, point), original)
 
 
+def assert_arrays_read_only(record, names):
+    """Every array attribute of ``record``, which must be those of ``names``,
+    refuses a write and keeps its values."""
+    arrays = {name: value for name, value in vars(record).items()
+              if isinstance(value, np.ndarray)}
+    assert set(arrays) == set(names)
+    for name, value in arrays.items():
+        original = value.copy()
+        with pytest.raises(ValueError):
+            value[(0,) * value.ndim] += 100
+        assert np.array_equal(value, original), name
+
+
+# tau is a number at one point and an array over a stack
+GEOMETRY_ARRAYS = ("g", "ginv", "dg", "d2g", "gamma", "riem4", "ricci")
+
+
+@pytest.mark.parametrize("point", [(0.41, -0.23, 0.67), ((0.41, -0.23, 0.67), (-0.3, 0.52, 0.11))],
+                         ids=["point", "stack"])
+def test_every_geometry_array_is_read_only(point):
+    # the cached geometry, and the geometry of h g with h = 1 + x0^2 made from it
+    metric = wavy_metric()
+    geo = rm.geometry_at(metric, point)
+    x0 = np.asarray(point)[..., 0]
+    names = GEOMETRY_ARRAYS + (("tau",) if rm.is_stack(point) else ())
+    assert_arrays_read_only(geo, names)
+    assert_arrays_read_only(geo.conformal(1.0 + x0 ** 2, 2.0 * x0, 2.0 + 0.0 * x0), names)
+    assert rm.geometry_at(metric, point) is geo
+
+
 class TestChartRead:
     def test_fields_on_one_chart_share_their_nodes(self):
         chart = rm.Chart(coords=("x", "y"), params=(("c", 2.0),))

@@ -25,13 +25,24 @@ from contactcurv import riemann as rm
 KEYS = [entry.key for entry in catalog.ENTRIES]
 
 
+# the fields each record declares, so that a field dropped or added shows here
+FIELDS = {
+    rm.PointGeometry: {"g", "ginv", "dg", "d2g", "_walk", "gamma", "riem4", "ricci", "tau"},
+    cpm.StructureData: {"cp", "point", "geo", "alphas", "reebs", "dreebs", "dalphas", "phi",
+                        "dphi", "J", "dJ", "T", "dT", "proj", "H", "star_ricci", "tau_star",
+                        "foliation_dims"},
+}
+
+
 def _fields(record, prefix=""):
     """Every array and scalar field of a geometry or structure record."""
+    names = type(record).__annotations__
+    assert set(names) == FIELDS[type(record)]
     out = {}
-    for f in dataclasses.fields(record):
-        value = getattr(record, f.name)
+    for name in names:
+        value = getattr(record, name)
         if isinstance(value, (np.ndarray, float)):
-            out[prefix + f.name] = value
+            out[prefix + name] = value
     return out
 
 
